@@ -8,10 +8,9 @@ Usage: python3 scripts/catenoid_convergence_study.py [a] [v_half]
 import math
 import sys
 
-import numpy as np
-
 from mintube import flux, surfaces
-from mintube.mesh import cot_laplacian, slice_mesh, total_curvature
+from mintube.mesh import slice_mesh, total_curvature
+from mintube.solver import mean_curvature_residual
 
 
 def main() -> int:
@@ -22,10 +21,8 @@ def main() -> int:
     for nu in (32, 64, 128, 256, 512):
         nv = nu // 2
         mesh = surfaces.catenoid_mesh(surfaces.CatenoidSpec(a, -v, v, nu, nv))
-        L, mass = cot_laplacian(mesh)
-        interior = ~mesh.boundary_vertex_mask()
-        h = np.linalg.norm((L @ mesh.vertices)[interior], axis=1) / mass[interior]
-        residual = h.max() * mesh.mean_edge_length()
+        _, residual, _ = mean_curvature_residual(
+            mesh, ~mesh.boundary_vertex_mask())
         J = flux.flow_vector_total(slice_mesh(mesh, 0.25 * v))
         flux_err = abs(J[2] - 2 * math.pi * a) / (2 * math.pi * a)
         G_expect = surfaces.catenoid_total_curvature(a, -v, v)

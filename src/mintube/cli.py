@@ -15,8 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import flux, mesh as meshmod, solver, surfaces
 
 OUTDIR_ENV = "MINTUBE_OUTDIR"
@@ -132,30 +130,28 @@ def cmd_ncatenoid(args) -> int:
     return 0
 
 
-def _solve_problem(args):
-    nu, nv = _parse_res(args.res)
-    t1, t2 = args.heights
-    prob = solver.AnnulusProblem(
-        solver.Circle((0.0, 0.0, t1), args.r[0]),
-        solver.Circle((args.offset, 0.0, t2), args.r[1]),
-        nu=nu, nv=nv,
-        options=solver.SolverOptions(max_iterations=args.max_iterations,
-                                     tolerance=args.tolerance),
-    )
-    return solver.solve_annulus(prob)
-
-
-def cmd_solve_annulus(args) -> int:
+def _annulus_problem(args, offset: float) -> solver.AnnulusProblem:
+    """The problem the solver arguments describe, with the upper circle
+    shifted by `offset` along x."""
     if args.r[0] <= 0 or args.r[1] <= 0:
         raise CliError("circle radii must be positive")
     if not args.heights[0] < args.heights[1]:
         raise CliError("--heights must be increasing")
+    nu, nv = _parse_res(args.res)
+    t1, t2 = args.heights
+    return solver.AnnulusProblem(
+        solver.Circle((0.0, 0.0, t1), args.r[0]),
+        solver.Circle((offset, 0.0, t2), args.r[1]),
+        nu=nu, nv=nv,
+        options=solver.SolverOptions(max_iterations=args.max_iterations,
+                                     tolerance=args.tolerance),
+    )
+
+
+def cmd_solve_annulus(args) -> int:
+    prob = _annulus_problem(args, args.offset)
     outdir = _outdir(args)
-    try:
-        m, conv = _solve_problem(args)
-    except solver.NoAnnulusError as exc:
-        print(f"no annulus: {exc}", file=sys.stderr)
-        return 2
+    m, conv = solver.solve_annulus(prob)
     meshmod.write_obj(m, outdir / "annulus.obj")
     _write(outdir / "annulus_convergence.json", conv.to_json())
     tols = {"margin_tol": args.margin_tol, "invariance_tol": args.invariance_tol,
@@ -188,17 +184,9 @@ def cmd_analyze(args) -> int:
 def cmd_sweep(args) -> int:
     if not args.offsets:
         raise CliError("need at least one offset")
-    nu, nv = _parse_res(args.res)
     rows = ["offset,alpha,min_diameter_margin,lifetime_bound_over_height"]
     for off in args.offsets:
-        prob = solver.AnnulusProblem(
-            solver.Circle((0.0, 0.0, args.heights[0]), args.r[0]),
-            solver.Circle((off, 0.0, args.heights[1]), args.r[1]),
-            nu=nu, nv=nv,
-            options=solver.SolverOptions(max_iterations=args.max_iterations,
-                                         tolerance=args.tolerance),
-        )
-        m, _ = solver.solve_annulus(prob)
+        m, _ = solver.solve_annulus(_annulus_problem(args, off))
         report = flux.analyze_tube(m, n_levels=args.levels,
                                    compute_capacity=False)
         lb = report.lifetime_bound
@@ -219,8 +207,6 @@ def _add_common(p, levels_default=10):
                    help="number of interior slice levels")
     p.add_argument("--margin-tol", type=float, default=DEFAULT_MARGIN_TOL)
     p.add_argument("--invariance-tol", type=float, default=DEFAULT_INVARIANCE_TOL)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed echoed into outputs for reproducibility")
 
 
 def _add_solver_args(p):
@@ -282,11 +268,13 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    np.random.seed(args.seed)
     try:
         return args.func(args)
     except (CliError, ValueError, meshmod.MeshError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except solver.NoAnnulusError as exc:
+        print(exc, file=sys.stderr)  # the message starts "no annulus: "
         return 2
     except solver.ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import exterior
 from .mesh import (
     E3,
     CrossSectionCycle,
@@ -88,13 +87,9 @@ def max_axial_component_orthogonal(J) -> float:
 
 
 def _tangent_contraction(cycle: CrossSectionCycle, q: np.ndarray) -> np.ndarray:
-    """pi_T(q) per segment with T the tangent line of the cycle, via the
-    exterior-algebra operator *(sigma(T) ^ q)."""
-    out = np.empty((cycle.n_segments, 3))
-    for i in range(cycle.n_segments):
-        frame = exterior.SubspaceFrame(3, cycle.tangents[i][None, :])
-        out[i] = exterior.pi_V(frame, q).to_vector()
-    return out
+    """pi_T(q) = *(sigma(T) ^ q) per segment with T the tangent line of the
+    cycle; for a unit tangent t in R^3 this is the cross product t x q."""
+    return np.cross(cycle.tangents, q)
 
 
 def verify_axial_cycle_identity(cycle: CrossSectionCycle, q) -> float:

@@ -12,6 +12,16 @@ parameter adapted by the realized-vs-predicted gradient decrease, which
 resolves the flat directions the fixed-point iteration cannot.  The common
 fixed point is a discrete minimal surface: zero cotangent mean-curvature
 vector at every interior vertex.
+
+Linear algebra: phase 1 solves the interior cotangent-Laplacian system with
+`scipy.sparse.linalg.spsolve`.  Phase 2 builds the sparsity pattern of the
+interior Hessian H_ii once per solve, since the triangles and the pinned
+vertices never change.  Each iteration computes the per-triangle 3x3
+Hessian blocks, sums them into the fixed CSC pattern with one `bincount`,
+adds the damping mu on the diagonal slots, and factors H_ii + mu I with
+SuperLU in symmetric mode (minimum-degree ordering on A^T + A, diagonal
+pivots).  An exactly singular factor is handled like a non-finite step:
+mu grows and the step is retried.
 """
 
 from __future__ import annotations
@@ -118,57 +128,111 @@ def initial_annulus(problem: AnnulusProblem) -> TriMesh:
     return _revolution_mesh(radii, heights, problem.nu, centers=centers)
 
 
-def _mean_curvature_residual(mesh: TriMesh, interior: np.ndarray):
+def mean_curvature_residual(mesh: TriMesh, interior: np.ndarray):
+    """Area gradient at the interior vertices and the solver's stopping
+    measure.
+
+    Returns (grad, res, L): grad = (L @ V)[interior] with the cotangent
+    Laplacian L, and res = max |H| * mean edge length, where |H| is the
+    gradient norm over the barycentric vertex area.
+    """
     L, mass = cot_laplacian(mesh)
-    Lx = L @ mesh.vertices
-    h = np.linalg.norm(Lx[interior], axis=1) / mass[interior]
-    return L, float(h.max()) * mesh.mean_edge_length()
+    grad = (L @ mesh.vertices)[interior]
+    h = np.linalg.norm(grad, axis=1) / mass[interior]
+    return grad, float(h.max()) * mesh.mean_edge_length(), L
 
 
 def _cross_matrices(v: np.ndarray) -> np.ndarray:
-    """(M,3) vectors -> (M,3,3) cross-product matrices [v]x."""
-    zero = np.zeros(len(v))
-    return np.array([[zero, -v[:, 2], v[:, 1]],
-                     [v[:, 2], zero, -v[:, 0]],
-                     [-v[:, 1], v[:, 0], zero]]).transpose(2, 0, 1)
+    """(..., 3) vectors -> (..., 3, 3) cross-product matrices [v]x."""
+    out = np.zeros(v.shape + (3,))
+    out[..., 0, 1], out[..., 0, 2] = -v[..., 2], v[..., 1]
+    out[..., 1, 0], out[..., 1, 2] = v[..., 2], -v[..., 0]
+    out[..., 2, 0], out[..., 2, 1] = -v[..., 1], v[..., 0]
+    return out
 
 
-def _area_hessian(verts: np.ndarray, tris: np.ndarray) -> sp.csr_matrix:
-    """Exact second derivative of total triangle area, as a sparse
-    (3N, 3N) matrix over stacked vertex coordinates.
+def _area_hessian(verts: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """Exact second derivative of total triangle area, as per-triangle
+    blocks: out[m, i, j] is the 3x3 block coupling corner i to corner j of
+    triangle m.  `_HessianPattern` sums them into a sparse matrix.
 
     Per triangle with corners p0,p1,p2, normal n and unit normal nh, the
     area gradient at corner i is 0.5 (p_{i+1}-p_{i+2}) x nh; differentiating
     gives the blocks  -0.5 [e_i]x (I - nh nh^T) [e_j]x / |n|  plus the
     +-0.5 [nh]x terms from the cyclic edge dependence on p_j.
     """
-    n_verts = len(verts)
-    p = [verts[tris[:, k]] for k in range(3)]
-    n = np.cross(p[1] - p[0], p[2] - p[0])
+    p = verts[tris]                                   # (M, 3 corners, 3)
+    e = np.roll(p, -1, axis=1) - np.roll(p, -2, axis=1)
+    n = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
     nn = np.linalg.norm(n, axis=1)
     nh = n / nn[:, None]
-    e = [p[1] - p[2], p[2] - p[0], p[0] - p[1]]
-    proj = np.eye(3)[None] - np.einsum('mi,mj->mij', nh, nh)
-    ex = [_cross_matrices(ei) for ei in e]
-    nx = _cross_matrices(nh)
-    rows, cols, vals = [], [], []
+    proj = np.eye(3) - nh[:, :, None] * nh[:, None, :]
+    ex = _cross_matrices(e)                           # (M, 3, 3, 3)
+    left = ex @ proj[:, None]
+    blocks = left[:, :, None] @ ex[:, None, :]        # (M, 3, 3, 3, 3)
+    blocks *= (-0.5 / nn)[:, None, None, None, None]
+    half_nx = 0.5 * _cross_matrices(nh)
     for i in range(3):
-        for j in range(3):
-            block = -0.5 * np.einsum('mab,mbc,mcd->mad',
-                                     ex[i], proj, ex[j]) / nn[:, None, None]
-            if j == (i + 1) % 3:
-                block = block - 0.5 * nx
-            if j == (i + 2) % 3:
-                block = block + 0.5 * nx
-            vi, vj = tris[:, i], tris[:, j]
-            for a in range(3):
-                for b in range(3):
-                    rows.append(3 * vi + a)
-                    cols.append(3 * vj + b)
-                    vals.append(block[:, a, b])
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(3 * n_verts, 3 * n_verts))
+        blocks[:, i, (i + 1) % 3] -= half_nx
+        blocks[:, i, (i + 2) % 3] += half_nx
+    return blocks
+
+
+class _HessianPattern:
+    """Fixed CSC sparsity pattern of the area Hessian restricted to the
+    coordinates of the vertices in `dof_mask` (3 per vertex, in vertex
+    order), built once per triangulation.
+
+    Vertex pairs sharing a triangle are sorted column-major once; each pair
+    owns a dense 3x3 block of slots, so every column lists its rows in
+    increasing order.  `slots` maps each entry of the `_area_hessian`
+    blocks to its slot, with entries touching other vertices sent to a
+    spill slot past the end.
+    """
+
+    def __init__(self, tris: np.ndarray, dof_mask: np.ndarray):
+        n_verts = int(dof_mask.sum())
+        vmap = np.full(len(dof_mask), -1, dtype=np.int32)
+        vmap[dof_mask] = np.arange(n_verts, dtype=np.int32)
+        row = vmap[tris][:, :, None]                  # corner i of block (i, j)
+        col = vmap[tris][:, None, :]                  # corner j
+        valid = (row >= 0) & (col >= 0)
+        key = (col.astype(np.int64) * n_verts + row)[valid]
+        pairs, pair_of = np.unique(key, return_inverse=True)
+        pcol, prow = np.divmod(pairs, n_verts)
+        vptr = np.zeros(n_verts + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pcol, minlength=n_verts), out=vptr[1:])
+        deg = np.diff(vptr)
+        rank = np.arange(len(pairs)) - vptr[pcol]
+        a = np.arange(3)
+        # Column 3j+b starts at 9 vptr[j] + 3 b deg[j]; the rows of pair
+        # (i, j) sit at 3 rank + a within it.
+        self.indptr = np.append(9 * vptr[:-1, None] + 3 * deg[:, None] * a,
+                                9 * vptr[-1]).astype(np.int32)
+        pair_slots = ((9 * vptr[pcol] + 3 * rank)[:, None, None] + a[:, None]
+                      + 3 * deg[pcol][:, None, None] * a).astype(np.int32)
+        self.nnz = 9 * len(pairs)
+        self.indices = np.empty(self.nnz, dtype=np.int32)
+        self.indices[pair_slots] = (3 * prow)[:, None, None] + a[:, None]
+        diag_pairs = np.flatnonzero(prow == pcol)
+        self.diag = pair_slots[diag_pairs][:, a, a].ravel()
+        entry_pair = np.full(valid.shape, len(pairs), dtype=np.int64)
+        entry_pair[valid] = pair_of
+        spill = np.full((1, 3, 3), self.nnz, dtype=np.int32)
+        self.slots = np.concatenate([pair_slots, spill])[entry_pair].ravel()
+        self.shape = (3 * n_verts, 3 * n_verts)
+
+    def values(self, blocks: np.ndarray) -> np.ndarray:
+        """CSC data array of the summed blocks."""
+        return np.bincount(self.slots, weights=blocks.ravel(),
+                           minlength=self.nnz + 1)[:self.nnz]
+
+    def shifted(self, values: np.ndarray, mu: float) -> sp.csc_matrix:
+        """The matrix with `values`, plus mu on the diagonal."""
+        data = values.copy()
+        data[self.diag] += mu
+        return sp.csc_matrix((data, self.indices, self.indptr),
+                             shape=self.shape)
 
 
 def minimize_area(mesh: TriMesh, options: SolverOptions | None = None):
@@ -226,7 +290,7 @@ def minimize_area(mesh: TriMesh, options: SolverOptions | None = None):
     # Phase 1: implicit mean-curvature (harmonic replacement) iteration.
     it = 0
     for it in range(1, opts.max_iterations + 1):
-        L, res = _mean_curvature_residual(cur, interior)
+        _, res, L = mean_curvature_residual(cur, interior)
         residuals.append(res)
         if res <= opts.tolerance:
             converged = True
@@ -263,19 +327,9 @@ def minimize_area(mesh: TriMesh, options: SolverOptions | None = None):
     # adapted by the realized/predicted gradient decrease (for the damped
     # system the predicted remaining gradient is exactly -mu * step).
     if not converged:
-        idx = np.where(interior)[0]
-        dofs = (3 * idx[:, None] + np.arange(3)).ravel()
-        eye = sp.identity(len(dofs), format='csc')
         tris = cur.triangles
-
-        def grad_resid(m):
-            L, mass = cot_laplacian(m)
-            grad = (L @ m.vertices)[interior]
-            res = float((np.linalg.norm(grad, axis=1) / mass[interior]).max()
-                        ) * m.mean_edge_length()
-            return grad, res
-
-        grad, res = grad_resid(cur)
+        pattern = _HessianPattern(tris, interior)
+        grad, res, _ = mean_curvature_residual(cur, interior)
         gnorm = np.linalg.norm(grad)
         mu = 1e-6 * max(gnorm, 1e-30)
         escalate = 2.0
@@ -284,19 +338,26 @@ def minimize_area(mesh: TriMesh, options: SolverOptions | None = None):
                 converged = True
                 break
             it += 1
-            hess = _area_hessian(cur.vertices, tris)
-            hii = hess[dofs][:, dofs].tocsc()
+            hess = pattern.values(_area_hessian(cur.vertices, tris))
             accepted = False
             for _ in range(25):
-                step = spla.spsolve(hii + mu * eye, -grad.ravel())
-                if not np.all(np.isfinite(step)):
+                try:
+                    lu = spla.splu(pattern.shifted(hess, mu),
+                                   permc_spec="MMD_AT_PLUS_A",
+                                   diag_pivot_thresh=0.0,
+                                   options={"SymmetricMode": True})
+                except RuntimeError:  # factor is exactly singular
+                    step = None
+                else:
+                    step = lu.solve(-grad.ravel())
+                if step is None or not np.all(np.isfinite(step)):
                     mu *= escalate
                     escalate *= 2.0
                     continue
                 trial = cur.vertices.copy()
                 trial[interior] += step.reshape(-1, 3)
                 cand = TriMesh(trial, tris)
-                grad2, res2 = grad_resid(cand)
+                grad2, res2, _ = mean_curvature_residual(cand, interior)
                 gnorm2 = np.linalg.norm(grad2)
                 if gnorm2 < gnorm:
                     predicted = mu * np.linalg.norm(step)

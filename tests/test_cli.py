@@ -84,6 +84,16 @@ def test_solve_annulus_no_annulus_exit_code(tmp_path):
     assert code == 2
 
 
+def test_sweep_no_annulus_exit_code(tmp_path, capsys):
+    # unit circles 2 apart: no catenoid spans them, so the neck pinches
+    code = run(["sweep", "--res", "32x16", "--offsets", "0.0", "--heights",
+                "0", "2", "--outdir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("no annulus: ")
+    assert "Traceback" not in err
+
+
 def test_analyze_roundtrip(tmp_path):
     assert run(["catenoid", "--res", "64x32", "--outdir", str(tmp_path)]) == 0
     code = run(["analyze", str(tmp_path / "catenoid.obj"), "--levels", "3",

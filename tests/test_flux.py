@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mintube import flux, surfaces
+from mintube import exterior, flux, surfaces
 from mintube.mesh import slice_mesh, total_curvature, vertex_normals
 
 
@@ -90,6 +90,19 @@ def test_conormal_cycle_identity_closed():
     plus, minus = flux.verify_conormal_cycle_identity(cycle, q)
     scale = cycle.length() * np.linalg.norm(q)
     assert plus < 1e-10 * scale and minus < 1e-10 * scale
+
+
+def test_tangent_contraction_matches_exterior_operator():
+    # the closed form t x q against pi_T(q) = *(sigma(T) ^ q), per segment
+    mesh = catenoid(res=(64, 32))
+    q = np.array([0.6, -0.8, 0.4])
+    for level in (0.3, -0.4):
+        for cycle in slice_mesh(mesh, level):
+            expect = np.array([
+                exterior.pi_V(exterior.SubspaceFrame(3, t[None, :]), q).to_vector()
+                for t in cycle.tangents])
+            got = flux._tangent_contraction(cycle, q)
+            assert np.abs(got - expect).max() <= 1e-15
 
 
 def test_identities_require_closed_cycles():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import brentq
 
 from mintube import solver
@@ -113,18 +114,26 @@ def test_minimize_area_requires_two_loops():
         solver.minimize_area(disk)
 
 
-def test_area_hessian_matches_finite_differences():
-    rng = np.random.default_rng(3)
+def small_annulus():
     prob = solver.AnnulusProblem(solver.Circle((0, 0, 0.0), 1.0),
                                  solver.Circle((0.2, 0, 1.0), 1.0), nu=16, nv=6)
-    mesh = solver.initial_annulus(prob)
+    return solver.initial_annulus(prob)
+
+
+def test_area_hessian_matches_finite_differences():
+    rng = np.random.default_rng(3)
+    mesh = small_annulus()
     verts = mesh.vertices
 
     def grad(v):
         L, _ = cot_laplacian(TriMesh(v, mesh.triangles))
         return L @ v
 
-    H = solver._area_hessian(verts, mesh.triangles)
+    # every vertex a dof: the full (3N, 3N) Hessian
+    full = solver._HessianPattern(mesh.triangles, np.ones(len(verts), bool))
+    H = full.shifted(full.values(solver._area_hessian(verts, mesh.triangles)),
+                     0.0)
+    assert H.shape == (3 * len(verts), 3 * len(verts))
     d = rng.standard_normal(verts.shape) * 1e-6
     fd = grad(verts + d) - grad(verts - d)
     hd = 2.0 * (H @ d.ravel()).reshape(-1, 3)
@@ -136,3 +145,54 @@ def test_offset_annulus_converges(annulus_coarse):
     assert report.converged
     assert report.residual_history[-1] <= 1e-6
     mesh.validate(tube_axis_check=True)
+
+
+def test_hessian_pattern_matches_coo_assembly():
+    mesh = small_annulus()
+    rng = np.random.default_rng(5)
+    interior = ~mesh.boundary_vertex_mask()
+    verts = mesh.vertices.copy()
+    verts[interior] += 0.02 * rng.standard_normal(verts[interior].shape)
+    tris = mesh.triangles
+    blocks = solver._area_hessian(verts, tris)
+    rows, cols, vals = [], [], []
+    for i in range(3):
+        for j in range(3):
+            for a in range(3):
+                for b in range(3):
+                    rows.append(3 * tris[:, i] + a)
+                    cols.append(3 * tris[:, j] + b)
+                    vals.append(blocks[:, i, j, a, b])
+    n = 3 * len(verts)
+    H = sp.coo_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n)).tocsr()
+    idx = np.flatnonzero(interior)
+    dofs = (3 * idx[:, None] + np.arange(3)).ravel()
+    mu = 0.37
+    expect = (H[dofs][:, dofs] + mu * sp.identity(len(dofs))).toarray()
+    pattern = solver._HessianPattern(tris, interior)
+    got = pattern.shifted(pattern.values(blocks), mu)
+    assert got.format == "csc" and got.has_sorted_indices
+    assert np.abs(got.toarray() - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+def test_singular_factor_escalates_damping(monkeypatch):
+    splu = solver.spla.splu
+    shifts = []
+
+    def splu_singular_once(A, **kwargs):
+        shifts.append(A.diagonal())
+        if len(shifts) == 1:
+            raise RuntimeError("Factor is exactly singular")
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "splu", splu_singular_once)
+    prob = solver.AnnulusProblem(solver.Circle((0, 0, 0.0), 1.0),
+                                 solver.Circle((0.3, 0, 1.0), 1.0), nu=48, nv=16)
+    mesh, report = solver.solve_annulus(prob)
+    assert report.converged
+    assert report.residual_history[-1] <= prob.options.tolerance
+    # the retry factors the same Hessian with a larger diagonal shift
+    assert len(shifts) > 2
+    assert np.all(shifts[1] > shifts[0])
