@@ -21,7 +21,7 @@ def main() -> int:
     for nu in (32, 64, 128, 256, 512):
         nv = nu // 2
         mesh = surfaces.catenoid_mesh(surfaces.CatenoidSpec(a, -v, v, nu, nv))
-        _, residual, _ = mean_curvature_residual(
+        _, residual = mean_curvature_residual(
             mesh, ~mesh.boundary_vertex_mask())
         J = flux.flow_vector_total(slice_mesh(mesh, 0.25 * v))
         flux_err = abs(J[2] - 2 * math.pi * a) / (2 * math.pi * a)

@@ -393,27 +393,29 @@ def total_curvature(mesh: TriMesh, return_clamped: bool = False):
 # Cotangent Laplacian, mass and capacity
 
 
+def cot_stiffness(mesh: TriMesh) -> np.ndarray:
+    """Per-triangle cotangent stiffness: out[m, i, j] = 0.5 (e_i . e_j) / |n|
+    with e_i the edge opposite corner i and n the normal of triangle m.
+
+    An off-diagonal entry is minus half the cotangent of the angle at the
+    third corner, and each row sums to zero.  A floor on |n| keeps
+    degenerate triangles finite.
+    """
+    p = mesh.vertices[mesh.triangles]                 # (M, 3 corners, 3)
+    e = np.roll(p, -1, axis=1) - np.roll(p, -2, axis=1)
+    nn = np.linalg.norm(np.cross(e[:, 0], e[:, 1]), axis=1)
+    return (e @ e.transpose(0, 2, 1)) * (0.5 / np.maximum(nn, 1e-300))[:, None, None]
+
+
 def cot_laplacian(mesh: TriMesh):
     """Cotangent-weight Laplacian L (positive semidefinite, L @ 1 = 0) and
     barycentric vertex areas.  phi^T L phi is the Dirichlet energy."""
-    p0, p1, p2 = mesh.triangle_corners()
     t = mesh.triangles
     nv = mesh.n_vertices
-    rows, cols, vals = [], [], []
-    corners = (p0, p1, p2)
-    for k in range(3):
-        # Angle at corner k is opposite the edge (k+1, k+2).
-        a = corners[(k + 1) % 3] - corners[k]
-        b = corners[(k + 2) % 3] - corners[k]
-        cross = np.linalg.norm(np.cross(a, b), axis=1)
-        cot = np.einsum("ij,ij->i", a, b) / np.maximum(cross, 1e-300)
-        w = 0.5 * cot
-        i, j = t[:, (k + 1) % 3], t[:, (k + 2) % 3]
-        rows += [i, j, i, j]
-        cols += [j, i, i, j]
-        vals += [-w, -w, w, w]
+    S = cot_stiffness(mesh)
     L = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (S.ravel(), (np.broadcast_to(t[:, :, None], S.shape).ravel(),
+                     np.broadcast_to(t[:, None, :], S.shape).ravel())),
         shape=(nv, nv),
     )
     areas = mesh.triangle_areas()

@@ -1,27 +1,32 @@
 """Discrete minimal annuli spanning two horizontal circles.
 
-The area functional is minimized with the boundary held fixed in two phases.
-Phase 1 iterates implicit steps of the cotangent-Laplacian mean-curvature
-direction: interior vertices are re-solved harmonically in the current
-metric, with backtracking toward the previous positions whenever a full step
-fails to decrease area.  This contracts fast from the ruled initial surface
-but stalls once the remaining area gradient points along near-flat
-(tangential sliding) directions.  Phase 2 finishes with damped Newton steps
-on the exact second derivative of total triangle area, with the damping
-parameter adapted by the realized-vs-predicted gradient decrease, which
-resolves the flat directions the fixed-point iteration cannot.  The common
-fixed point is a discrete minimal surface: zero cotangent mean-curvature
-vector at every interior vertex.
+The area functional is minimized with the boundary held fixed by one
+Levenberg-Marquardt iteration in the cotangent-Laplacian metric.  Each
+iteration solves
 
-Linear algebra: phase 1 solves the interior cotangent-Laplacian system with
-`scipy.sparse.linalg.spsolve`.  Phase 2 builds the sparsity pattern of the
-interior Hessian H_ii once per solve, since the triangles and the pinned
-vertices never change.  Each iteration computes the per-triangle 3x3
-Hessian blocks, sums them into the fixed CSC pattern with one `bincount`,
-adds the damping mu on the diagonal slots, and factors H_ii + mu I with
-SuperLU in symmetric mode (minimum-degree ordering on A^T + A, diagonal
-pivots).  An exactly singular factor is handled like a non-finite step:
-mu grows and the step is retried.
+    (H + mu kron(L, I3)) s = -g
+
+for the interior vertex positions, with H the exact second derivative of
+total triangle area, L the cotangent Laplacian of the current surface and
+g = L V the area gradient.  For large mu the step is a damped
+harmonic-replacement step (Pinkall & Polthier 1993), which contracts fast
+from the ruled initial surface; as mu -> 0 it is the Newton step, which
+resolves the near-flat tangential directions the fixed-point iteration
+cannot.  A step is accepted when the realized area decrease is at least a
+tenth of the decrease the quadratic model g.s + s.H s / 2 predicts (Nocedal
+& Wright, Numerical Optimization, ch. 4), so every accepted step lowers the
+area; mu shrinks after a step the model predicted well and grows after a
+rejected one.  The fixed point is a discrete minimal surface: zero
+cotangent mean-curvature vector at every interior vertex.  The residual
+only decides when to stop.
+
+Linear algebra: the sparsity pattern of the interior system is built once
+per solve, since the triangles and the pinned vertices never change.  Each
+iteration computes the per-triangle 3x3 blocks of H and of kron(L, I3),
+sums each into the fixed CSC pattern with one `bincount`, and factors
+H + mu kron(L, I3) with SuperLU in symmetric mode (minimum-degree ordering
+on A^T + A, diagonal pivots).  An exactly singular factor is handled like a
+rejected step: mu grows and the step is retried.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import MeshError, TriMesh, cot_laplacian, slice_mesh
+from .mesh import MeshError, TriMesh, cot_laplacian, cot_stiffness, slice_mesh
 from .surfaces import _revolution_mesh
 
 
@@ -68,8 +73,6 @@ class SolverOptions:
                                   # the smaller boundary circumference aborts
     min_quality: float = 1e-4     # min triangle area / mean triangle area
     check_every: int = 5
-    stall_window: int = 10        # harmonic phase hands over to Newton once
-    stall_factor: float = 0.8     # res[-1] > stall_factor * res[-window]
 
 
 @dataclass(frozen=True)
@@ -132,14 +135,14 @@ def mean_curvature_residual(mesh: TriMesh, interior: np.ndarray):
     """Area gradient at the interior vertices and the solver's stopping
     measure.
 
-    Returns (grad, res, L): grad = (L @ V)[interior] with the cotangent
+    Returns (grad, res): grad = (L @ V)[interior] with the cotangent
     Laplacian L, and res = max |H| * mean edge length, where |H| is the
     gradient norm over the barycentric vertex area.
     """
     L, mass = cot_laplacian(mesh)
     grad = (L @ mesh.vertices)[interior]
     h = np.linalg.norm(grad, axis=1) / mass[interior]
-    return grad, float(h.max()) * mesh.mean_edge_length(), L
+    return grad, float(h.max()) * mesh.mean_edge_length()
 
 
 def _cross_matrices(v: np.ndarray) -> np.ndarray:
@@ -178,10 +181,16 @@ def _area_hessian(verts: np.ndarray, tris: np.ndarray) -> np.ndarray:
     return blocks
 
 
+def _laplacian_blocks(mesh: TriMesh) -> np.ndarray:
+    """kron(L, I3) as per-triangle blocks in the layout of `_area_hessian`:
+    out[m, i, j] = S[m, i, j] I3 with S the cotangent stiffness."""
+    return cot_stiffness(mesh)[..., None, None] * np.eye(3)
+
+
 class _HessianPattern:
-    """Fixed CSC sparsity pattern of the area Hessian restricted to the
-    coordinates of the vertices in `dof_mask` (3 per vertex, in vertex
-    order), built once per triangulation.
+    """Fixed CSC sparsity pattern of the area Hessian, and of kron(L, I3),
+    restricted to the coordinates of the vertices in `dof_mask` (3 per
+    vertex, in vertex order), built once per triangulation.
 
     Vertex pairs sharing a triangle are sorted column-major once; each pair
     owns a dense 3x3 block of slots, so every column lists its rows in
@@ -214,8 +223,6 @@ class _HessianPattern:
         self.nnz = 9 * len(pairs)
         self.indices = np.empty(self.nnz, dtype=np.int32)
         self.indices[pair_slots] = (3 * prow)[:, None, None] + a[:, None]
-        diag_pairs = np.flatnonzero(prow == pcol)
-        self.diag = pair_slots[diag_pairs][:, a, a].ravel()
         entry_pair = np.full(valid.shape, len(pairs), dtype=np.int64)
         entry_pair[valid] = pair_of
         spill = np.full((1, 3, 3), self.nnz, dtype=np.int32)
@@ -227,11 +234,9 @@ class _HessianPattern:
         return np.bincount(self.slots, weights=blocks.ravel(),
                            minlength=self.nnz + 1)[:self.nnz]
 
-    def shifted(self, values: np.ndarray, mu: float) -> sp.csc_matrix:
-        """The matrix with `values`, plus mu on the diagonal."""
-        data = values.copy()
-        data[self.diag] += mu
-        return sp.csc_matrix((data, self.indices, self.indptr),
+    def matrix(self, values: np.ndarray) -> sp.csc_matrix:
+        """The matrix with CSC data `values`."""
+        return sp.csc_matrix((values, self.indices, self.indptr),
                              shape=self.shape)
 
 
@@ -239,9 +244,8 @@ def minimize_area(mesh: TriMesh, options: SolverOptions | None = None):
     """Relax interior vertices to a discrete minimal surface.
 
     Returns (minimized TriMesh, ConvergenceReport).  Boundary vertices are
-    bit-identical to their input positions.  Area never increases across an
-    accepted harmonic-replacement step; Newton-phase steps move within
-    rounding error of the minimal area while driving the gradient to zero.
+    bit-identical to their input positions.  Every accepted step lowers the
+    area, so the area history decreases strictly.
     """
     opts = options or SolverOptions()
     fixed = mesh.boundary_vertex_mask()
@@ -251,8 +255,8 @@ def minimize_area(mesh: TriMesh, options: SolverOptions | None = None):
         raise MeshError(
             f"expected an annulus with 2 boundary loops, found {len(mesh.boundary_loops())}")
     interior = ~fixed
-    verts = mesh.vertices.copy()
-    cur = TriMesh(verts, mesh.triangles)
+    tris = mesh.triangles
+    cur = TriMesh(mesh.vertices.copy(), tris)
 
     zmin, zmax = cur.x3_range()
     mid_level = 0.5 * (zmin + zmax)
@@ -264,7 +268,6 @@ def minimize_area(mesh: TriMesh, options: SolverOptions | None = None):
 
     areas = [cur.area()]
     residuals = []
-    converged = False
     message = ""
 
     def safety_checks(m, it):
@@ -287,105 +290,56 @@ def minimize_area(mesh: TriMesh, options: SolverOptions | None = None):
                 f"{tri_areas.min() / tri_areas.mean():.2e})",
                 ConvergenceReport(it, False, areas, residuals))
 
-    # Phase 1: implicit mean-curvature (harmonic replacement) iteration.
+    pattern = _HessianPattern(tris, interior)
+    mu = 1.0
     it = 0
-    for it in range(1, opts.max_iterations + 1):
-        _, res, L = mean_curvature_residual(cur, interior)
-        residuals.append(res)
-        if res <= opts.tolerance:
-            converged = True
-            break
-        if (len(residuals) > opts.stall_window
-                and res > opts.stall_factor * residuals[-1 - opts.stall_window]):
-            break  # contraction has flattened out; Newton phase takes over
-        A = L[interior][:, interior].tocsc()
-        rhs = -L[interior][:, fixed] @ cur.vertices[fixed]
-        new_int = spla.spsolve(A, rhs)
-        if not np.all(np.isfinite(new_int)):
-            raise ConvergenceError(
-                "linear solve produced non-finite positions",
-                ConvergenceReport(it, False, areas, residuals))
-        step = 1.0
-        accepted = False
-        old_int = cur.vertices[interior]
-        while step >= 1e-6:
-            trial = cur.vertices.copy()
-            trial[interior] = (1 - step) * old_int + step * new_int
-            cand = TriMesh(trial, cur.triangles)
-            if cand.area() <= areas[-1] * (1 + 1e-12):
-                cur = cand
-                areas.append(cand.area())
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break  # area cannot decrease further; polish the gradient instead
-        if it % opts.check_every == 0:
-            safety_checks(cur, it)
-
-    # Phase 2: damped Newton on the exact area Hessian.  The damping mu is
-    # adapted by the realized/predicted gradient decrease (for the damped
-    # system the predicted remaining gradient is exactly -mu * step).
-    if not converged:
-        tris = cur.triangles
-        pattern = _HessianPattern(tris, interior)
-        grad, res, _ = mean_curvature_residual(cur, interior)
-        gnorm = np.linalg.norm(grad)
-        mu = 1e-6 * max(gnorm, 1e-30)
-        escalate = 2.0
-        while it < opts.max_iterations:
-            if res <= opts.tolerance:
-                converged = True
-                break
-            it += 1
-            hess = pattern.values(_area_hessian(cur.vertices, tris))
-            accepted = False
-            for _ in range(25):
-                try:
-                    lu = spla.splu(pattern.shifted(hess, mu),
-                                   permc_spec="MMD_AT_PLUS_A",
-                                   diag_pivot_thresh=0.0,
-                                   options={"SymmetricMode": True})
-                except RuntimeError:  # factor is exactly singular
-                    step = None
-                else:
-                    step = lu.solve(-grad.ravel())
-                if step is None or not np.all(np.isfinite(step)):
-                    mu *= escalate
-                    escalate *= 2.0
-                    continue
+    grad, res = mean_curvature_residual(cur, interior)
+    residuals.append(res)
+    while res > opts.tolerance and it < opts.max_iterations:
+        it += 1
+        g = grad.ravel()
+        hess = pattern.values(_area_hessian(cur.vertices, tris))
+        lap = pattern.values(_laplacian_blocks(cur))
+        H = pattern.matrix(hess)
+        for _ in range(25):
+            try:
+                lu = spla.splu(pattern.matrix(hess + mu * lap),
+                               permc_spec="MMD_AT_PLUS_A",
+                               diag_pivot_thresh=0.0,
+                               options={"SymmetricMode": True})
+            except RuntimeError:  # factor is exactly singular
+                mu *= 4.0
+                continue
+            step = lu.solve(-g)
+            if np.all(np.isfinite(step)):
                 trial = cur.vertices.copy()
                 trial[interior] += step.reshape(-1, 3)
                 cand = TriMesh(trial, tris)
-                grad2, res2, _ = mean_curvature_residual(cand, interior)
-                gnorm2 = np.linalg.norm(grad2)
-                if gnorm2 < gnorm:
-                    predicted = mu * np.linalg.norm(step)
-                    gain = (gnorm - gnorm2) / max(gnorm - predicted, 1e-300)
-                    cur, grad, res, gnorm = cand, grad2, res2, gnorm2
-                    mu *= max(1.0 / 3.0, 1.0 - (2.0 * min(gain, 1.0) - 1.0) ** 3)
-                    escalate = 2.0
-                    accepted = True
+                cand_area = cand.area()
+                predicted = -(g @ step + 0.5 * step @ (H @ step))
+                actual = areas[-1] - cand_area
+                if predicted > 0 and actual >= 0.1 * predicted:
+                    if actual > 0.75 * predicted:
+                        mu /= 3.0
                     break
-                mu *= escalate
-                escalate *= 2.0
-            residuals.append(res)
-            areas.append(cur.area())
-            if not accepted:
-                message = "damped Newton step rejected at maximal damping"
-                break
-            if it % opts.check_every == 0:
-                safety_checks(cur, it)
+            mu *= 4.0
         else:
-            it = opts.max_iterations
+            message = "no area-decreasing step at maximal damping"
+            break
+        cur = cand
+        areas.append(cand_area)
+        grad, res = mean_curvature_residual(cur, interior)
+        residuals.append(res)
+        if it % opts.check_every == 0:
+            safety_checks(cur, it)
 
-    if converged:
-        safety_checks(cur, it)
+    safety_checks(cur, it)
+    converged = res <= opts.tolerance
     report = ConvergenceReport(it, converged, areas, residuals, message)
     if not converged:
         raise ConvergenceError(
             message or f"not converged after {it} iterations "
-            f"(residual {residuals[-1]:.3e} > {opts.tolerance:.1e})",
+            f"(residual {res:.3e} > {opts.tolerance:.1e})",
             report)
     # Boundary rows were never written; assert the contract cheaply.
     assert np.array_equal(cur.vertices[fixed], mesh.vertices[fixed])

@@ -78,8 +78,10 @@ def test_solve_annulus_rerun_byte_identical(tmp_path):
     assert read_all_bytes(d1) == read_all_bytes(d2)
 
 
-def test_solve_annulus_no_annulus_exit_code(tmp_path):
-    code = run(["solve-annulus", "--res", "48x24", "--heights", "0", "4",
+@pytest.mark.parametrize("res, top", [("48x24", "4"), ("64x32", "1.5")])
+def test_solve_annulus_no_annulus_exit_code(tmp_path, res, top):
+    # coaxial unit circles: no catenoid spans them above h ~ 1.3255
+    code = run(["solve-annulus", "--res", res, "--heights", "0", top,
                 "--outdir", str(tmp_path)])
     assert code == 2
 

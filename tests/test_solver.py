@@ -88,6 +88,15 @@ def test_report_json():
     assert doc["iterations"] == report.iterations
 
 
+def test_coaxial_circles_below_critical_height_converge():
+    # a catenoid spans coaxial unit circles up to h ~ 1.3255
+    prob = solver.AnnulusProblem(solver.Circle((0, 0, 0.0), 1.0),
+                                 solver.Circle((0, 0, 1.3), 1.0), nu=64, nv=32)
+    _, report = solver.solve_annulus(prob)
+    assert report.converged
+    assert report.residual_history[-1] <= prob.options.tolerance
+
+
 def test_far_circles_pinch_detected():
     # distance 4 between unit circles: no embedded annulus; the neck pinches
     prob = solver.AnnulusProblem(solver.Circle((0, 0, 0.0), 1.0),
@@ -131,8 +140,7 @@ def test_area_hessian_matches_finite_differences():
 
     # every vertex a dof: the full (3N, 3N) Hessian
     full = solver._HessianPattern(mesh.triangles, np.ones(len(verts), bool))
-    H = full.shifted(full.values(solver._area_hessian(verts, mesh.triangles)),
-                     0.0)
+    H = full.matrix(full.values(solver._area_hessian(verts, mesh.triangles)))
     assert H.shape == (3 * len(verts), 3 * len(verts))
     d = rng.standard_normal(verts.shape) * 1e-6
     fd = grad(verts + d) - grad(verts - d)
@@ -154,6 +162,7 @@ def test_hessian_pattern_matches_coo_assembly():
     verts = mesh.vertices.copy()
     verts[interior] += 0.02 * rng.standard_normal(verts[interior].shape)
     tris = mesh.triangles
+    perturbed = TriMesh(verts, tris)
     blocks = solver._area_hessian(verts, tris)
     rows, cols, vals = [], [], []
     for i in range(3):
@@ -169,10 +178,13 @@ def test_hessian_pattern_matches_coo_assembly():
                       shape=(n, n)).tocsr()
     idx = np.flatnonzero(interior)
     dofs = (3 * idx[:, None] + np.arange(3)).ravel()
+    L, _ = cot_laplacian(perturbed)
     mu = 0.37
-    expect = (H[dofs][:, dofs] + mu * sp.identity(len(dofs))).toarray()
+    expect = (H[dofs][:, dofs]
+              + mu * sp.kron(L[idx][:, idx], sp.identity(3))).toarray()
     pattern = solver._HessianPattern(tris, interior)
-    got = pattern.shifted(pattern.values(blocks), mu)
+    got = pattern.matrix(pattern.values(blocks) + mu * pattern.values(
+        solver._laplacian_blocks(perturbed)))
     assert got.format == "csc" and got.has_sorted_indices
     assert np.abs(got.toarray() - expect).max() <= 1e-13 * np.abs(expect).max()
 
