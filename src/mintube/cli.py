@@ -53,9 +53,10 @@ def _write(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _report_checks(report: flux.TubeReport, margin_tol: float,
-                   invariance_tol: float):
-    """(ok, failures) for the standard verification set on a TubeReport."""
+def _verify_report(report: flux.TubeReport, margin_tol: float,
+                   invariance_tol: float) -> int:
+    """Run the standard verification set on a TubeReport, print each
+    failure to stderr and return the exit status: 1 if any check failed."""
     failures = []
     if report.flow_deviation > invariance_tol * report.J_norm:
         failures.append(
@@ -70,7 +71,9 @@ def _report_checks(report: flux.TubeReport, margin_tol: float,
         failures.append(
             f"slice curvature margin {report.min_curvature_margin():.3e} below "
             f"-{margin_tol}")
-    return not failures, failures
+    for f in failures:
+        print(f"FAIL: {f}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _emit_report(report: flux.TubeReport, outdir: Path, stem: str) -> None:
@@ -92,10 +95,7 @@ def cmd_catenoid(args) -> int:
     _emit_report(report, outdir, "catenoid")
     if args.verify == "none":
         return 0
-    ok, failures = _report_checks(report, args.margin_tol, args.invariance_tol)
-    for f in failures:
-        print(f"FAIL: {f}", file=sys.stderr)
-    return 0 if ok else 1
+    return _verify_report(report, args.margin_tol, args.invariance_tol)
 
 
 def cmd_ncatenoid(args) -> int:
@@ -160,10 +160,7 @@ def cmd_solve_annulus(args) -> int:
     _emit_report(report, outdir, "annulus")
     if args.verify == "none":
         return 0
-    ok, failures = _report_checks(report, args.margin_tol, args.invariance_tol)
-    for f in failures:
-        print(f"FAIL: {f}", file=sys.stderr)
-    return 0 if ok else 1
+    return _verify_report(report, args.margin_tol, args.invariance_tol)
 
 
 def cmd_analyze(args) -> int:
@@ -175,10 +172,7 @@ def cmd_analyze(args) -> int:
                                tolerances={"margin_tol": args.margin_tol})
     stem = Path(args.obj).stem
     _emit_report(report, outdir, stem)
-    ok, failures = _report_checks(report, args.margin_tol, args.invariance_tol)
-    for f in failures:
-        print(f"FAIL: {f}", file=sys.stderr)
-    return 0 if ok else 1
+    return _verify_report(report, args.margin_tol, args.invariance_tol)
 
 
 def cmd_sweep(args) -> int:

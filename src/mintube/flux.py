@@ -57,16 +57,18 @@ def flow_angle(J) -> float:
     return float(np.arccos(np.clip(J[2] / norm, -1.0, 1.0)))
 
 
+def _max_pairwise_deviation(js) -> float:
+    """max ||J_i - J_j|| over pairs of flow vectors; 0 for fewer than two."""
+    return max((float(np.linalg.norm(a - b))
+                for i, a in enumerate(js) for b in js[i + 1:]), default=0.0)
+
+
 def verify_flow_invariance(mesh: TriMesh, levels, normals=None) -> float:
     """Max pairwise deviation of J(Sigma_t) across the given levels."""
     if normals is None:
         normals = vertex_normals(mesh)
-    js = [flow_vector_total(slice_mesh(mesh, t, normals)) for t in levels]
-    dev = 0.0
-    for i in range(len(js)):
-        for j in range(i + 1, len(js)):
-            dev = max(dev, float(np.linalg.norm(js[i] - js[j])))
-    return dev
+    return _max_pairwise_deviation(
+        [flow_vector_total(slice_mesh(mesh, t, normals)) for t in levels])
 
 
 def orthogonal_tilt_direction(J) -> np.ndarray:
@@ -225,12 +227,12 @@ class LifetimeBound:
         return "unbounded" if self.unbounded else self.value
 
 
-def lifetime_bound(J, G: float, alpha_zero_tol: float = ALPHA_ZERO_TOL) -> LifetimeBound:
+def lifetime_bound(J, G: float) -> LifetimeBound:
     if G < 0:
         raise ValueError("total curvature must be nonnegative")
     J = np.asarray(J, dtype=float)
     alpha = flow_angle(J)
-    if alpha <= alpha_zero_tol:
+    if alpha <= ALPHA_ZERO_TOL:
         return LifetimeBound(math.inf, True, False)
     value = float(np.linalg.norm(J)) * G * math.cos(alpha) / (16.0 * alpha**2)
     return LifetimeBound(value, False, G == 0.0)
@@ -356,7 +358,6 @@ class TubeReport:
 
 def analyze_tube(mesh: TriMesh, levels=None, n_levels: int = 10,
                  compute_capacity: bool = True,
-                 alpha_zero_tol: float = ALPHA_ZERO_TOL,
                  tolerances: dict | None = None) -> TubeReport:
     """Slice the tube, measure its flow vector and curvature, and evaluate
     every inequality margin."""
@@ -392,9 +393,6 @@ def analyze_tube(mesh: TriMesh, levels=None, n_levels: int = 10,
         ))
 
     J = np.mean(js, axis=0)
-    deviation = max(
-        float(np.linalg.norm(a - b)) for i, a in enumerate(js) for b in js[i + 1:]
-    ) if len(js) > 1 else 0.0
     G, clamped = total_curvature(mesh, return_clamped=True)
     capacity = None
     if compute_capacity and len(mesh.boundary_loops()) == 2:
@@ -403,12 +401,12 @@ def analyze_tube(mesh: TriMesh, levels=None, n_levels: int = 10,
         J=tuple(float(x) for x in J),
         J_norm=float(np.linalg.norm(J)),
         alpha=flow_angle(J),
-        flow_deviation=deviation,
+        flow_deviation=_max_pairwise_deviation(js),
         G=G,
         clamped_defect=clamped,
         slices=slice_records,
         capacity=capacity,
-        lifetime_bound=lifetime_bound(J, G, alpha_zero_tol),
+        lifetime_bound=lifetime_bound(J, G),
         slab_height=zmax - zmin,
         tolerances=tolerances or {},
     )

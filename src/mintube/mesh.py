@@ -113,29 +113,28 @@ class TriMesh:
 
     def boundary_loops(self) -> list:
         """Ordered vertex cycles of the boundary (directed edges without a
-        reverse partner), cached."""
+        reverse partner), each starting at its smallest vertex and listed by
+        start vertex; cached."""
         if self._boundary_loops is None:
+            n = self.n_vertices
             de = self._directed_edges()
-            keyset = set(map(tuple, de))
-            nxt = {}
-            for a, b in de:
-                if (b, a) not in keyset:
-                    if int(a) in nxt:
-                        raise MeshError(f"boundary branches at vertex {int(a)}")
-                    nxt[int(a)] = int(b)
+            keys = np.sort(de[:, 0] * n + de[:, 1])
+            rev = de[:, 1] * n + de[:, 0]
+            a, b = de[keys[np.searchsorted(keys, rev) % len(keys)] != rev].T
+            out_deg = np.bincount(a, minlength=n)
+            bad = np.flatnonzero((out_deg > 1) | (out_deg != np.bincount(b, minlength=n)))
+            if len(bad):
+                raise MeshError(f"boundary branches at vertex {int(bad[0])}")
+            nxt = np.zeros(n, dtype=np.int64)
+            nxt[a] = b
             loops = []
-            seen = set()
-            for start in sorted(nxt):
-                if start in seen:
-                    continue
-                loop = [start]
-                seen.add(start)
-                cur = nxt[start]
-                while cur != start:
-                    loop.append(cur)
-                    seen.add(cur)
-                    cur = nxt[cur]
-                loops.append(np.array(loop, dtype=np.int64))
+            for start in np.flatnonzero(out_deg).tolist():
+                if out_deg[start]:
+                    loop = [start]
+                    while (cur := int(nxt[loop[-1]])) != start:
+                        loop.append(cur)
+                    loops.append(np.array(loop, dtype=np.int64))
+                    out_deg[loops[-1]] = 0
             self._boundary_loops = loops
         return self._boundary_loops
 
@@ -146,19 +145,31 @@ class TriMesh:
         return mask
 
 
+def corner_angles(mesh: TriMesh) -> np.ndarray:
+    """(M, 3) interior angle of each triangle at each of its corners."""
+    p = mesh.vertices[mesh.triangles]                 # (M, 3 corners, 3)
+    a = np.roll(p, -1, axis=1) - p
+    b = np.roll(p, -2, axis=1) - p
+    cosang = np.einsum("mkj,mkj->mk", a, b) / (
+        np.linalg.norm(a, axis=2) * np.linalg.norm(b, axis=2))
+    return np.arccos(np.clip(cosang, -1.0, 1.0))
+
+
+def _vertex_sums(mesh: TriMesh, corner_values: np.ndarray) -> np.ndarray:
+    """Sum (M, 3, ...) per-corner values onto the vertices.  The scatter
+    runs corner-major (corner 0 of every triangle, then corner 1, then 2),
+    so each vertex accumulates its terms in a fixed order."""
+    vals = np.moveaxis(corner_values, 1, 0).reshape(3 * len(mesh.triangles), -1)
+    d = vals.shape[1]
+    idx = mesh.triangles.T.reshape(-1, 1) * d + np.arange(d)
+    out = np.bincount(idx.ravel(), weights=vals.ravel(), minlength=mesh.n_vertices * d)
+    return out.reshape((mesh.n_vertices,) + corner_values.shape[2:])
+
+
 def vertex_normals(mesh: TriMesh) -> np.ndarray:
     """Angle-weighted average of incident triangle normals, normalized."""
-    p0, p1, p2 = mesh.triangle_corners()
     fn = mesh.triangle_normals()
-    normals = np.zeros((mesh.n_vertices, 3))
-    corners = (p0, p1, p2)
-    for k in range(3):
-        a = corners[(k + 1) % 3] - corners[k]
-        b = corners[(k + 2) % 3] - corners[k]
-        na = np.linalg.norm(a, axis=1)
-        nb = np.linalg.norm(b, axis=1)
-        cosang = np.clip(np.einsum("ij,ij->i", a, b) / (na * nb), -1.0, 1.0)
-        np.add.at(normals, mesh.triangles[:, k], np.arccos(cosang)[:, None] * fn)
+    normals = _vertex_sums(mesh, corner_angles(mesh)[:, :, None] * fn[:, None, :])
     norms = np.linalg.norm(normals, axis=1)
     if np.any(norms < 1e-14):
         raise MeshError("vertex with zero-area star")
@@ -362,16 +373,7 @@ def gauss_image_length(cycle: CrossSectionCycle) -> float:
 def angle_defects(mesh: TriMesh):
     """Per-vertex angle defect 2*pi - sum(incident angles), plus the mask of
     interior vertices where the defect approximates the curvature measure."""
-    p0, p1, p2 = mesh.triangle_corners()
-    angles_sum = np.zeros(mesh.n_vertices)
-    corners = (p0, p1, p2)
-    for k in range(3):
-        a = corners[(k + 1) % 3] - corners[k]
-        b = corners[(k + 2) % 3] - corners[k]
-        cosang = np.einsum("ij,ij->i", a, b) / (
-            np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
-        np.add.at(angles_sum, mesh.triangles[:, k], np.arccos(np.clip(cosang, -1, 1)))
-    defects = 2.0 * math.pi - angles_sum
+    defects = 2.0 * math.pi - _vertex_sums(mesh, corner_angles(mesh))
     return defects, ~mesh.boundary_vertex_mask()
 
 
@@ -418,10 +420,7 @@ def cot_laplacian(mesh: TriMesh):
                      np.broadcast_to(t[:, None, :], S.shape).ravel())),
         shape=(nv, nv),
     )
-    areas = mesh.triangle_areas()
-    mass = np.zeros(nv)
-    for k in range(3):
-        np.add.at(mass, t[:, k], areas / 3.0)
+    mass = _vertex_sums(mesh, np.repeat(mesh.triangle_areas()[:, None] / 3.0, 3, axis=1))
     return L, mass
 
 

@@ -42,6 +42,11 @@ import scipy.sparse.linalg as spla
 from .mesh import MeshError, TriMesh, cot_laplacian, cot_stiffness, slice_mesh
 from .surfaces import _revolution_mesh
 
+PINCH_RATIO = 0.02    # mid-slice length below this fraction of the
+                      # smaller boundary circumference aborts
+MIN_QUALITY = 1e-4    # min triangle area / mean triangle area
+CHECK_EVERY = 5       # iterations between pinch and degeneration checks
+
 
 class NoAnnulusError(RuntimeError):
     """No embedded annulus spans the boundary circles (neck pinch detected)."""
@@ -69,10 +74,6 @@ class Circle:
 class SolverOptions:
     max_iterations: int = 500
     tolerance: float = 1e-6       # normalized residual: max |H| * mean edge
-    pinch_ratio: float = 0.02     # mid-slice length below this fraction of
-                                  # the smaller boundary circumference aborts
-    min_quality: float = 1e-4     # min triangle area / mean triangle area
-    check_every: int = 5
 
 
 @dataclass(frozen=True)
@@ -264,7 +265,7 @@ def minimize_area(mesh: TriMesh, options: SolverOptions | None = None):
     for lp in mesh.boundary_loops():
         p = mesh.vertices[lp]
         loop_circ.append(float(np.linalg.norm(np.roll(p, -1, 0) - p, axis=1).sum()))
-    pinch_len = opts.pinch_ratio * min(loop_circ)
+    pinch_len = PINCH_RATIO * min(loop_circ)
 
     areas = [cur.area()]
     residuals = []
@@ -282,9 +283,9 @@ def minimize_area(mesh: TriMesh, options: SolverOptions | None = None):
         if sum(c.length() for c in mid) < pinch_len:
             raise NoAnnulusError(
                 "no annulus: neck pinched below "
-                f"{opts.pinch_ratio:.0%} of the boundary circumference")
+                f"{PINCH_RATIO:.0%} of the boundary circumference")
         tri_areas = m.triangle_areas()
-        if tri_areas.min() < opts.min_quality * tri_areas.mean():
+        if tri_areas.min() < MIN_QUALITY * tri_areas.mean():
             raise ConvergenceError(
                 f"mesh degenerated (min/mean triangle area "
                 f"{tri_areas.min() / tri_areas.mean():.2e})",
@@ -330,7 +331,7 @@ def minimize_area(mesh: TriMesh, options: SolverOptions | None = None):
         areas.append(cand_area)
         grad, res = mean_curvature_residual(cur, interior)
         residuals.append(res)
-        if it % opts.check_every == 0:
+        if it % CHECK_EVERY == 0:
             safety_checks(cur, it)
 
     safety_checks(cur, it)

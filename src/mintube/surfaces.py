@@ -60,21 +60,13 @@ def _revolution_mesh(radii: np.ndarray, heights: np.ndarray, nu: int,
         if centers is not None:
             verts[row, 0] += centers[j, 0]
             verts[row, 1] += centers[j, 1]
-    tris = []
-    for j in range(nv):
-        for i in range(nu):
-            i1 = (i + 1) % nu
-            v00 = j * nu + i
-            v10 = j * nu + i1
-            v01 = (j + 1) * nu + i
-            v11 = (j + 1) * nu + i1
-            if (i + j) % 2 == 0:
-                tris.append((v00, v11, v10))
-                tris.append((v00, v01, v11))
-            else:
-                tris.append((v00, v01, v10))
-                tris.append((v10, v01, v11))
-    return TriMesh(verts, np.array(tris, dtype=np.int64))
+    j, i = np.indices((nv, nu))
+    v00, v10 = j * nu + i, j * nu + (i + 1) % nu
+    quad = np.stack([v00, v10, v00 + nu, v10 + nu], axis=-1)  # v00 v10 v01 v11
+    # Two triangles per quad as corners of `quad`, by the parity of i + j.
+    split = np.array([[0, 3, 1, 0, 2, 3], [0, 2, 1, 1, 2, 3]])
+    tris = np.take_along_axis(quad, split[(i + j) % 2], axis=2).reshape(-1, 3)
+    return TriMesh(verts, tris)
 
 
 def catenoid_mesh(spec: CatenoidSpec) -> TriMesh:

@@ -58,6 +58,32 @@ def test_boundary_loops_of_annulus():
     assert mask.sum() == 64
 
 
+@pytest.mark.parametrize("which", ["flat_annulus", "half_tube"])
+def test_boundary_loops_contract(which):
+    if which == "flat_annulus":
+        mesh, n_loops = surfaces.flat_annulus_mesh(1.0, 2.0, 17, 5), 2
+    else:
+        mesh, n_loops = half_tube()[1], 1
+    directed = {tuple(e) for e in mesh._directed_edges().tolist()}
+    boundary = {(a, b) for a, b in directed if (b, a) not in directed}
+    loops = mesh.boundary_loops()
+    assert len(loops) == n_loops
+    walked = set()
+    for lp in loops:
+        assert lp[0] == lp.min()
+        walked |= set(zip(lp.tolist(), np.roll(lp, -1).tolist()))
+    assert walked == boundary
+    assert [int(lp[0]) for lp in loops] == sorted(int(lp[0]) for lp in loops)
+
+
+def test_boundary_loops_bowtie_branches():
+    # two triangles sharing only vertex 0
+    verts = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [-1, 0, 0], [-1, -1, 0]])
+    bowtie = TriMesh(verts, np.array([[0, 1, 2], [0, 3, 4]]))
+    with pytest.raises(MeshError, match="boundary branches at vertex 0"):
+        bowtie.boundary_loops()
+
+
 def test_area_and_edge_length():
     mesh = square_patch()
     assert mesh.area() == pytest.approx(1.0)
@@ -99,12 +125,17 @@ def test_slice_orientation_right_handed():
             assert np.linalg.det(frame) > 0.9
 
 
-def test_slice_open_chain_on_half_tube():
-    # cut the catenoid lengthwise: the section is an open polyline
+def half_tube():
+    """A 64x32 catenoid and its y > 0 half, cut lengthwise (one boundary loop)."""
     mesh = surfaces.catenoid_mesh(surfaces.CatenoidSpec(1.0, -1.0, 1.0, 64, 32))
     half = [ti for ti, tri in enumerate(mesh.triangles)
             if mesh.vertices[tri][:, 1].mean() > 0]
-    sub = TriMesh(mesh.vertices, mesh.triangles[half])
+    return mesh, TriMesh(mesh.vertices, mesh.triangles[half])
+
+
+def test_slice_open_chain_on_half_tube():
+    # cut the catenoid lengthwise: the section is an open polyline
+    mesh, sub = half_tube()
     cycles = slice_mesh(sub, 0.25, normals=vertex_normals(mesh))
     assert any(not c.closed for c in cycles)
 
@@ -130,6 +161,35 @@ def test_gauss_image_length_matches_latitude():
             meshmod.CrossSectionCycle(cycle.points, t, t, False, cycle.midpoints,
                                       cycle.tangents, cycle.normals,
                                       cycle.conormals, cycle.ds))
+
+
+def test_corner_angles_and_vertex_sums_match_add_at_loop():
+    mesh = surfaces.flat_annulus_mesh(1.0, 2.0, 24, 6)
+    rng = np.random.default_rng(7)
+    mesh = TriMesh(mesh.vertices + rng.normal(scale=0.02, size=mesh.vertices.shape),
+                   mesh.triangles)
+    angles = meshmod.corner_angles(mesh)
+    assert angles.shape == (len(mesh.triangles), 3)
+    assert np.max(np.abs(angles.sum(axis=1) - math.pi)) < 1e-12
+    # Reference: one corner at a time, summed by np.add.at.
+    p = mesh.triangle_corners()
+    fn = mesh.triangle_normals()
+    normals = np.zeros((mesh.n_vertices, 3))
+    angle_sum = np.zeros(mesh.n_vertices)
+    mass = np.zeros(mesh.n_vertices)
+    for k in range(3):
+        a = p[(k + 1) % 3] - p[k]
+        b = p[(k + 2) % 3] - p[k]
+        cosang = np.einsum("ij,ij->i", a, b) / (
+            np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
+        ang = np.arccos(np.clip(cosang, -1.0, 1.0))
+        np.add.at(normals, mesh.triangles[:, k], ang[:, None] * fn)
+        np.add.at(angle_sum, mesh.triangles[:, k], ang)
+        np.add.at(mass, mesh.triangles[:, k], mesh.triangle_areas() / 3.0)
+    expect = normals / np.linalg.norm(normals, axis=1)[:, None]
+    assert np.all(vertex_normals(mesh) == expect)
+    assert np.all(meshmod.angle_defects(mesh)[0] == 2.0 * math.pi - angle_sum)
+    assert np.all(cot_laplacian(mesh)[1] == mass)
 
 
 def test_total_curvature_flat_patch_zero():

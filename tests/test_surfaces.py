@@ -25,6 +25,25 @@ def test_catenoid_mesh_counts_and_loops():
     mesh.validate(tube_axis_check=True)
 
 
+@pytest.mark.parametrize("nu", [9, 12])
+def test_revolution_mesh_triangles_match_quad_loop(nu):
+    nv = 5
+    mesh = surfaces._revolution_mesh(np.ones(nv + 1), np.arange(nv + 1.0), nu)
+    # Reference: the quad loop, diagonals alternating with the parity of i + j.
+    tris = []
+    for j in range(nv):
+        for i in range(nu):
+            i1 = (i + 1) % nu
+            v00, v10 = j * nu + i, j * nu + i1
+            v01, v11 = (j + 1) * nu + i, (j + 1) * nu + i1
+            if (i + j) % 2 == 0:
+                tris += [(v00, v11, v10), (v00, v01, v11)]
+            else:
+                tris += [(v00, v01, v10), (v10, v01, v11)]
+    assert mesh.triangles.dtype == np.int64
+    assert np.array_equal(mesh.triangles, np.array(tris))
+
+
 def test_catenoid_vertices_on_surface():
     a = 1.3
     mesh = surfaces.catenoid_mesh(surfaces.CatenoidSpec(a, -0.7, 1.1, 64, 32))
