@@ -194,13 +194,20 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _add_common(p, levels_default=10):
+def _add_outdir(p):
     p.add_argument("--outdir", default=None,
                    help=f"output directory (default: ${OUTDIR_ENV} or '.')")
+
+
+def _add_analysis_args(p, levels_default=10, tolerances=True):
+    """--outdir and --levels, plus the check tolerances of the verified
+    commands."""
+    _add_outdir(p)
     p.add_argument("--levels", type=int, default=levels_default,
                    help="number of interior slice levels")
-    p.add_argument("--margin-tol", type=float, default=DEFAULT_MARGIN_TOL)
-    p.add_argument("--invariance-tol", type=float, default=DEFAULT_INVARIANCE_TOL)
+    if tolerances:
+        p.add_argument("--margin-tol", type=float, default=DEFAULT_MARGIN_TOL)
+        p.add_argument("--invariance-tol", type=float, default=DEFAULT_INVARIANCE_TOL)
 
 
 def _add_solver_args(p):
@@ -224,13 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("VMIN", "VMAX"))
     p.add_argument("--res", default="256x128")
     p.add_argument("--verify", choices=["all", "none"], default="all")
-    _add_common(p)
+    _add_analysis_args(p)
     p.set_defaults(func=cmd_catenoid)
 
     p = sub.add_parser("ncatenoid", help="life-time table of rotational catenoids")
     p.add_argument("--n", default="4..7", help="dimension or range like 4..7")
     p.add_argument("--f0", type=float, default=1.0)
-    _add_common(p)
+    _add_outdir(p)
     p.set_defaults(func=cmd_ncatenoid)
 
     p = sub.add_parser("solve-annulus",
@@ -238,20 +245,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_args(p)
     p.add_argument("--offset", type=float, default=0.0)
     p.add_argument("--verify", choices=["all", "none"], default="all")
-    _add_common(p)
+    _add_analysis_args(p)
     p.set_defaults(func=cmd_solve_annulus)
 
     p = sub.add_parser("analyze", help="full report for an existing OBJ tube")
     p.add_argument("obj")
     p.add_argument("--levels-at", type=float, nargs="+", default=None)
-    _add_common(p)
+    _add_analysis_args(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep",
                        help="offset sweep: tilt angle and bound tightness")
     _add_solver_args(p)
     p.add_argument("--offsets", type=float, nargs="+", required=True)
-    _add_common(p, levels_default=5)
+    _add_analysis_args(p, levels_default=5, tolerances=False)
     p.set_defaults(func=cmd_sweep)
     return ap
 

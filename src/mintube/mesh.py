@@ -244,6 +244,15 @@ def slice_mesh(mesh: TriMesh, t: float, normals: np.ndarray | None = None) -> li
 
     Levels within snap tolerance of a vertex level are nudged; the level
     actually used is recorded on the returned cycles.
+
+    The section's nodes are the crossed edges; each crossing triangle joins
+    its two crossed edges by a segment.  Open chains are walked first, each from its smallest
+    crossed edge (by vertex pair), in that order.  Closed chains follow,
+    each from the first crossed edge (in corner order) of the lowest-index
+    crossing triangle not yet walked, across that triangle first.  A chain
+    whose first (tangent, conormal, normal) frame is left-handed is
+    reversed, and the cycles are sorted by (length to 12 digits, x of the
+    first point).  This order fixes the bytes of every slice table.
     """
     z = mesh.vertices[:, 2]
     zmin, zmax = mesh.x3_range()
@@ -258,86 +267,72 @@ def slice_mesh(mesh: TriMesh, t: float, normals: np.ndarray | None = None) -> li
     if normals is None:
         normals = vertex_normals(mesh)
 
+    # Edge k of a triangle runs from corner k to corner k+1; a triangle
+    # crosses the plane on 0 or 2 of its edges.
     below = z < level
-    tri_below = below[mesh.triangles]
-    crossing = np.where(tri_below.any(1) & ~tri_below.all(1))[0]
-    if len(crossing) == 0:
+    ends = np.stack([mesh.triangles, np.roll(mesh.triangles, -1, axis=1)])
+    crossed = below[ends[0]] != below[ends[1]]
+    if not crossed.any():
         raise SliceError(f"plane x3 = {level} misses the mesh")
+    lo, hi = np.sort(ends[:, crossed], axis=0)
+    keys, seg_nodes = np.unique(lo * mesh.n_vertices + hi, return_inverse=True)
+    seg_nodes = seg_nodes.reshape(-1, 2)
 
-    # Intersection point and interpolated normal per crossed undirected edge.
-    edge_points: dict = {}
+    # Intersection point and interpolated unit normal per crossed edge.
+    lo, hi = np.divmod(keys, mesh.n_vertices)
+    s = ((level - z[lo]) / (z[hi] - z[lo]))[:, None]
+    points = (1 - s) * mesh.vertices[lo] + s * mesh.vertices[hi]
+    nrm = (1 - s) * normals[lo] + s * normals[hi]
+    # Per-row matmul rounds like np.dot; norm(axis=1) and einsum can differ
+    # in the last bit, which would change the bytes of the slice tables.
+    nn = np.sqrt((nrm[:, None, :] @ nrm[:, :, None]).ravel())
+    if np.any(nn < 1e-12):
+        raise SliceError("interpolated normal vanished on a slice edge")
+    node_normals = nrm / nn[:, None]
 
-    def edge_key(i, j):
-        return (i, j) if i < j else (j, i)
-
-    seg_edges = []  # per crossing triangle: its two crossed edge keys
-    for ti in crossing:
-        tri = mesh.triangles[ti]
-        keys = []
-        for k in range(3):
-            i, j = int(tri[k]), int(tri[(k + 1) % 3])
-            if below[i] != below[j]:
-                key = edge_key(i, j)
-                if key not in edge_points:
-                    s = (level - z[key[0]]) / (z[key[1]] - z[key[0]])
-                    p = (1 - s) * mesh.vertices[key[0]] + s * mesh.vertices[key[1]]
-                    nrm = (1 - s) * normals[key[0]] + s * normals[key[1]]
-                    nn = np.linalg.norm(nrm)
-                    if nn < 1e-12:
-                        raise SliceError("interpolated normal vanished on a slice edge")
-                    edge_points[key] = (p, nrm / nn)
-                keys.append(key)
-        if len(keys) != 2:
-            raise SliceError(f"triangle {int(ti)} crossed the plane degenerately")
-        seg_edges.append(tuple(keys))
-
-    # Chain segments into polylines: nodes are crossed edges, each touching
-    # at most two segments (manifoldness of the section).
-    by_edge: dict = {}
-    for si, (ka, kb) in enumerate(seg_edges):
-        by_edge.setdefault(ka, []).append(si)
-        by_edge.setdefault(kb, []).append(si)
-    if any(len(v) > 2 for v in by_edge.values()):
+    # Each node touches one or two segments (manifoldness of the section);
+    # node_segs[v] lists them by index, twice for an open end.
+    deg = np.bincount(seg_nodes.ravel())
+    if deg.max() > 2:
         raise SliceError("non-manifold plane section")
+    order = np.argsort(seg_nodes.ravel(), kind="stable") // 2
+    last = np.cumsum(deg) - 1
+    node_segs = order[np.stack([last - deg + 1, last], axis=1)].tolist()
+    seg_ends = seg_nodes.tolist()
+    used = [False] * len(seg_ends)
 
-    def walk(start_key, unused):
-        keys = [start_key]
+    def walk(node, seg):
+        chain = [node]
         while True:
-            cands = [s for s in by_edge[keys[-1]] if s in unused]
-            if not cands:
-                return keys, False
-            si = cands[0]
-            unused.discard(si)
-            ka, kb = seg_edges[si]
-            nxt = kb if ka == keys[-1] else ka
-            if nxt == keys[0]:
-                return keys, True
-            keys.append(nxt)
+            used[seg] = True
+            a, b = seg_ends[seg]
+            node = b if a == node else a
+            if node == chain[0]:
+                return chain, True
+            chain.append(node)
+            a, b = node_segs[node]
+            seg = b if a == seg else a
+            if used[seg]:
+                return chain, False
 
-    unused = set(range(len(seg_edges)))
-    endpoints = sorted(k for k, v in by_edge.items() if len(v) == 1)
-    cycles = []
     chains = []
-    for key in endpoints:
-        if any(s in unused for s in by_edge[key]):
-            chains.append(walk(key, unused))
-    while unused:
-        si = min(unused)
-        chains.append(walk(seg_edges[si][0], unused))
+    for v in np.flatnonzero(deg == 1).tolist():
+        if not used[node_segs[v][0]]:
+            chains.append(walk(v, node_segs[v][0]))
+    for si, (a, _) in enumerate(seg_ends):
+        if not used[si]:
+            chains.append(walk(a, si))
 
-    for chain_keys, closed in chains:
-        pts = np.array([edge_points[k][0] for k in chain_keys])
-        nrms = np.array([edge_points[k][1] for k in chain_keys])
-        nseg = len(pts) if closed else len(pts) - 1
-        idx = np.arange(nseg)
-        seg_normals = (nrms[idx] + nrms[(idx + 1) % len(pts)]) / 2.0
-        mids, tans, gamma, nu, ds = _segment_frames(pts, seg_normals, closed)
+    cycles = []
+    for chain, closed in chains:
         # Orient the chain so (tangent, conormal, normal) is right-handed.
-        if np.linalg.det(np.stack([tans[0], nu[0], gamma[0]])) < 0:
-            pts = pts[::-1].copy()
-            nrms = nrms[::-1].copy()
-            seg_normals = (nrms[idx] + nrms[(idx + 1) % len(pts)]) / 2.0
+        for nodes in (chain, chain[::-1]):
+            pts, nrms = points[nodes], node_normals[nodes]
+            nseg = len(pts) if closed else len(pts) - 1
+            seg_normals = (nrms + np.roll(nrms, -1, axis=0))[:nseg] / 2.0
             mids, tans, gamma, nu, ds = _segment_frames(pts, seg_normals, closed)
+            if not np.linalg.det(np.stack([tans[0], nu[0], gamma[0]])) < 0:
+                break
         cyc = CrossSectionCycle(pts, level, t, closed, mids, tans, gamma, nu, ds)
         cyc.check_invariants()
         cycles.append(cyc)
@@ -476,7 +471,7 @@ def harmonic_capacity(mesh: TriMesh, loop0, loop1, return_potential: bool = Fals
 
 
 # ---------------------------------------------------------------------------
-# OBJ and CSV interfaces
+# OBJ interface
 
 
 def write_obj(mesh: TriMesh, path) -> None:
@@ -519,15 +514,3 @@ def read_obj(path) -> TriMesh:
         raise MeshError(f"{path}: face index out of range")
     return mesh
 
-
-def cycles_to_csv(cycles, path) -> None:
-    """Per-segment slice table: level, midpoint, tangent, normal, conormal, ds."""
-    cols = ("t", "mx", "my", "mz", "tx", "ty", "tz",
-            "gx", "gy", "gz", "nux", "nuy", "nuz", "ds")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for cyc in cycles:
-            for i in range(cyc.n_segments):
-                row = ([cyc.level] + list(cyc.midpoints[i]) + list(cyc.tangents[i])
-                       + list(cyc.normals[i]) + list(cyc.conormals[i]) + [cyc.ds[i]])
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")

@@ -96,6 +96,18 @@ def test_sweep_no_annulus_exit_code(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["ncatenoid", "--margin-tol", "0.1"],
+                                  ["sweep", "--offsets", "0.0", "--invariance-tol", "1"]])
+def test_unused_flags_rejected(tmp_path, capsys, argv):
+    # neither command checks margins or flow invariance, so neither takes
+    # the tolerances (and ncatenoid slices nothing, so it takes no --levels)
+    assert run(argv + ["--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_analyze_roundtrip(tmp_path):
     assert run(["catenoid", "--res", "64x32", "--outdir", str(tmp_path)]) == 0
     code = run(["analyze", str(tmp_path / "catenoid.obj"), "--levels", "3",

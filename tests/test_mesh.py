@@ -140,6 +140,137 @@ def test_slice_open_chain_on_half_tube():
     assert any(not c.closed for c in cycles)
 
 
+def test_slice_non_manifold_section_raises():
+    # three triangles share the edge 0-1, which crosses the level
+    verts = np.array([[0.0, 0, 0], [0, 0, 1], [1, 0, 0.2], [0, 1, 0.3], [-1, -1, 0.4]])
+    fan = TriMesh(verts, np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]]))
+    with pytest.raises(SliceError, match="non-manifold plane section"):
+        slice_mesh(fan, 0.5, normals=np.tile([1.0, 0, 0], (5, 1)))
+
+
+def test_slice_between_disjoint_patches_raises():
+    lower = square_patch()
+    upper = TriMesh(lower.vertices + [0, 0, 1.0], lower.triangles)
+    two = TriMesh(np.concatenate([lower.vertices, upper.vertices]),
+                  np.concatenate([lower.triangles, upper.triangles + 4]))
+    with pytest.raises(SliceError, match="misses the mesh"):
+        slice_mesh(two, 0.5)
+
+
+def dict_slice_mesh(mesh, t, normals=None):
+    """The edge-dictionary slicer that `slice_mesh` replaced, kept as the
+    oracle for its arithmetic and its traversal order."""
+    z = mesh.vertices[:, 2]
+    zmin, zmax = mesh.x3_range()
+    zrange = zmax - zmin
+    level = t
+    if np.min(np.abs(z - level)) < meshmod.SNAP_REL_TOL * zrange:
+        level = t + meshmod.NUDGE_REL * zrange
+    if normals is None:
+        normals = vertex_normals(mesh)
+    below = z < level
+    tri_below = below[mesh.triangles]
+    crossing = np.where(tri_below.any(1) & ~tri_below.all(1))[0]
+    edge_points = {}
+    seg_edges = []
+    for ti in crossing:
+        tri = mesh.triangles[ti]
+        keys = []
+        for k in range(3):
+            i, j = int(tri[k]), int(tri[(k + 1) % 3])
+            if below[i] != below[j]:
+                key = (i, j) if i < j else (j, i)
+                if key not in edge_points:
+                    s = (level - z[key[0]]) / (z[key[1]] - z[key[0]])
+                    p = (1 - s) * mesh.vertices[key[0]] + s * mesh.vertices[key[1]]
+                    nrm = (1 - s) * normals[key[0]] + s * normals[key[1]]
+                    edge_points[key] = (p, nrm / np.linalg.norm(nrm))
+                keys.append(key)
+        seg_edges.append(tuple(keys))
+    by_edge = {}
+    for si, (ka, kb) in enumerate(seg_edges):
+        by_edge.setdefault(ka, []).append(si)
+        by_edge.setdefault(kb, []).append(si)
+
+    def walk(start_key, unused):
+        keys = [start_key]
+        while True:
+            cands = [s for s in by_edge[keys[-1]] if s in unused]
+            if not cands:
+                return keys, False
+            si = cands[0]
+            unused.discard(si)
+            ka, kb = seg_edges[si]
+            nxt = kb if ka == keys[-1] else ka
+            if nxt == keys[0]:
+                return keys, True
+            keys.append(nxt)
+
+    unused = set(range(len(seg_edges)))
+    chains = []
+    for key in sorted(k for k, v in by_edge.items() if len(v) == 1):
+        if any(s in unused for s in by_edge[key]):
+            chains.append(walk(key, unused))
+    while unused:
+        chains.append(walk(seg_edges[min(unused)][0], unused))
+    cycles = []
+    for chain_keys, closed in chains:
+        pts = np.array([edge_points[k][0] for k in chain_keys])
+        nrms = np.array([edge_points[k][1] for k in chain_keys])
+        nseg = len(pts) if closed else len(pts) - 1
+        idx = np.arange(nseg)
+        seg_normals = (nrms[idx] + nrms[(idx + 1) % len(pts)]) / 2.0
+        frames = meshmod._segment_frames(pts, seg_normals, closed)
+        if np.linalg.det(np.stack([frames[1][0], frames[3][0], frames[2][0]])) < 0:
+            pts = pts[::-1].copy()
+            nrms = nrms[::-1].copy()
+            seg_normals = (nrms[idx] + nrms[(idx + 1) % len(pts)]) / 2.0
+            frames = meshmod._segment_frames(pts, seg_normals, closed)
+        cycles.append(meshmod.CrossSectionCycle(pts, level, t, closed, *frames))
+    cycles.sort(key=lambda c: (round(c.length(), 12), c.points[0, 0]))
+    return cycles
+
+
+def slice_oracle_case(name):
+    """(mesh, levels, normals) for one oracle comparison."""
+    def cat(a, nu, nv):
+        return surfaces.catenoid_mesh(surfaces.CatenoidSpec(a, -1.0, 1.0, nu, nv))
+    if name == "catenoid_256x128":
+        mesh = cat(1.0, 256, 128)
+        zmin, zmax = mesh.x3_range()
+        pad = 0.05 * (zmax - zmin)  # the levels of flux.analyze_tube
+        return mesh, np.linspace(zmin + pad, zmax - pad, 10), vertex_normals(mesh)
+    if name == "perturbed_48x24":
+        mesh = cat(1.0, 48, 24)
+        rng = np.random.default_rng(11)
+        mesh = TriMesh(mesh.vertices + rng.normal(scale=0.005, size=mesh.vertices.shape),
+                       mesh.triangles)
+        return mesh, np.linspace(-0.8, 0.8, 7), None
+    if name == "half_tube":
+        mesh, sub = half_tube()
+        return sub, [-0.6, 0.25, 0.7], vertex_normals(mesh)
+    if name == "snap_nudge":
+        return cat(1.0, 64, 32), [0.0], None
+    # two catenoids side by side, the one at larger x stored first
+    left, right = cat(1.0, 32, 16), cat(1.3, 40, 16)
+    return TriMesh(np.concatenate([right.vertices + [5.0, 0, 0], left.vertices]),
+                   np.concatenate([right.triangles, left.triangles + right.n_vertices])), \
+        [-0.5, 0.1, 0.45], None
+
+
+@pytest.mark.parametrize("name", ["catenoid_256x128", "perturbed_48x24", "half_tube",
+                                  "snap_nudge", "two_catenoids"])
+def test_slice_matches_dict_oracle(name):
+    mesh, levels, normals = slice_oracle_case(name)
+    for t in levels:
+        got, want = slice_mesh(mesh, t, normals), dict_slice_mesh(mesh, t, normals)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.closed, g.level, g.requested_level) == (w.closed, w.level, w.requested_level)
+            for attr in ("points", "midpoints", "tangents", "normals", "conormals", "ds"):
+                assert np.array_equal(getattr(g, attr), getattr(w, attr)), (t, attr)
+
+
 # -- Gauss image ------------------------------------------------------------
 
 def test_gauss_image_diameter_antipodal():
@@ -275,12 +406,3 @@ def test_read_obj_error_reporting(tmp_path):
     with pytest.raises(MeshError):
         read_obj(empty)
 
-
-def test_cycles_to_csv(tmp_path):
-    mesh = surfaces.catenoid_mesh(surfaces.CatenoidSpec(1.0, -1.0, 1.0, 32, 16))
-    cycles = slice_mesh(mesh, 0.25)
-    path = tmp_path / "slices.csv"
-    meshmod.cycles_to_csv(cycles, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("t,mx,my,mz")
-    assert len(lines) == 1 + sum(c.n_segments for c in cycles)
