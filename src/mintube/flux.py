@@ -15,7 +15,6 @@ from .mesh import (
     E3,
     CrossSectionCycle,
     TriMesh,
-    gauss_image_diameter,
     gauss_image_length,
     harmonic_capacity,
     slice_mesh,

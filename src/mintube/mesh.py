@@ -6,6 +6,7 @@ curvature, the cotangent Laplacian and Dirichlet-energy capacity.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -18,6 +19,7 @@ E3 = np.array([0.0, 0.0, 1.0])
 DEGENERATE_AREA_FACTOR = 1e-14
 SNAP_REL_TOL = 1e-9
 NUDGE_REL = 1e-7
+_OBJ_SLASH_SUFFIX = re.compile(r"(?<=\S)/\S*")
 
 
 class MeshError(ValueError):
@@ -425,6 +427,16 @@ def dirichlet_energy(mesh: TriMesh, phi: np.ndarray, L=None) -> float:
     return float(phi @ (L @ phi))
 
 
+def factor_symmetric(A):
+    """SuperLU factorization of a sparse CSC matrix with symmetric structure
+    and a safe diagonal (symmetric positive definite, or close to it):
+    minimum-degree ordering on A^T + A and diagonal pivots, which keeps the
+    fill of a symmetric factorization.  Raises RuntimeError when a pivot is
+    exactly zero."""
+    return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
+
+
 def harmonic_capacity(mesh: TriMesh, loop0, loop1, return_potential: bool = False):
     """Dirichlet energy of the harmonic potential with phi = 0 on loop0 and
     phi = 1 on loop1 (both must be boundary loops of the mesh).
@@ -448,10 +460,11 @@ def harmonic_capacity(mesh: TriMesh, loop0, loop1, return_potential: bool = Fals
     fixed[loop0] = True
     fixed[loop1] = True
     free = ~fixed
-    A = L[free][:, free].tocsc()
-    rhs = -L[free][:, fixed] @ phi[fixed]
+    L_free = L[free]
+    A = L_free[:, free].tocsc()
+    rhs = -L_free[:, fixed] @ phi[fixed]
     try:
-        sol = spla.spsolve(A, rhs)
+        sol = factor_symmetric(A).solve(rhs)
     except Exception as exc:  # singular system: disconnected mesh etc.
         raise MeshError(f"harmonic solve failed: {exc}") from exc
     if not np.all(np.isfinite(sol)):
@@ -476,41 +489,70 @@ def harmonic_capacity(mesh: TriMesh, loop0, loop1, return_potential: bool = Fals
 
 def write_obj(mesh: TriMesh, path) -> None:
     """ASCII OBJ subset (v/f records, 1-based indices, 17 significant digits)."""
+    v, t = mesh.vertices, mesh.triangles + 1
     with open(path, "w", newline="\n") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for t in mesh.triangles:
-            fh.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
+        fh.write(("v %.17g %.17g %.17g\n" * len(v)) % tuple(v.ravel().tolist()))
+        fh.write(("f %d %d %d\n" * len(t)) % tuple(t.ravel().tolist()))
+
+
+def _parse_obj_records(path, records):
+    """Parse (line number, tag, text after the tag) OBJ records one at a
+    time, in line order, into vertices and 0-based triangles; raise the
+    MeshError of the first bad record."""
+    verts, tris = [], []
+    for lineno, tag, text in records:
+        parts = text.split()
+        if tag == "v":
+            if len(parts) != 3:
+                raise MeshError(f"{path}:{lineno}: malformed vertex record")
+            try:
+                verts.append([float(x) for x in parts])
+            except ValueError as exc:
+                raise MeshError(f"{path}:{lineno}: bad vertex coordinate") from exc
+        else:
+            if len(parts) != 3:
+                raise MeshError(f"{path}:{lineno}: only triangular faces supported")
+            try:
+                tris.append([int(p.split("/")[0]) - 1 for p in parts])
+            except ValueError as exc:
+                raise MeshError(f"{path}:{lineno}: bad face index") from exc
+    return np.array(verts), np.array(tris, dtype=np.int64)
 
 
 def read_obj(path) -> TriMesh:
-    verts, tris = [], []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "v":
-                if len(parts) != 4:
-                    raise MeshError(f"{path}:{lineno}: malformed vertex record")
-                try:
-                    verts.append([float(x) for x in parts[1:]])
-                except ValueError as exc:
-                    raise MeshError(f"{path}:{lineno}: bad vertex coordinate") from exc
-            elif parts[0] == "f":
-                if len(parts) != 4:
-                    raise MeshError(f"{path}:{lineno}: only triangular faces supported")
-                try:
-                    idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
-                except ValueError as exc:
-                    raise MeshError(f"{path}:{lineno}: bad face index") from exc
-                tris.append(idx)
-            # other record types are ignored
-    if not verts or not tris:
-        raise MeshError(f"{path}: no v/f records found")
-    mesh = TriMesh(np.array(verts), np.array(tris, dtype=np.int64))
-    if mesh.triangles.max() >= mesh.n_vertices:
-        raise MeshError(f"{path}: face index out of range")
-    return mesh
+    """Read the v and f records of an ASCII OBJ file.  Each line is
+    classified by its first whitespace-separated token; comments, blank
+    lines and other record types are skipped, and the "/vt/vn" suffixes of
+    face indices are dropped.  Errors name the file and the 1-based line.
 
+    The records of each type are parsed in one `np.loadtxt` pass.  If a
+    pass fails, the records are parsed again one at a time, which raises
+    the error of the first bad line (or accepts the few spellings, such as
+    "1_000", that Python's own number parsing takes and numpy's does not).
+    """
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    records = []        # (line number, tag, text after the tag)
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split(None, 1)
+        if parts and parts[0] in ("v", "f"):
+            records.append((lineno, parts[0], parts[1] if len(parts) == 2 else ""))
+    vrows = [text for _, tag, text in records if tag == "v"]
+    frows = [text for _, tag, text in records if tag == "f"]
+    if any("/" in row for row in frows):
+        # Cut each index at its first "/"; a token that starts with "/"
+        # stays whole and fails the integer parse.
+        frows = [_OBJ_SLASH_SUFFIX.sub("", row) for row in frows]
+    parsed = False
+    if vrows and frows:     # np.loadtxt warns on an empty input
+        try:
+            verts = np.loadtxt(vrows, comments=None, ndmin=2)
+            tris = np.loadtxt(frows, dtype=np.int64, comments=None, ndmin=2) - 1
+            parsed = verts.shape[1] == 3 and tris.shape[1] == 3
+        except ValueError:
+            pass
+    if not parsed:
+        verts, tris = _parse_obj_records(path, records)
+    if not len(verts) or not len(tris):
+        raise MeshError(f"{path}: no v/f records found")
+    return TriMesh(verts, tris)

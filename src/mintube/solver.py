@@ -24,8 +24,9 @@ Linear algebra: the sparsity pattern of the interior system is built once
 per solve, since the triangles and the pinned vertices never change.  Each
 iteration computes the per-triangle 3x3 blocks of H and of kron(L, I3),
 sums each into the fixed CSC pattern with one `bincount`, and factors
-H + mu kron(L, I3) with SuperLU in symmetric mode (minimum-degree ordering
-on A^T + A, diagonal pivots).  An exactly singular factor is handled like a
+H + mu kron(L, I3) with `mesh.factor_symmetric`, SuperLU in symmetric mode
+(minimum-degree ordering on A^T + A, diagonal pivots), the factorization
+the capacity solve shares.  An exactly singular factor is handled like a
 rejected step: mu grows and the step is retried.
 """
 
@@ -37,9 +38,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .mesh import MeshError, TriMesh, cot_laplacian, cot_stiffness, slice_mesh
+from .mesh import (
+    MeshError,
+    TriMesh,
+    cot_laplacian,
+    cot_stiffness,
+    factor_symmetric,
+    slice_mesh,
+)
 from .surfaces import _revolution_mesh
 
 PINCH_RATIO = 0.02    # mid-slice length below this fraction of the
@@ -304,10 +311,7 @@ def minimize_area(mesh: TriMesh, options: SolverOptions | None = None):
         H = pattern.matrix(hess)
         for _ in range(25):
             try:
-                lu = spla.splu(pattern.matrix(hess + mu * lap),
-                               permc_spec="MMD_AT_PLUS_A",
-                               diag_pivot_thresh=0.0,
-                               options={"SymmetricMode": True})
+                lu = factor_symmetric(pattern.matrix(hess + mu * lap))
             except RuntimeError:  # factor is exactly singular
                 mu *= 4.0
                 continue

@@ -117,6 +117,22 @@ def test_analyze_roundtrip(tmp_path):
     assert doc["lifetime_bound"] == "unbounded"
 
 
+def test_analyze_reproduces_catenoid_outputs(tmp_path):
+    # The OBJ keeps 17 significant digits, so re-reading it gives the same
+    # mesh and the same report; only the tolerances block differs, because
+    # analyze records margin_tol there and not invariance_tol.
+    assert run(["catenoid", "--res", "64x32", "--outdir", str(tmp_path)]) == 0
+    assert run(["analyze", str(tmp_path / "catenoid.obj"),
+                "--outdir", str(tmp_path / "re")]) == 0
+    assert ((tmp_path / "re" / "catenoid_slices.csv").read_bytes()
+            == (tmp_path / "catenoid_slices.csv").read_bytes())
+    want = json.loads((tmp_path / "catenoid_report.json").read_text())
+    got = json.loads((tmp_path / "re" / "catenoid_report.json").read_text())
+    assert want["tolerances"].pop("invariance_tol") == cli.DEFAULT_INVARIANCE_TOL
+    assert "invariance_tol" not in got["tolerances"]
+    assert got == want
+
+
 def test_analyze_missing_file(tmp_path):
     assert run(["analyze", str(tmp_path / "nope.obj")]) == 2
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from mintube import mesh as meshmod
 from mintube import surfaces
@@ -377,6 +378,53 @@ def test_harmonic_capacity_potential_range():
     assert np.allclose(phi[lp0], 0.0) and np.allclose(phi[lp1], 1.0)
 
 
+def spsolve_capacity(mesh, loop0, loop1):
+    """Reference harmonic potential and energy: general LU (`spsolve`) on
+    the free block of the cotangent Laplacian."""
+    L, _ = cot_laplacian(mesh)
+    phi = np.zeros(mesh.n_vertices)
+    phi[loop1] = 1.0
+    fixed = np.zeros(mesh.n_vertices, dtype=bool)
+    fixed[loop0] = fixed[loop1] = True
+    free = ~fixed
+    phi[free] = spla.spsolve(L[free][:, free].tocsc(), -L[free][:, fixed] @ phi[fixed])
+    return float(phi @ (L @ phi)), phi
+
+
+def capacity_case(name):
+    if name == "flat_annulus_256x64":
+        return surfaces.flat_annulus_mesh(1.0, 3.0, 256, 64)
+    if name == "catenoid_128x64":
+        return surfaces.catenoid_mesh(surfaces.CatenoidSpec(1.0, -1.0, 1.0, 128, 64))
+    mesh = surfaces.flat_annulus_mesh(1.0, 3.0, 96, 24)
+    z = np.random.default_rng(5).normal(scale=0.02, size=mesh.n_vertices)
+    return TriMesh(mesh.vertices + np.outer(z, [0.0, 0.0, 1.0]), mesh.triangles)
+
+
+@pytest.mark.parametrize("name", ["flat_annulus_256x64", "catenoid_128x64",
+                                  "perturbed_annulus_96x24"])
+def test_harmonic_capacity_matches_spsolve(name):
+    mesh = capacity_case(name)
+    lp0, lp1 = mesh.boundary_loops()
+    cap, phi = harmonic_capacity(mesh, lp0, lp1, return_potential=True)
+    want_cap, want_phi = spsolve_capacity(mesh, lp0, lp1)
+    assert abs(cap - want_cap) <= 1e-12 * want_cap
+    assert np.max(np.abs(phi - want_phi)) <= 1e-12
+    assert np.array_equal(phi[lp0], want_phi[lp0]) and np.array_equal(phi[lp1], want_phi[lp1])
+
+
+def test_harmonic_capacity_factorization_failure(monkeypatch):
+    mesh = surfaces.flat_annulus_mesh(1.0, 3.0, 32, 8)
+    lp0, lp1 = mesh.boundary_loops()
+
+    def singular(A, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(meshmod.spla, "splu", singular)
+    with pytest.raises(MeshError, match="^harmonic solve failed: Factor is exactly singular$"):
+        harmonic_capacity(mesh, lp0, lp1)
+
+
 # -- I/O --------------------------------------------------------------------
 
 def test_obj_roundtrip(tmp_path):
@@ -406,3 +454,144 @@ def test_read_obj_error_reporting(tmp_path):
     with pytest.raises(MeshError):
         read_obj(empty)
 
+
+def loop_write_obj(mesh, path):
+    """Reference writer: one formatted line per record."""
+    with open(path, "w", newline="\n") as fh:
+        for v in mesh.vertices:
+            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
+        for t in mesh.triangles:
+            fh.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
+
+
+def loop_read_obj(path):
+    """Reference reader: one line at a time, Python number parsing."""
+    verts, tris = [], []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if parts[0] == "v":
+                if len(parts) != 4:
+                    raise MeshError(f"{path}:{lineno}: malformed vertex record")
+                try:
+                    verts.append([float(x) for x in parts[1:]])
+                except ValueError as exc:
+                    raise MeshError(f"{path}:{lineno}: bad vertex coordinate") from exc
+            elif parts[0] == "f":
+                if len(parts) != 4:
+                    raise MeshError(f"{path}:{lineno}: only triangular faces supported")
+                try:
+                    idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
+                except ValueError as exc:
+                    raise MeshError(f"{path}:{lineno}: bad face index") from exc
+                tris.append(idx)
+    if not verts or not tris:
+        raise MeshError(f"{path}: no v/f records found")
+    return TriMesh(np.array(verts), np.array(tris, dtype=np.int64))
+
+
+def obj_outcome(reader, path):
+    """(vertices, triangles) read from path, or the MeshError text."""
+    try:
+        mesh = reader(path)
+    except MeshError as exc:
+        return str(exc)
+    return mesh.vertices, mesh.triangles
+
+
+def assert_same_outcome(path):
+    got, want = obj_outcome(read_obj, path), obj_outcome(loop_read_obj, path)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))  # -0.0 too
+
+
+@pytest.mark.parametrize("name", ["catenoid_16x8", "special_values"])
+def test_write_obj_matches_line_writer(tmp_path, name):
+    if name == "catenoid_16x8":
+        mesh = surfaces.catenoid_mesh(surfaces.CatenoidSpec(1.0, -1.0, 1.0, 16, 8))
+    else:
+        mesh = TriMesh(np.array([[-0.0, 1e-300, 1e17], [0.1, -0.0, -1e-300],
+                                 [1e17, 0.1, -0.1], [2.5, -1e17, 0.0]]),
+                       np.array([[0, 1, 2], [0, 2, 3]]))
+    write_obj(mesh, tmp_path / "got.obj")
+    loop_write_obj(mesh, tmp_path / "want.obj")
+    assert (tmp_path / "got.obj").read_bytes() == (tmp_path / "want.obj").read_bytes()
+
+
+OBJ_TRIANGLE = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+
+OBJ_ACCEPTED = {
+    "comments_and_blank_lines": "# header\n\n" + OBJ_TRIANGLE + "   \n# faces\nf 1 2 3\n\n",
+    "whitespace_and_tabs": "  v 0 0 0\n\tv 1\t0 0\nv  0   1 0 \n \t f\t1 2  3\t\n",
+    "crlf": OBJ_TRIANGLE.replace("\n", "\r\n") + "f 1 2 3\r\n",
+    "other_records": "o tri\n" + OBJ_TRIANGLE + "vn 0 0 1\nvt 0 0\nvt 1 0\nvt 0 1\n"
+                     "s off\nf 1 2 3\n",
+    "face_texture_normal": OBJ_TRIANGLE + "v 1 1 0\nf 1/1/1 2/2/1 3/3/1\nf 2/2/1 4/4/1 3/3/1\n",
+    "face_normal_only": OBJ_TRIANGLE + "v 1 1 0\nf 1//1 2//1 3//1\nf 2//1 4//1 3//1\n",
+    "no_final_newline": OBJ_TRIANGLE + "f 1 2 3",
+    "python_number_spellings": "v 1_0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+    "exponents_and_specials": "v 1e-300 -0.0 +5\nv 1E3 .5 1.\nv 0 1 -0\nf 1 2 3\n",
+}
+
+OBJ_REJECTED = {
+    "bad_coordinate": OBJ_TRIANGLE + "v 0 x 1\nf 1 2 3\n",
+    "three_token_vertex": "v 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\n",
+    "two_index_face": OBJ_TRIANGLE + "f 1 2\n",
+    "quad_face": OBJ_TRIANGLE + "v 1 1 0\nf 1 2 4 3\n",
+    "four_coordinate_vertices": "v 0 0 0 1\nv 1 0 0 1\nv 0 1 0 1\nf 1 2 3\n",
+    "slash_first_fourth_index": OBJ_TRIANGLE + "f 1 2 3 /4\n",
+    "non_integer_face": OBJ_TRIANGLE + "f 1 2 3.0\n",
+    "slash_first_face": OBJ_TRIANGLE + "f 1 2 /3\n",
+    "index_out_of_range": OBJ_TRIANGLE + "f 1 2 4\n",
+    "index_zero": OBJ_TRIANGLE + "f 0 1 2\n",
+    "no_records": "# nothing\n\n",
+    "no_faces": OBJ_TRIANGLE,
+    "first_bad_line_wins": "v 0 0 0\nf 1 2\nv 1 0\nv 0 1 0\nf 1 2 3\n",
+    "bad_line_before_no_faces": "v 0 0 0\nv 1 0\n",
+    "trailing_comment": OBJ_TRIANGLE + "f 1 2 3 # tri\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBJ_ACCEPTED) + sorted(OBJ_REJECTED))
+def test_read_obj_matches_line_reader(tmp_path, name):
+    path = tmp_path / "case.obj"
+    path.write_bytes(OBJ_ACCEPTED.get(name, OBJ_REJECTED.get(name)).encode())
+    assert isinstance(obj_outcome(loop_read_obj, path), str) == (name in OBJ_REJECTED)
+    assert_same_outcome(path)
+
+
+def test_read_obj_matches_line_reader_on_random_files(tmp_path):
+    # Files of good lines with a bad one now and then, so that both readers
+    # accept some files and take every error branch on others.
+    rng = np.random.default_rng(3)
+    good = ["v 0 0 0", "v 1 0 0", "v 0.5 1 -0.0", "v 1e17 -1e-300 2", "\tv 1 2 3",
+            "f 1 2 3", " f 3 2 1", "f 1/1 2/2 3/3", "f 1//4 2//4 3//4",
+            "vn 0 0 1", "vt 0 1", "# c", "", "  ", "g grp"]
+    bad = ["v 1 2", "v 1 2 3 4", "v a 0 0", "f 1 2", "f 1 2 3 4", "f 1 2 x",
+           "f 1 2 /3", "f 3 1 99"]
+    outcomes = set()
+    for k in range(200):
+        lines = [rng.choice(bad) if rng.random() < 0.03 else rng.choice(good)
+                 for _ in range(rng.integers(1, 25))]
+        path = tmp_path / f"r{k}.obj"
+        path.write_text("\n".join(lines) + "\n")
+        assert_same_outcome(path)
+        want = obj_outcome(loop_read_obj, path)
+        outcomes.add(want.split(": ")[-1] if isinstance(want, str) else "read")
+    assert len(outcomes) == 7
+
+
+def test_obj_roundtrip_256x128_matches_line_reader(tmp_path):
+    mesh = surfaces.catenoid_mesh(surfaces.CatenoidSpec(1.0, -1.0, 1.0, 256, 128))
+    path = tmp_path / "band.obj"
+    write_obj(mesh, path)
+    assert_same_outcome(path)
+    assert np.array_equal(read_obj(path).vertices, mesh.vertices)

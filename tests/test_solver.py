@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import brentq
 
+from mintube import mesh as meshmod
 from mintube import solver
 from mintube.mesh import MeshError, TriMesh, cot_laplacian
 
@@ -190,7 +191,7 @@ def test_hessian_pattern_matches_coo_assembly():
 
 
 def test_singular_factor_escalates_damping(monkeypatch):
-    splu = solver.spla.splu
+    splu = meshmod.spla.splu
     shifts = []
 
     def splu_singular_once(A, **kwargs):
@@ -199,7 +200,7 @@ def test_singular_factor_escalates_damping(monkeypatch):
             raise RuntimeError("Factor is exactly singular")
         return splu(A, **kwargs)
 
-    monkeypatch.setattr(solver.spla, "splu", splu_singular_once)
+    monkeypatch.setattr(meshmod.spla, "splu", splu_singular_once)
     prob = solver.AnnulusProblem(solver.Circle((0, 0, 0.0), 1.0),
                                  solver.Circle((0.3, 0, 1.0), 1.0), nu=48, nv=16)
     mesh, report = solver.solve_annulus(prob)
