@@ -548,7 +548,9 @@ def read_obj(path) -> TriMesh:
         try:
             verts = np.loadtxt(vrows, comments=None, ndmin=2)
             tris = np.loadtxt(frows, dtype=np.int64, comments=None, ndmin=2) - 1
-            parsed = verts.shape[1] == 3 and tris.shape[1] == 3
+            # np.loadtxt skips empty rows (a bare "v" or "f" tag), so the
+            # row counts are checked as well as the column counts.
+            parsed = verts.shape == (len(vrows), 3) and tris.shape == (len(frows), 3)
         except ValueError:
             pass
     if not parsed:

@@ -557,6 +557,9 @@ OBJ_REJECTED = {
     "first_bad_line_wins": "v 0 0 0\nf 1 2\nv 1 0\nv 0 1 0\nf 1 2 3\n",
     "bad_line_before_no_faces": "v 0 0 0\nv 1 0\n",
     "trailing_comment": OBJ_TRIANGLE + "f 1 2 3 # tri\n",
+    "bare_v": "v 0 0 0\nv\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+    "bare_f": OBJ_TRIANGLE + "f 1 2 3\nf\n",
+    "bare_f_with_spaces": OBJ_TRIANGLE + "f 1 2 3\nf   \n",
 }
 
 
@@ -576,7 +579,7 @@ def test_read_obj_matches_line_reader_on_random_files(tmp_path):
             "f 1 2 3", " f 3 2 1", "f 1/1 2/2 3/3", "f 1//4 2//4 3//4",
             "vn 0 0 1", "vt 0 1", "# c", "", "  ", "g grp"]
     bad = ["v 1 2", "v 1 2 3 4", "v a 0 0", "f 1 2", "f 1 2 3 4", "f 1 2 x",
-           "f 1 2 /3", "f 3 1 99"]
+           "f 1 2 /3", "f 3 1 99", "v", "f"]
     outcomes = set()
     for k in range(200):
         lines = [rng.choice(bad) if rng.random() < 0.03 else rng.choice(good)
