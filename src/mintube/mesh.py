@@ -427,14 +427,16 @@ def dirichlet_energy(mesh: TriMesh, phi: np.ndarray, L=None) -> float:
     return float(phi @ (L @ phi))
 
 
-def factor_symmetric(A):
+def factor_symmetric(A, ordered: bool = False):
     """SuperLU factorization of a sparse CSC matrix with symmetric structure
     and a safe diagonal (symmetric positive definite, or close to it):
     minimum-degree ordering on A^T + A and diagonal pivots, which keeps the
-    fill of a symmetric factorization.  Raises RuntimeError when a pivot is
-    exactly zero."""
-    return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                     options={"SymmetricMode": True})
+    fill of a symmetric factorization.  With `ordered`, A is already laid
+    out in such an order (the `perm_c` of an earlier factorization of the
+    same pattern) and is factored in its natural order.  Raises RuntimeError
+    when a pivot is exactly zero."""
+    return spla.splu(A, permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
 def harmonic_capacity(mesh: TriMesh, loop0, loop1, return_potential: bool = False):
@@ -523,7 +525,9 @@ def read_obj(path) -> TriMesh:
     """Read the v and f records of an ASCII OBJ file.  Each line is
     classified by its first whitespace-separated token; comments, blank
     lines and other record types are skipped, and the "/vt/vn" suffixes of
-    face indices are dropped.  Errors name the file and the 1-based line.
+    face indices are dropped.  Errors name the file and the 1-based line;
+    a face index is checked against the number of vertices in the whole
+    file, after every record has parsed.
 
     The records of each type are parsed in one `np.loadtxt` pass.  If a
     pass fails, the records are parsed again one at a time, which raises
@@ -557,4 +561,8 @@ def read_obj(path) -> TriMesh:
         verts, tris = _parse_obj_records(path, records)
     if not len(verts) or not len(tris):
         raise MeshError(f"{path}: no v/f records found")
+    if tris.min() < 0 or tris.max() >= len(verts):
+        bad = np.flatnonzero(((tris < 0) | (tris >= len(verts))).any(axis=1))[0]
+        flines = [lineno for lineno, tag, _ in records if tag == "f"]
+        raise MeshError(f"{path}:{flines[bad]}: face index out of range")
     return TriMesh(verts, tris)

@@ -20,33 +20,30 @@ rejected one.  The fixed point is a discrete minimal surface: zero
 cotangent mean-curvature vector at every interior vertex.  The residual
 only decides when to stop.
 
-Linear algebra: the sparsity pattern of the interior system is built once
-per solve, since the triangles and the pinned vertices never change.  Each
-iteration computes the per-triangle 3x3 blocks of H and of kron(L, I3),
-sums each into the fixed CSC pattern with one `bincount`, and factors
-H + mu kron(L, I3) with `mesh.factor_symmetric`, SuperLU in symmetric mode
-(minimum-degree ordering on A^T + A, diagonal pivots), the factorization
-the capacity solve shares.  An exactly singular factor is handled like a
-rejected step: mu grows and the step is retried.
+Linear algebra: each accepted iterate computes the per-triangle cotangent
+stiffness S_ij = e_i.e_j / 2|n| once (e_i the edge opposite corner i, n the
+normal); the residual, L and H all come from it.  The block of H coupling
+corners i and j is S_ij nh nh^T + k_ij [nh]x, with nh the unit normal and
+k_ii = 0, k_{i,i+1} = -1/2, k_{i,i+2} = +1/2.  Each iteration sums these
+blocks, and S onto their diagonals for kron(L, I3), into a CSC pattern built
+once per solve, and factors H + mu kron(L, I3) with `mesh.factor_symmetric`
+(SuperLU, symmetric mode, diagonal pivots).  Its minimum-degree ordering
+depends on the pattern only: the first accepted factorization fixes it, the
+pattern is laid out in that order, and later factorizations keep the
+natural order.  An exactly singular factor is handled like a rejected step:
+mu grows and the step is retried.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import (
-    MeshError,
-    TriMesh,
-    cot_laplacian,
-    cot_stiffness,
-    factor_symmetric,
-    slice_mesh,
-)
+from .mesh import (MeshError, TriMesh, _vertex_sums, cot_stiffness,
+                   factor_symmetric, slice_mesh)
 from .surfaces import _revolution_mesh
 
 PINCH_RATIO = 0.02    # mid-slice length below this fraction of the
@@ -139,60 +136,36 @@ def initial_annulus(problem: AnnulusProblem) -> TriMesh:
     return _revolution_mesh(radii, heights, problem.nu, centers=centers)
 
 
-def mean_curvature_residual(mesh: TriMesh, interior: np.ndarray):
+def mean_curvature_residual(mesh: TriMesh, interior: np.ndarray, S: np.ndarray):
     """Area gradient at the interior vertices and the solver's stopping
-    measure.
+    measure, from the cotangent stiffness S = `cot_stiffness(mesh)`.
 
-    Returns (grad, res): grad = (L @ V)[interior] with the cotangent
-    Laplacian L, and res = max |H| * mean edge length, where |H| is the
-    gradient norm over the barycentric vertex area.
-    """
-    L, mass = cot_laplacian(mesh)
-    grad = (L @ mesh.vertices)[interior]
+    Returns (grad, res): grad = (L @ V)[interior] with L the cotangent
+    Laplacian, and res = max |H| * mean edge length, with |H| the gradient
+    norm over the barycentric vertex area."""
+    grad = _vertex_sums(mesh, S @ mesh.vertices[mesh.triangles])[interior]
+    mass = _vertex_sums(mesh, np.repeat(mesh.triangle_areas()[:, None] / 3.0, 3, axis=1))
     h = np.linalg.norm(grad, axis=1) / mass[interior]
     return grad, float(h.max()) * mesh.mean_edge_length()
 
 
-def _cross_matrices(v: np.ndarray) -> np.ndarray:
-    """(..., 3) vectors -> (..., 3, 3) cross-product matrices [v]x."""
-    out = np.zeros(v.shape + (3,))
-    out[..., 0, 1], out[..., 0, 2] = -v[..., 2], v[..., 1]
-    out[..., 1, 0], out[..., 1, 2] = v[..., 2], -v[..., 0]
-    out[..., 2, 0], out[..., 2, 1] = -v[..., 1], v[..., 0]
-    return out
-
-
-def _area_hessian(verts: np.ndarray, tris: np.ndarray) -> np.ndarray:
+def _area_hessian(S: np.ndarray, nh: np.ndarray) -> np.ndarray:
     """Exact second derivative of total triangle area, as per-triangle
     blocks: out[m, i, j] is the 3x3 block coupling corner i to corner j of
     triangle m.  `_HessianPattern` sums them into a sparse matrix.
 
-    Per triangle with corners p0,p1,p2, normal n and unit normal nh, the
-    area gradient at corner i is 0.5 (p_{i+1}-p_{i+2}) x nh; differentiating
-    gives the blocks  -0.5 [e_i]x (I - nh nh^T) [e_j]x / |n|  plus the
-    +-0.5 [nh]x terms from the cyclic edge dependence on p_j.
+    From the cotangent stiffness S and the unit normals nh, the block is
+    S_ij nh nh^T + k_ij [nh]x with k_ii = 0, k_{i,i+1} = -1/2 and
+    k_{i,i+2} = +1/2: along the normal the second variation of area is the
+    Dirichlet energy (Pinkall & Polthier 1993), and its in-plane part
+    cancels.
     """
-    p = verts[tris]                                   # (M, 3 corners, 3)
-    e = np.roll(p, -1, axis=1) - np.roll(p, -2, axis=1)
-    n = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    nn = np.linalg.norm(n, axis=1)
-    nh = n / nn[:, None]
-    proj = np.eye(3) - nh[:, :, None] * nh[:, None, :]
-    ex = _cross_matrices(e)                           # (M, 3, 3, 3)
-    left = ex @ proj[:, None]
-    blocks = left[:, :, None] @ ex[:, None, :]        # (M, 3, 3, 3, 3)
-    blocks *= (-0.5 / nn)[:, None, None, None, None]
-    half_nx = 0.5 * _cross_matrices(nh)
+    blocks = S[:, :, :, None, None] * (nh[:, :, None] * nh[:, None, :])[:, None, None]
+    half_nx = 0.5 * np.cross(np.eye(3), nh[:, None, :])     # 0.5 [nh]x
     for i in range(3):
         blocks[:, i, (i + 1) % 3] -= half_nx
         blocks[:, i, (i + 2) % 3] += half_nx
     return blocks
-
-
-def _laplacian_blocks(mesh: TriMesh) -> np.ndarray:
-    """kron(L, I3) as per-triangle blocks in the layout of `_area_hessian`:
-    out[m, i, j] = S[m, i, j] I3 with S the cotangent stiffness."""
-    return cot_stiffness(mesh)[..., None, None] * np.eye(3)
 
 
 class _HessianPattern:
@@ -203,8 +176,9 @@ class _HessianPattern:
     Vertex pairs sharing a triangle are sorted column-major once; each pair
     owns a dense 3x3 block of slots, so every column lists its rows in
     increasing order.  `slots` maps each entry of the `_area_hessian`
-    blocks to its slot, with entries touching other vertices sent to a
-    spill slot past the end.
+    blocks to its slot, and `diag_slots` the (i, j, a, a) entries, which
+    carry kron(L, I3); entries touching other vertices go to a spill slot
+    past the end.  Coordinate k sits at position `perm[k]` of the matrix.
     """
 
     def __init__(self, tris: np.ndarray, dof_mask: np.ndarray):
@@ -234,12 +208,36 @@ class _HessianPattern:
         entry_pair = np.full(valid.shape, len(pairs), dtype=np.int64)
         entry_pair[valid] = pair_of
         spill = np.full((1, 3, 3), self.nnz, dtype=np.int32)
-        self.slots = np.concatenate([pair_slots, spill])[entry_pair].ravel()
+        slots = np.concatenate([pair_slots, spill])[entry_pair]
+        self.slots = slots.ravel()
+        self.diag_slots = slots[..., a, a].ravel()
         self.shape = (3 * n_verts, 3 * n_verts)
+        self.perm = self.order = np.arange(3 * n_verts)
+        self.ordered = False
+
+    def reorder(self, perm: np.ndarray) -> None:
+        """Move coordinate k to position perm[k] of the matrix, keeping every
+        column's rows sorted: the fill-reducing order of a first
+        factorization, in which later ones run in their natural order."""
+        perm = np.array(perm)       # SuperLU's perm_c keeps its factors alive
+        order, counts = np.argsort(perm), np.diff(self.indptr)
+        col, row = perm[np.repeat(np.arange(len(perm)), counts)], perm[self.indices]
+        moved = np.argsort(col.astype(np.int64) * len(perm) + row)  # new -> old slot
+        where = np.append(np.argsort(moved), self.nnz).astype(np.int32)
+        self.slots, self.diag_slots = where[self.slots], where[self.diag_slots]
+        self.indices = row[moved]
+        self.indptr = np.append(0, np.cumsum(counts[order])).astype(np.int32)
+        self.perm, self.order, self.ordered = perm, order, True
 
     def values(self, blocks: np.ndarray) -> np.ndarray:
         """CSC data array of the summed blocks."""
         return np.bincount(self.slots, weights=blocks.ravel(),
+                           minlength=self.nnz + 1)[:self.nnz]
+
+    def stiffness_values(self, S: np.ndarray) -> np.ndarray:
+        """CSC data array of kron(L, I3), with L summed from the
+        per-triangle stiffness S."""
+        return np.bincount(self.diag_slots, weights=np.repeat(S.ravel(), 3),
                            minlength=self.nnz + 1)[:self.nnz]
 
     def matrix(self, values: np.ndarray) -> sp.csc_matrix:
@@ -266,13 +264,10 @@ def minimize_area(mesh: TriMesh, options: SolverOptions | None = None):
     tris = mesh.triangles
     cur = TriMesh(mesh.vertices.copy(), tris)
 
-    zmin, zmax = cur.x3_range()
-    mid_level = 0.5 * (zmin + zmax)
-    loop_circ = []
-    for lp in mesh.boundary_loops():
-        p = mesh.vertices[lp]
-        loop_circ.append(float(np.linalg.norm(np.roll(p, -1, 0) - p, axis=1).sum()))
-    pinch_len = PINCH_RATIO * min(loop_circ)
+    mid_level = 0.5 * sum(cur.x3_range())
+    rims = [mesh.vertices[np.append(lp, lp[0])] for lp in mesh.boundary_loops()]
+    pinch_len = PINCH_RATIO * min(
+        float(np.linalg.norm(np.diff(p, axis=0), axis=1).sum()) for p in rims)
 
     areas = [cur.area()]
     residuals = []
@@ -301,27 +296,29 @@ def minimize_area(mesh: TriMesh, options: SolverOptions | None = None):
     pattern = _HessianPattern(tris, interior)
     mu = 1.0
     it = 0
-    grad, res = mean_curvature_residual(cur, interior)
+    S = cot_stiffness(cur)
+    grad, res = mean_curvature_residual(cur, interior, S)
     residuals.append(res)
     while res > opts.tolerance and it < opts.max_iterations:
         it += 1
-        g = grad.ravel()
-        hess = pattern.values(_area_hessian(cur.vertices, tris))
-        lap = pattern.values(_laplacian_blocks(cur))
-        H = pattern.matrix(hess)
+        g = grad.ravel()[pattern.order]               # in matrix order
+        hess = pattern.values(_area_hessian(S, cur.triangle_normals()))
+        lap = pattern.stiffness_values(S)
         for _ in range(25):
+            lu = None             # free the last factorization before the next
             try:
-                lu = factor_symmetric(pattern.matrix(hess + mu * lap))
+                lu = factor_symmetric(pattern.matrix(hess + mu * lap),
+                                      ordered=pattern.ordered)
             except RuntimeError:  # factor is exactly singular
                 mu *= 4.0
                 continue
             step = lu.solve(-g)
             if np.all(np.isfinite(step)):
                 trial = cur.vertices.copy()
-                trial[interior] += step.reshape(-1, 3)
+                trial[interior] += step[pattern.perm].reshape(-1, 3)
                 cand = TriMesh(trial, tris)
                 cand_area = cand.area()
-                predicted = -(g @ step + 0.5 * step @ (H @ step))
+                predicted = -(g @ step + 0.5 * step @ (pattern.matrix(hess) @ step))
                 actual = areas[-1] - cand_area
                 if predicted > 0 and actual >= 0.1 * predicted:
                     if actual > 0.75 * predicted:
@@ -331,9 +328,12 @@ def minimize_area(mesh: TriMesh, options: SolverOptions | None = None):
         else:
             message = "no area-decreasing step at maximal damping"
             break
+        if not pattern.ordered:
+            pattern.reorder(lu.perm_c)
         cur = cand
         areas.append(cand_area)
-        grad, res = mean_curvature_residual(cur, interior)
+        S = cot_stiffness(cur)
+        grad, res = mean_curvature_residual(cur, interior, S)
         residuals.append(res)
         if it % CHECK_EVERY == 0:
             safety_checks(cur, it)

@@ -487,9 +487,13 @@ def loop_read_obj(path):
                     idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
                 except ValueError as exc:
                     raise MeshError(f"{path}:{lineno}: bad face index") from exc
-                tris.append(idx)
+                tris.append((lineno, idx))
     if not verts or not tris:
         raise MeshError(f"{path}: no v/f records found")
+    for lineno, idx in tris:
+        if min(idx) < 0 or max(idx) >= len(verts):
+            raise MeshError(f"{path}:{lineno}: face index out of range")
+    tris = [idx for _, idx in tris]
     return TriMesh(np.array(verts), np.array(tris, dtype=np.int64))
 
 
@@ -552,6 +556,8 @@ OBJ_REJECTED = {
     "slash_first_face": OBJ_TRIANGLE + "f 1 2 /3\n",
     "index_out_of_range": OBJ_TRIANGLE + "f 1 2 4\n",
     "index_zero": OBJ_TRIANGLE + "f 0 1 2\n",
+    # loadtxt fails on "1_0", so the per-record parse reads this file
+    "index_out_of_range_record_parse": "v 1_0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 3 2 4\n",
     "no_records": "# nothing\n\n",
     "no_faces": OBJ_TRIANGLE,
     "first_bad_line_wins": "v 0 0 0\nf 1 2\nv 1 0\nv 0 1 0\nf 1 2 3\n",

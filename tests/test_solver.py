@@ -10,7 +10,8 @@ from scipy.optimize import brentq
 
 from mintube import mesh as meshmod
 from mintube import solver
-from mintube.mesh import MeshError, TriMesh, cot_laplacian
+from mintube.mesh import (MeshError, TriMesh, cot_laplacian, cot_stiffness,
+                          factor_symmetric)
 
 
 def test_problem_validation():
@@ -130,6 +131,60 @@ def small_annulus():
     return solver.initial_annulus(prob)
 
 
+def perturbed_annulus(nu, nv, seed):
+    prob = solver.AnnulusProblem(solver.Circle((0, 0, 0.0), 1.0),
+                                 solver.Circle((0.2, 0, 1.0), 1.0), nu=nu, nv=nv)
+    mesh = solver.initial_annulus(prob)
+    interior = ~mesh.boundary_vertex_mask()
+    verts = mesh.vertices.copy()
+    rng = np.random.default_rng(seed)
+    verts[interior] += (0.2 / nv) * rng.standard_normal(verts[interior].shape)
+    return TriMesh(verts, mesh.triangles), interior
+
+
+def area_hessian_blocks(mesh):
+    return solver._area_hessian(cot_stiffness(mesh), mesh.triangle_normals())
+
+
+def cross_matrices(v):
+    """(..., 3) vectors -> (..., 3, 3) cross-product matrices [v]x."""
+    out = np.zeros(v.shape + (3,))
+    out[..., 0, 1], out[..., 0, 2] = -v[..., 2], v[..., 1]
+    out[..., 1, 0], out[..., 1, 2] = v[..., 2], -v[..., 0]
+    out[..., 2, 0], out[..., 2, 1] = -v[..., 1], v[..., 0]
+    return out
+
+
+def batched_area_hessian(verts, tris):
+    """Oracle: the area Hessian blocks by differentiating the corner
+    gradient 0.5 (p_{i+1}-p_{i+2}) x nh, which gives
+    -0.5 [e_i]x (I - nh nh^T) [e_j]x / |n| plus the +-0.5 [nh]x terms from
+    the cyclic edge dependence on p_j."""
+    p = verts[tris]                                   # (M, 3 corners, 3)
+    e = np.roll(p, -1, axis=1) - np.roll(p, -2, axis=1)
+    n = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    nn = np.linalg.norm(n, axis=1)
+    nh = n / nn[:, None]
+    proj = np.eye(3) - nh[:, :, None] * nh[:, None, :]
+    ex = cross_matrices(e)                            # (M, 3, 3, 3)
+    left = ex @ proj[:, None]
+    blocks = left[:, :, None] @ ex[:, None, :]        # (M, 3, 3, 3, 3)
+    blocks *= (-0.5 / nn)[:, None, None, None, None]
+    half_nx = 0.5 * cross_matrices(nh)
+    for i in range(3):
+        blocks[:, i, (i + 1) % 3] -= half_nx
+        blocks[:, i, (i + 2) % 3] += half_nx
+    return blocks
+
+
+@pytest.mark.parametrize("nu, nv", [(16, 6), (96, 48)])
+def test_area_hessian_closed_form_matches_batched_oracle(nu, nv):
+    mesh, _ = perturbed_annulus(nu, nv, seed=7)
+    got = area_hessian_blocks(mesh)
+    want = batched_area_hessian(mesh.vertices, mesh.triangles)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_area_hessian_matches_finite_differences():
     rng = np.random.default_rng(3)
     mesh = small_annulus()
@@ -141,7 +196,7 @@ def test_area_hessian_matches_finite_differences():
 
     # every vertex a dof: the full (3N, 3N) Hessian
     full = solver._HessianPattern(mesh.triangles, np.ones(len(verts), bool))
-    H = full.matrix(full.values(solver._area_hessian(verts, mesh.triangles)))
+    H = full.matrix(full.values(area_hessian_blocks(mesh)))
     assert H.shape == (3 * len(verts), 3 * len(verts))
     d = rng.standard_normal(verts.shape) * 1e-6
     fd = grad(verts + d) - grad(verts - d)
@@ -164,7 +219,7 @@ def test_hessian_pattern_matches_coo_assembly():
     verts[interior] += 0.02 * rng.standard_normal(verts[interior].shape)
     tris = mesh.triangles
     perturbed = TriMesh(verts, tris)
-    blocks = solver._area_hessian(verts, tris)
+    blocks = area_hessian_blocks(perturbed)
     rows, cols, vals = [], [], []
     for i in range(3):
         for j in range(3):
@@ -184,10 +239,41 @@ def test_hessian_pattern_matches_coo_assembly():
     expect = (H[dofs][:, dofs]
               + mu * sp.kron(L[idx][:, idx], sp.identity(3))).toarray()
     pattern = solver._HessianPattern(tris, interior)
-    got = pattern.matrix(pattern.values(blocks) + mu * pattern.values(
-        solver._laplacian_blocks(perturbed)))
+    S = cot_stiffness(perturbed)
+
+    def assembled():
+        return pattern.matrix(pattern.values(blocks) + mu * pattern.stiffness_values(S))
+
+    got = assembled()
     assert got.format == "csc" and got.has_sorted_indices
     assert np.abs(got.toarray() - expect).max() <= 1e-13 * np.abs(expect).max()
+    # Laid out in a fill-reducing order: entry (i, j) moves to (perm[i], perm[j]).
+    pattern.reorder(factor_symmetric(got).perm_c)
+    order = np.argsort(pattern.perm)
+    got = assembled()
+    assert got.format == "csc" and got.has_sorted_indices
+    expect = expect[np.ix_(order, order)]
+    assert np.abs(got.toarray() - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("mu", [1e-6, 1e-2, 1.0, 30.0])
+def test_reordered_factor_matches_unpermuted_solve(mu):
+    mesh, interior = perturbed_annulus(16, 6, seed=11)
+    S = cot_stiffness(mesh)
+    rhs = np.random.default_rng(2).standard_normal(3 * int(interior.sum()))
+    pattern = solver._HessianPattern(mesh.triangles, interior)
+
+    def system():
+        return pattern.values(area_hessian_blocks(mesh)) + mu * pattern.stiffness_values(S)
+
+    lu = factor_symmetric(pattern.matrix(system()))
+    want = lu.solve(rhs)
+    pattern.reorder(lu.perm_c)
+    ordered = factor_symmetric(pattern.matrix(system()), ordered=True)
+    assert np.array_equal(ordered.perm_c, np.arange(len(rhs)))
+    assert ordered.L.nnz + ordered.U.nnz == lu.L.nnz + lu.U.nnz
+    got = ordered.solve(rhs[pattern.order])[pattern.perm]
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_singular_factor_escalates_damping(monkeypatch):
@@ -208,4 +294,29 @@ def test_singular_factor_escalates_damping(monkeypatch):
     assert report.residual_history[-1] <= prob.options.tolerance
     # the retry factors the same Hessian with a larger diagonal shift
     assert len(shifts) > 2
+    assert np.all(shifts[1] > shifts[0])
+
+
+def test_singular_ordered_factor_escalates_damping(monkeypatch):
+    splu = meshmod.spla.splu
+    specs, shifts = [], []
+
+    def splu_singular_once_ordered(A, **kwargs):
+        specs.append(kwargs["permc_spec"])
+        if kwargs["permc_spec"] == "NATURAL":
+            shifts.append(A.diagonal())
+            if len(shifts) == 1:
+                raise RuntimeError("Factor is exactly singular")
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(meshmod.spla, "splu", splu_singular_once_ordered)
+    prob = solver.AnnulusProblem(solver.Circle((0, 0, 0.0), 1.0),
+                                 solver.Circle((0.3, 0, 1.0), 1.0), nu=48, nv=16)
+    mesh, report = solver.solve_annulus(prob)
+    assert report.converged
+    assert report.residual_history[-1] <= prob.options.tolerance
+    # the ordering came from the first factorization; every later one,
+    # the failed one and its retry included, keeps it
+    assert specs[0] == "MMD_AT_PLUS_A" and set(specs[1:]) == {"NATURAL"}
+    # the retry factors the same Hessian with a larger diagonal shift
     assert np.all(shifts[1] > shifts[0])
