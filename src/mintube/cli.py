@@ -41,6 +41,20 @@ def _parse_res(text: str):
     return nu, nv
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text}")
+    return value
+
+
 def _parse_n_range(text: str):
     if ".." in text:
         lo, hi = text.split("..")
@@ -82,8 +96,6 @@ def _emit_report(report: flux.TubeReport, outdir: Path, stem: str) -> None:
 
 
 def cmd_catenoid(args) -> int:
-    if args.a <= 0:
-        raise CliError("neck radius --a must be positive")
     nu, nv = _parse_res(args.res)
     spec = surfaces.CatenoidSpec(args.a, args.v[0], args.v[1], nu, nv)
     m = surfaces.catenoid_mesh(spec)
@@ -100,8 +112,10 @@ def cmd_catenoid(args) -> int:
 
 def cmd_ncatenoid(args) -> int:
     ns = _parse_n_range(args.n)
-    if args.f0 <= 0:
-        raise CliError("--f0 must be positive")
+    if not ns:
+        raise CliError(f"--n range {args.n!r} is empty")
+    if not 0 < args.f0 < math.inf:
+        raise CliError("--f0 must be finite and positive")
     rows = ["n,f0,lifetime"]
     growth = []
     for n in ns:
@@ -133,8 +147,6 @@ def cmd_ncatenoid(args) -> int:
 def _annulus_problem(args, offset: float) -> solver.AnnulusProblem:
     """The problem the solver arguments describe, with the upper circle
     shifted by `offset` along x."""
-    if args.r[0] <= 0 or args.r[1] <= 0:
-        raise CliError("circle radii must be positive")
     if not args.heights[0] < args.heights[1]:
         raise CliError("--heights must be increasing")
     nu, nv = _parse_res(args.res)
@@ -178,9 +190,11 @@ def cmd_analyze(args) -> int:
 def cmd_sweep(args) -> int:
     if not args.offsets:
         raise CliError("need at least one offset")
+    # every offset is checked before the first solve
+    problems = [_annulus_problem(args, off) for off in args.offsets]
     rows = ["offset,alpha,min_diameter_margin,lifetime_bound_over_height"]
-    for off in args.offsets:
-        m, _ = solver.solve_annulus(_annulus_problem(args, off))
+    for off, prob in zip(args.offsets, problems):
+        m, _ = solver.solve_annulus(prob)
         report = flux.analyze_tube(m, n_levels=args.levels,
                                    compute_capacity=False)
         lb = report.lifetime_bound
@@ -203,11 +217,11 @@ def _add_analysis_args(p, levels_default=10, tolerances=True):
     """--outdir and --levels, plus the check tolerances of the verified
     commands."""
     _add_outdir(p)
-    p.add_argument("--levels", type=int, default=levels_default,
+    p.add_argument("--levels", type=positive_int, default=levels_default,
                    help="number of interior slice levels")
     if tolerances:
-        p.add_argument("--margin-tol", type=float, default=DEFAULT_MARGIN_TOL)
-        p.add_argument("--invariance-tol", type=float, default=DEFAULT_INVARIANCE_TOL)
+        p.add_argument("--margin-tol", type=nonnegative_float, default=DEFAULT_MARGIN_TOL)
+        p.add_argument("--invariance-tol", type=nonnegative_float, default=DEFAULT_INVARIANCE_TOL)
 
 
 def _add_solver_args(p):

@@ -166,16 +166,6 @@ def verify_slice_curvature_bound(cycle: CrossSectionCycle):
     return length, 4.0 * alpha
 
 
-def capacity_flux_prediction(t1: float, t2: float, J3: float) -> float:
-    """(t2 - t1) / J3, the height-over-flux form of the capacity relation.
-
-    Note: the Dirichlet energy measured on minimal tubes comes out as the
-    reciprocal ratio J3 / (t2 - t1); see verify_capacity_law, which reports
-    errors against both conventions.
-    """
-    return (t2 - t1) / J3
-
-
 @dataclass(frozen=True)
 class CapacityCheck:
     measured: float
@@ -202,7 +192,7 @@ def verify_capacity_law(mesh: TriMesh, t1: float, t2: float,
     measured = harmonic_capacity(mesh, lo, hi)
     mid = 0.5 * (t1 + t2)
     J = flow_vector_total(slice_mesh(mesh, mid, normals))
-    pred_pub = capacity_flux_prediction(t1, t2, float(J[2]))
+    pred_pub = (t2 - t1) / float(J[2])
     pred_rec = float(J[2]) / (t2 - t1)
     return CapacityCheck(
         measured=measured,
@@ -364,6 +354,8 @@ def analyze_tube(mesh: TriMesh, levels=None, n_levels: int = 10,
     if levels is None:
         pad = 0.05 * (zmax - zmin)
         levels = list(np.linspace(zmin + pad, zmax - pad, n_levels))
+    if not len(levels):
+        raise ValueError("need at least one slice level")
     normals = vertex_normals(mesh)
 
     slice_records = []

@@ -1,6 +1,6 @@
 """Oriented triangle meshes in R^3 and the discrete operators used on them:
 plane slicing into cross-section cycles, vertex normals, angle-defect
-curvature, the cotangent Laplacian and Dirichlet-energy capacity.
+curvature, the cotangent stiffness and Dirichlet-energy capacity.
 """
 
 from __future__ import annotations
@@ -60,12 +60,10 @@ class TriMesh:
         t = self.triangles
         return v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
 
-    def triangle_normals(self, normalized: bool = True) -> np.ndarray:
+    def triangle_normals(self) -> np.ndarray:
         p0, p1, p2 = self.triangle_corners()
         n = np.cross(p1 - p0, p2 - p0)
-        if normalized:
-            n = n / np.linalg.norm(n, axis=1)[:, None]
-        return n
+        return n / np.linalg.norm(n, axis=1)[:, None]
 
     def triangle_areas(self) -> np.ndarray:
         p0, p1, p2 = self.triangle_corners()
@@ -91,7 +89,12 @@ class TriMesh:
         return np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
 
     def validate(self, tube_axis_check: bool = False) -> None:
-        """Check manifoldness, orientation and non-degeneracy; raise MeshError."""
+        """Check finiteness, manifoldness, orientation and non-degeneracy;
+        raise MeshError."""
+        finite = np.isfinite(self.vertices).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise MeshError(f"vertex {bad} has a non-finite coordinate")
         areas = self.triangle_areas()
         thresh = DEGENERATE_AREA_FACTOR * self.bbox_diagonal() ** 2
         if np.any(areas <= thresh):
@@ -359,12 +362,15 @@ def gauss_image_diameter(normals) -> float:
 
 def gauss_image_length(cycle: CrossSectionCycle) -> float:
     """Discrete length of the Gauss image gamma(cycle): summed angles between
-    consecutive segment normals (closed cycles only)."""
+    consecutive segment normals (closed cycles only).  Each angle is
+    atan2(|a x b|, a.b), which keeps its digits for nearly parallel normals,
+    where arccos(a.b) loses half of them."""
     if not cycle.closed:
         raise ValueError("Gauss image length is defined for closed cycles")
     g = cycle.normals
-    dots = np.clip(np.einsum("ij,ij->i", g, np.roll(g, -1, axis=0)), -1.0, 1.0)
-    return float(np.arccos(dots).sum())
+    g_next = np.roll(g, -1, axis=0)
+    sines = np.linalg.norm(np.cross(g, g_next), axis=1)
+    return float(np.arctan2(sines, np.einsum("ij,ij->i", g, g_next)).sum())
 
 
 def angle_defects(mesh: TriMesh):
@@ -389,7 +395,7 @@ def total_curvature(mesh: TriMesh, return_clamped: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# Cotangent Laplacian, mass and capacity
+# Cotangent stiffness and capacity
 
 
 def cot_stiffness(mesh: TriMesh) -> np.ndarray:
@@ -404,27 +410,6 @@ def cot_stiffness(mesh: TriMesh) -> np.ndarray:
     e = np.roll(p, -1, axis=1) - np.roll(p, -2, axis=1)
     nn = np.linalg.norm(np.cross(e[:, 0], e[:, 1]), axis=1)
     return (e @ e.transpose(0, 2, 1)) * (0.5 / np.maximum(nn, 1e-300))[:, None, None]
-
-
-def cot_laplacian(mesh: TriMesh):
-    """Cotangent-weight Laplacian L (positive semidefinite, L @ 1 = 0) and
-    barycentric vertex areas.  phi^T L phi is the Dirichlet energy."""
-    t = mesh.triangles
-    nv = mesh.n_vertices
-    S = cot_stiffness(mesh)
-    L = sp.csr_matrix(
-        (S.ravel(), (np.broadcast_to(t[:, :, None], S.shape).ravel(),
-                     np.broadcast_to(t[:, None, :], S.shape).ravel())),
-        shape=(nv, nv),
-    )
-    mass = _vertex_sums(mesh, np.repeat(mesh.triangle_areas()[:, None] / 3.0, 3, axis=1))
-    return L, mass
-
-
-def dirichlet_energy(mesh: TriMesh, phi: np.ndarray, L=None) -> float:
-    if L is None:
-        L, _ = cot_laplacian(mesh)
-    return float(phi @ (L @ phi))
 
 
 def factor_symmetric(A, ordered: bool = False):
@@ -455,16 +440,27 @@ def harmonic_capacity(mesh: TriMesh, loop0, loop1, return_potential: bool = Fals
     if set(map(int, loop0)) & set(map(int, loop1)):
         raise MeshError("boundary loops overlap")
 
-    L, _ = cot_laplacian(mesh)
+    t = mesh.triangles
+    S = cot_stiffness(mesh)
     phi = np.zeros(mesh.n_vertices)
     phi[loop1] = 1.0
-    fixed = np.zeros(mesh.n_vertices, dtype=bool)
-    fixed[loop0] = True
-    fixed[loop1] = True
-    free = ~fixed
-    L_free = L[free]
-    A = L_free[:, free].tocsc()
-    rhs = -L_free[:, fixed] @ phi[fixed]
+    free = np.ones(mesh.n_vertices, dtype=bool)
+    free[loop0] = free[loop1] = False
+    # A = L[free][:, free], with L the cotangent Laplacian: the sum of S
+    # over the corner pairs of triangles whose two corners are both free.
+    # The row numbers are int32, the index type scipy stores; int64 ones
+    # would be copied down only after the full-size index arrays exist.
+    row = (np.cumsum(free, dtype=np.int32) - 1)[t]
+    pair = free[t][:, :, None] & free[t][:, None, :]
+    n_free = int(free.sum())
+    A = sp.csc_matrix((S[pair], (np.broadcast_to(row[:, :, None], S.shape)[pair],
+                                 np.broadcast_to(row[:, None, :], S.shape)[pair])),
+                      shape=(n_free, n_free))
+
+    def laplacian_times(x):
+        return _vertex_sums(mesh, (S @ x[t][:, :, None])[:, :, 0])
+
+    rhs = -laplacian_times(phi)[free]
     try:
         sol = factor_symmetric(A).solve(rhs)
     except Exception as exc:  # singular system: disconnected mesh etc.
@@ -479,7 +475,7 @@ def harmonic_capacity(mesh: TriMesh, loop0, loop1, return_potential: bool = Fals
             "mesh has negative cotangent weights",
             stacklevel=2,
         )
-    energy = dirichlet_energy(mesh, phi, L)
+    energy = float(phi @ laplacian_times(phi))
     if return_potential:
         return energy, phi
     return energy

@@ -37,6 +37,7 @@ mu grows and the step is retried.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,16 +69,24 @@ class Circle:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("circle radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("circle radius must be finite and positive")
         if len(self.center) != 3:
             raise ValueError("center must be a 3-vector")
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError("circle center must be finite")
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     max_iterations: int = 500
     tolerance: float = 1e-6       # normalized residual: max |H| * mean edge
+
+    def __post_init__(self):
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be finite and positive")
 
 
 @dataclass(frozen=True)

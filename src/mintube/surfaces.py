@@ -32,8 +32,10 @@ class CatenoidSpec:
     nv: int
 
     def __post_init__(self):
-        if self.neck_radius <= 0:
-            raise ValueError("neck_radius must be positive")
+        if not 0 < self.neck_radius < math.inf:
+            raise ValueError("neck_radius must be finite and positive")
+        if not math.isfinite(self.v_min) or not math.isfinite(self.v_max):
+            raise ValueError("v_min and v_max must be finite")
         if not self.v_min < self.v_max:
             raise ValueError("v_min must be below v_max")
         if self.nu < 8 or self.nv < 2:

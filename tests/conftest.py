@@ -1,5 +1,7 @@
 """Shared fixtures: analytic catenoid bands at the acceptance resolutions
-and solver-produced offset annuli at two refinement levels.
+and solver-produced offset annuli at two refinement levels; and the
+reference cotangent Laplacian the tests check the stiffness-based
+operators against.
 
 Solves are session-scoped because the two annulus solves take about 40 s
 together on a 2-core x86 machine, 37 s of it the 256x128 one; every test
@@ -8,8 +10,26 @@ sees the same converged meshes.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mintube import solver, surfaces
+from mintube.mesh import _vertex_sums, cot_stiffness
+
+
+def cot_laplacian(mesh):
+    """Reference cotangent Laplacian L (positive semidefinite, L @ 1 = 0),
+    summed from the per-triangle stiffness into an n x n CSR matrix, and
+    the barycentric vertex areas.  phi^T L phi is the Dirichlet energy."""
+    t = mesh.triangles
+    nv = mesh.n_vertices
+    S = cot_stiffness(mesh)
+    L = sp.csr_matrix(
+        (S.ravel(), (np.broadcast_to(t[:, :, None], S.shape).ravel(),
+                     np.broadcast_to(t[:, None, :], S.shape).ravel())),
+        shape=(nv, nv),
+    )
+    mass = _vertex_sums(mesh, np.repeat(mesh.triangle_areas()[:, None] / 3.0, 3, axis=1))
+    return L, mass
 
 
 def catenoid(a, v_min, v_max, nu, nv):

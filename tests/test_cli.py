@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from mintube import cli
+from mintube import cli, surfaces
+from mintube.mesh import write_obj
 
 
 def run(argv):
@@ -106,6 +107,59 @@ def test_unused_flags_rejected(tmp_path, capsys, argv):
     assert "unrecognized arguments" in err
     assert "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+INVALID_NUMBERS = [
+    ["catenoid", "--levels", "0"],
+    ["catenoid", "--levels", "-3"],
+    ["solve-annulus", "--levels", "0"],
+    ["analyze", "{obj}", "--levels", "0"],
+    ["sweep", "--offsets", "0.0", "--levels", "0"],
+    ["ncatenoid", "--f0", "nan"],
+    ["ncatenoid", "--f0", "inf"],
+    ["ncatenoid", "--n", "7..4"],
+    ["catenoid", "--a", "nan"],
+    ["catenoid", "--a", "inf"],
+    ["catenoid", "--margin-tol", "nan"],
+    ["catenoid", "--invariance-tol", "inf"],
+    ["solve-annulus", "--r", "nan", "1"],
+    ["solve-annulus", "--offset", "nan"],
+    ["solve-annulus", "--offset", "inf"],
+    ["sweep", "--offsets", "nan"],
+    ["sweep", "--offsets", "0.0", "inf"],
+    ["solve-annulus", "--tolerance", "nan"],
+    ["solve-annulus", "--tolerance", "-1"],
+    ["solve-annulus", "--max-iterations", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", INVALID_NUMBERS, ids=" ".join)
+def test_invalid_numbers_exit_code(tmp_path, capsys, argv):
+    # each is rejected before any mesh is built or solved
+    obj = tmp_path / "tube.obj"
+    write_obj(surfaces.catenoid_mesh(surfaces.CatenoidSpec(1.0, -1.0, 1.0, 16, 8)), obj)
+    argv = [a.format(obj=obj) for a in argv]
+    if argv[0] in ("catenoid", "solve-annulus", "sweep"):
+        argv += ["--res", "32x16"]
+    out = tmp_path / "out"
+    assert run(argv + ["--outdir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(("error: ", "usage: ")), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_analyze_rejects_non_finite_coordinates(tmp_path, capsys, value):
+    obj = tmp_path / "tube.obj"
+    write_obj(surfaces.catenoid_mesh(surfaces.CatenoidSpec(1.0, -1.0, 1.0, 16, 8)), obj)
+    lines = obj.read_text().splitlines()
+    lines[40] = f"v {value} 0.5 0"
+    obj.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert run(["analyze", str(obj), "--outdir", str(out)]) == 2
+    assert capsys.readouterr().err == "error: vertex 40 has a non-finite coordinate\n"
+    assert not out.exists()
 
 
 def test_analyze_roundtrip(tmp_path):

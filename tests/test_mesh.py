@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from conftest import cot_laplacian
 
 from mintube import mesh as meshmod
 from mintube import surfaces
@@ -12,8 +13,6 @@ from mintube.mesh import (
     MeshError,
     SliceError,
     TriMesh,
-    cot_laplacian,
-    dirichlet_energy,
     gauss_image_diameter,
     gauss_image_length,
     harmonic_capacity,
@@ -48,6 +47,15 @@ def test_validate_catches_degenerate_and_nonmanifold():
                     np.array([[0, 1, 2]]))
     with pytest.raises(MeshError, match="degenerate"):
         degen.validate()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_validate_rejects_non_finite_vertex(value):
+    mesh = surfaces.flat_annulus_mesh(1.0, 2.0, 16, 4)
+    verts = mesh.vertices.copy()
+    verts[[7, 30], 1] = value
+    with pytest.raises(MeshError, match="^vertex 7 has a non-finite coordinate$"):
+        TriMesh(verts, mesh.triangles).validate()
 
 
 def test_boundary_loops_of_annulus():
@@ -295,6 +303,17 @@ def test_gauss_image_length_matches_latitude():
                                       cycle.conormals, cycle.ds))
 
 
+def test_gauss_image_length_keeps_digits_of_small_angles():
+    # normals around a great circle: 2000 steps of 1e-7 rad, then 200
+    # coarse steps closing the circle; arccos of the dot products of the
+    # small steps would lose about half of their digits
+    fine = 1e-7 * np.arange(2000)
+    theta = np.concatenate([fine, np.linspace(2000e-7, 2.0 * math.pi, 200, endpoint=False)])
+    g = np.stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)], axis=1)
+    cycle = meshmod.CrossSectionCycle(g, 0.0, 0.0, True, g, g, g, g, np.ones(len(g)))
+    assert abs(gauss_image_length(cycle) - 2.0 * math.pi) <= 1e-12 * 2.0 * math.pi
+
+
 def test_corner_angles_and_vertex_sums_match_add_at_loop():
     mesh = surfaces.flat_annulus_mesh(1.0, 2.0, 24, 6)
     rng = np.random.default_rng(7)
@@ -321,7 +340,9 @@ def test_corner_angles_and_vertex_sums_match_add_at_loop():
     expect = normals / np.linalg.norm(normals, axis=1)[:, None]
     assert np.all(vertex_normals(mesh) == expect)
     assert np.all(meshmod.angle_defects(mesh)[0] == 2.0 * math.pi - angle_sum)
-    assert np.all(cot_laplacian(mesh)[1] == mass)
+    # the barycentric vertex areas, summed as the solver's residual sums them
+    thirds = np.repeat(mesh.triangle_areas()[:, None] / 3.0, 3, axis=1)
+    assert np.all(meshmod._vertex_sums(mesh, thirds) == mass)
 
 
 def test_total_curvature_flat_patch_zero():
@@ -347,13 +368,6 @@ def test_cot_laplacian_basic_properties():
     assert np.max(np.abs(L @ ones)) < 1e-12
     assert np.max(np.abs((L - L.T).data)) < 1e-12 if (L - L.T).nnz else True
     assert mass.sum() == pytest.approx(mesh.area())
-
-
-def test_dirichlet_energy_linear_potential():
-    # phi = x on the unit square has energy 1
-    mesh = square_patch()
-    phi = mesh.vertices[:, 0].copy()
-    assert dirichlet_energy(mesh, phi) == pytest.approx(1.0)
 
 
 def test_harmonic_capacity_flat_annulus_log():
@@ -411,6 +425,30 @@ def test_harmonic_capacity_matches_spsolve(name):
     assert abs(cap - want_cap) <= 1e-12 * want_cap
     assert np.max(np.abs(phi - want_phi)) <= 1e-12
     assert np.array_equal(phi[lp0], want_phi[lp0]) and np.array_equal(phi[lp1], want_phi[lp1])
+
+
+@pytest.mark.parametrize("name", ["flat_annulus_256x64", "catenoid_128x64",
+                                  "perturbed_annulus_96x24"])
+def test_harmonic_capacity_free_block_matches_reference(name, monkeypatch):
+    mesh = capacity_case(name)
+    lp0, lp1 = mesh.boundary_loops()
+    factored = []
+    factor_symmetric = meshmod.factor_symmetric
+
+    def capture(A, **kwargs):
+        factored.append(A)
+        return factor_symmetric(A, **kwargs)
+
+    monkeypatch.setattr(meshmod, "factor_symmetric", capture)
+    harmonic_capacity(mesh, lp0, lp1)
+    (A,) = factored
+    L, _ = cot_laplacian(mesh)
+    free = ~mesh.boundary_vertex_mask()
+    want = L[free][:, free].tocsc()
+    assert A.format == "csc" and A.indices.dtype == np.int32
+    assert np.array_equal(A.indptr, want.indptr)
+    assert np.array_equal(A.indices, want.indices)
+    assert np.all(np.abs(A.data - want.data) <= 1e-15 * np.abs(want.data))
 
 
 def test_harmonic_capacity_factorization_failure(monkeypatch):

@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import cot_laplacian
 from scipy.optimize import brentq
 
 from mintube import mesh as meshmod
 from mintube import solver
-from mintube.mesh import (MeshError, TriMesh, cot_laplacian, cot_stiffness,
-                          factor_symmetric)
+from mintube.mesh import MeshError, TriMesh, cot_stiffness, factor_symmetric
 
 
 def test_problem_validation():
@@ -25,6 +25,15 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         solver.AnnulusProblem(solver.Circle((0, 0, 0.0), 1.0),
                               solver.Circle((0, 0, 1.0), 1.0), nu=4)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            solver.Circle((0.0, 0.0, 0.0), bad)
+        with pytest.raises(ValueError, match="finite"):
+            solver.Circle((bad, 0.0, 0.0), 1.0)
+    for options in ({"max_iterations": 0}, {"tolerance": math.nan},
+                    {"tolerance": math.inf}, {"tolerance": 0.0}, {"tolerance": -1.0}):
+        with pytest.raises(ValueError):
+            solver.SolverOptions(**options)
 
 
 def test_offset_property():

@@ -5,8 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from mintube import surfaces
-from mintube.mesh import slice_mesh, total_curvature, vertex_normals
+from mintube import solver, surfaces
+from mintube.mesh import cot_stiffness, slice_mesh, total_curvature, vertex_normals
+
+
+def residual(mesh):
+    """The solver's stopping measure, max |H| * mean edge length."""
+    interior = ~mesh.boundary_vertex_mask()
+    return solver.mean_curvature_residual(mesh, interior, cot_stiffness(mesh))[1]
 
 
 def test_catenoid_spec_validation():
@@ -16,6 +22,11 @@ def test_catenoid_spec_validation():
         surfaces.CatenoidSpec(1.0, 1.0, -1.0, 64, 32)
     with pytest.raises(ValueError):
         surfaces.CatenoidSpec(1.0, -1.0, 1.0, 4, 32)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            surfaces.CatenoidSpec(bad, -1.0, 1.0, 64, 32)
+        with pytest.raises(ValueError, match="finite"):
+            surfaces.CatenoidSpec(1.0, -bad, 1.0, 64, 32)
 
 
 def test_catenoid_mesh_counts_and_loops():
@@ -54,15 +65,10 @@ def test_catenoid_vertices_on_surface():
 
 def test_catenoid_mean_curvature_residual_second_order():
     # cotangent residual of the analytic surface decreases ~ h^2
-    from mintube.mesh import cot_laplacian
-
     res = []
     for nu, nv in ((64, 32), (128, 64), (256, 128)):
         mesh = surfaces.catenoid_mesh(surfaces.CatenoidSpec(1.0, -1.0, 1.0, nu, nv))
-        L, mass = cot_laplacian(mesh)
-        interior = ~mesh.boundary_vertex_mask()
-        h = np.linalg.norm((L @ mesh.vertices)[interior], axis=1) / mass[interior]
-        res.append(h.max() * mesh.mean_edge_length())
+        res.append(residual(mesh))
     assert res[0] > res[1] > res[2]
     assert res[2] < res[0] / 8.0  # at least cubic-in-h drop over 2 refinements
 
@@ -151,15 +157,10 @@ def test_n3_profile_is_standard_catenoid():
 
 
 def test_ncatenoid_mesh_minimal():
-    from mintube.mesh import cot_laplacian
-
     prof = surfaces.ncatenoid_profile(3, 1.0, t_span=1.0, samples=80)
     mesh = surfaces.ncatenoid_mesh(prof, nu=128)
     mesh.validate()
-    L, mass = cot_laplacian(mesh)
-    interior = ~mesh.boundary_vertex_mask()
-    h = np.linalg.norm((L @ mesh.vertices)[interior], axis=1) / mass[interior]
-    assert h.max() * mesh.mean_edge_length() < 2e-3
+    assert residual(mesh) < 2e-3
     with pytest.raises(ValueError):
         surfaces.ncatenoid_mesh(surfaces.ncatenoid_profile(4, 1.0, f_cap=2.0))
 
