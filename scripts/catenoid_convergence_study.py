@@ -22,7 +22,7 @@ def convergence_row(a: float, v: float, nu: int, nv: int):
     J = flux.flow_vector_total(slice_mesh(mesh, 0.25 * v))
     flux_err = abs(J[2] - 2 * math.pi * a) / (2 * math.pi * a)
     G_expect = surfaces.catenoid_total_curvature(a, -v, v)
-    G_err = abs(total_curvature(mesh) - G_expect) / G_expect
+    G_err = abs(total_curvature(mesh)[0] - G_expect) / G_expect
     return residual, flux_err, G_err
 
 

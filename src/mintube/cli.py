@@ -72,9 +72,9 @@ def _verify_report(report: flux.TubeReport, margin_tol: float,
     """Run the standard verification set on a TubeReport, print each
     failure to stderr and return the exit status: 1 if any check failed."""
     failures = []
-    if report.flow_deviation > invariance_tol * report.J_norm:
+    if report.flow_level_deviation > invariance_tol * report.flow_norm:
         failures.append(
-            f"flow deviation {report.flow_deviation:.3e} exceeds "
+            f"flow deviation {report.flow_level_deviation:.3e} exceeds "
             f"{invariance_tol:.1e} * ||J||")
     if report.min_diameter_margin() < -margin_tol:
         failures.append(
@@ -287,6 +287,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CliError, ValueError, meshmod.MeshError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; a smaller --res needs less", file=sys.stderr)
         return 2
     except solver.NoAnnulusError as exc:
         print(exc, file=sys.stderr)  # the message starts "no annulus: "

@@ -1,13 +1,18 @@
-"""Flow vectors of cross-section cycles and the inequalities they control:
-the Gauss-image diameter bound, the slice curvature bound, the capacity/
-life-time relation and the finite-life-time estimate.
+"""Flow vectors of cross-section cycles and the inequalities they control.
+
+`analyze_tube` is the verifier: it slices a tube, measures each cycle once
+(flow vector J, tilt angle alpha, Gauss-image diameter and length) and
+reports the diameter bound d >= 2 alpha and the slice curvature bound
+length >= 4 alpha per slice, the level invariance of J, the capacity/
+life-time relation and the finite-life-time estimate.  The cycle identities
+and the vector-sum angle bound are checked on their own.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -15,6 +20,7 @@ from .mesh import (
     E3,
     CrossSectionCycle,
     TriMesh,
+    gauss_image_diameter,
     gauss_image_length,
     harmonic_capacity,
     slice_mesh,
@@ -56,20 +62,6 @@ def flow_angle(J) -> float:
     return float(np.arccos(np.clip(J[2] / norm, -1.0, 1.0)))
 
 
-def _max_pairwise_deviation(js) -> float:
-    """max ||J_i - J_j|| over pairs of flow vectors; 0 for fewer than two."""
-    return max((float(np.linalg.norm(a - b))
-                for i, a in enumerate(js) for b in js[i + 1:]), default=0.0)
-
-
-def verify_flow_invariance(mesh: TriMesh, levels, normals=None) -> float:
-    """Max pairwise deviation of J(Sigma_t) across the given levels."""
-    if normals is None:
-        normals = vertex_normals(mesh)
-    return _max_pairwise_deviation(
-        [flow_vector_total(slice_mesh(mesh, t, normals)) for t in levels])
-
-
 def orthogonal_tilt_direction(J) -> np.ndarray:
     """Unit q orthogonal to J maximizing q3/||q||; for axial J any horizontal
     direction is optimal and e1 is returned deterministically."""
@@ -79,12 +71,6 @@ def orthogonal_tilt_direction(J) -> np.ndarray:
     if nq < 1e-12:
         return np.array([1.0, 0.0, 0.0])
     return q / nq
-
-
-def max_axial_component_orthogonal(J) -> float:
-    """max over unit q _|_ J of q3; equals sin(flow_angle(J))."""
-    q = orthogonal_tilt_direction(np.asarray(J, dtype=float))
-    return float(np.clip(q[2], 0.0, 1.0))
 
 
 def _tangent_contraction(cycle: CrossSectionCycle, q: np.ndarray) -> np.ndarray:
@@ -121,52 +107,6 @@ def verify_conormal_cycle_identity(cycle: CrossSectionCycle, q):
 
 
 @dataclass(frozen=True)
-class DiameterBoundRecord:
-    """Per-cycle check of d(gauss image) >= 2 * alpha."""
-
-    level: float
-    diameter: float
-    alpha: float
-    margin: float
-    witness_pair: tuple  # indices of the normals achieving the diameter
-    witness_gap: float   # ||gamma(m+) - gamma(m-)|| at the witness pair
-    witness_lower: float  # 2 q3 / ||q|| for the optimal q orthogonal to J
-
-
-def verify_diameter_bound(cycle: CrossSectionCycle) -> DiameterBoundRecord:
-    """Diameter bound on one simple cycle, with the extremal normal pair."""
-    J = flow_vector(cycle)
-    alpha = flow_angle(J)
-    g = cycle.normals
-    dots = np.clip(g @ g.T, -1.0, 1.0)
-    i, j = np.unravel_index(int(np.argmin(dots)), dots.shape)
-    diameter = float(np.arccos(dots[i, j]))
-    witness_gap = float(np.linalg.norm(g[i] - g[j]))
-    witness_lower = 2.0 * max_axial_component_orthogonal(J)
-    return DiameterBoundRecord(
-        level=cycle.level,
-        diameter=diameter,
-        alpha=alpha,
-        margin=diameter - 2.0 * alpha,
-        witness_pair=(int(i), int(j)),
-        witness_gap=witness_gap,
-        witness_lower=witness_lower,
-    )
-
-
-def verify_slice_curvature_bound(cycle: CrossSectionCycle):
-    """(Gauss image length, 4*alpha) for a closed cycle; the first must
-    dominate the second up to discretization."""
-    if not cycle.closed:
-        raise ValueError("the slice curvature bound requires a closed cycle")
-    if cycle.n_segments < 3:
-        raise ValueError("degenerate cycle")
-    length = gauss_image_length(cycle)
-    alpha = flow_angle(flow_vector(cycle))
-    return length, 4.0 * alpha
-
-
-@dataclass(frozen=True)
 class CapacityCheck:
     measured: float
     height_over_flux: float     # predicted value (t2 - t1)/J3
@@ -189,7 +129,7 @@ def verify_capacity_law(mesh: TriMesh, t1: float, t2: float,
             f"boundary loops sit at levels {sorted(levels)}, expected ({t1}, {t2})")
     lo = loops[int(np.argmin(levels))]
     hi = loops[int(np.argmax(levels))]
-    measured = harmonic_capacity(mesh, lo, hi)
+    measured, _ = harmonic_capacity(mesh, lo, hi)
     mid = 0.5 * (t1 + t2)
     J = flow_vector_total(slice_mesh(mesh, mid, normals))
     pred_pub = (t2 - t1) / float(J[2])
@@ -258,27 +198,30 @@ def sum_angle_bound(vectors, e):
 
 @dataclass
 class SliceRecord:
+    """One slice level; the fields are the keys of the JSON report."""
+
     level: float
-    n_components: int
+    components: int
     length: float
     gauss_diameter: float
     two_alpha: float
     gauss_length: float
     diameter_margin: float      # d - 2*alpha, min over components
     curvature_margin: float     # gauss length - 4*alpha, min over components
-    J: tuple
+    flow_vector: tuple          # last: the CSV spreads it over Jx, Jy, Jz
 
 
 @dataclass
 class TubeReport:
-    """Measured invariants and inequality margins of one discrete tube."""
+    """Measured invariants and inequality margins of one discrete tube; the
+    fields are the keys of the JSON report."""
 
-    J: tuple
-    J_norm: float
+    flow_vector: tuple
+    flow_norm: float
     alpha: float
-    flow_deviation: float
-    G: float
-    clamped_defect: float
+    flow_level_deviation: float
+    total_curvature: float
+    clamped_positive_defect: float
     slices: list
     capacity: CapacityCheck | None
     lifetime_bound: LifetimeBound
@@ -291,55 +234,18 @@ class TubeReport:
     def min_curvature_margin(self) -> float:
         return min(s.curvature_margin for s in self.slices)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "angle_unit": "radians",
-            "flow_vector": list(self.J),
-            "flow_norm": self.J_norm,
-            "alpha": self.alpha,
-            "flow_level_deviation": self.flow_deviation,
-            "total_curvature": self.G,
-            "clamped_positive_defect": self.clamped_defect,
-            "slab_height": self.slab_height,
-            "capacity": None if self.capacity is None else {
-                "measured": self.capacity.measured,
-                "height_over_flux": self.capacity.height_over_flux,
-                "flux_over_height": self.capacity.flux_over_height,
-                "rel_error_height_over_flux": self.capacity.rel_error_height_over_flux,
-                "rel_error_flux_over_height": self.capacity.rel_error_flux_over_height,
-            },
-            "lifetime_bound": self.lifetime_bound.to_json_value(),
-            "lifetime_flat_contradiction": self.lifetime_bound.flat_contradiction,
-            "slices": [
-                {
-                    "level": s.level,
-                    "components": s.n_components,
-                    "length": s.length,
-                    "gauss_diameter": s.gauss_diameter,
-                    "two_alpha": s.two_alpha,
-                    "gauss_length": s.gauss_length,
-                    "diameter_margin": s.diameter_margin,
-                    "curvature_margin": s.curvature_margin,
-                    "flow_vector": list(s.J),
-                }
-                for s in self.slices
-            ],
-            "tolerances": dict(sorted(self.tolerances.items())),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        doc = asdict(self)
+        doc.update(schema=SCHEMA_VERSION, angle_unit="radians",
+                   lifetime_bound=self.lifetime_bound.to_json_value(),
+                   lifetime_flat_contradiction=self.lifetime_bound.flat_contradiction)
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def slices_csv(self) -> str:
-        cols = ("level", "components", "length", "gauss_diameter", "two_alpha",
-                "gauss_length", "diameter_margin", "curvature_margin",
-                "Jx", "Jy", "Jz")
+        cols = [f.name for f in fields(SliceRecord)][:-1] + ["Jx", "Jy", "Jz"]
         lines = [",".join(cols)]
         for s in self.slices:
-            row = (s.level, s.n_components, s.length, s.gauss_diameter,
-                   s.two_alpha, s.gauss_length, s.diameter_margin,
-                   s.curvature_margin, *s.J)
+            row = [getattr(s, c) for c in cols[:-3]] + list(s.flow_vector)
             lines.append(",".join(f"{x:.17g}" if isinstance(x, float) else str(x)
                                   for x in row))
         return "\n".join(lines) + "\n"
@@ -362,39 +268,41 @@ def analyze_tube(mesh: TriMesh, levels=None, n_levels: int = 10,
     js = []
     for t in levels:
         cycles = slice_mesh(mesh, t, normals)
-        J_level = flow_vector_total(cycles)
+        cycle_js = [flow_vector(c) for c in cycles]
+        alphas = [flow_angle(j) for j in cycle_js]
+        diameters = [gauss_image_diameter(c.normals) for c in cycles]
+        # (Gauss image length, alpha) of each closed component
+        closed = [(gauss_image_length(c), a) for c, a in zip(cycles, alphas) if c.closed]
+        J_level = np.sum(cycle_js, axis=0)
         js.append(J_level)
-        recs = [verify_diameter_bound(c) for c in cycles]
-        glens, cmargins = [], []
-        for c in cycles:
-            if c.closed:
-                gl, fa = verify_slice_curvature_bound(c)
-                glens.append(gl)
-                cmargins.append(gl - fa)
         slice_records.append(SliceRecord(
             level=float(cycles[0].level),
-            n_components=len(cycles),
+            components=len(cycles),
             length=float(sum(c.length() for c in cycles)),
-            gauss_diameter=max(r.diameter for r in recs),
+            gauss_diameter=max(diameters),
             two_alpha=2.0 * flow_angle(J_level),
-            gauss_length=float(sum(glens)) if glens else float("nan"),
-            diameter_margin=min(r.margin for r in recs),
-            curvature_margin=min(cmargins) if cmargins else float("nan"),
-            J=tuple(float(x) for x in J_level),
+            gauss_length=float(sum(gl for gl, _ in closed)) if closed else float("nan"),
+            diameter_margin=min(d - 2.0 * a for d, a in zip(diameters, alphas)),
+            curvature_margin=(min(gl - 4.0 * a for gl, a in closed)
+                              if closed else float("nan")),
+            flow_vector=tuple(float(x) for x in J_level),
         ))
 
     J = np.mean(js, axis=0)
-    G, clamped = total_curvature(mesh, return_clamped=True)
+    G, clamped = total_curvature(mesh)
     capacity = None
     if compute_capacity and len(mesh.boundary_loops()) == 2:
         capacity = verify_capacity_law(mesh, zmin, zmax, normals)
     return TubeReport(
-        J=tuple(float(x) for x in J),
-        J_norm=float(np.linalg.norm(J)),
+        flow_vector=tuple(float(x) for x in J),
+        flow_norm=float(np.linalg.norm(J)),
         alpha=flow_angle(J),
-        flow_deviation=_max_pairwise_deviation(js),
-        G=G,
-        clamped_defect=clamped,
+        # max ||J_i - J_j|| over pairs of levels
+        flow_level_deviation=max((float(np.linalg.norm(a - b))
+                                  for i, a in enumerate(js) for b in js[i + 1:]),
+                                 default=0.0),
+        total_curvature=G,
+        clamped_positive_defect=clamped,
         slices=slice_records,
         capacity=capacity,
         lifetime_bound=lifetime_bound(J, G),

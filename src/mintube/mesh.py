@@ -380,18 +380,14 @@ def angle_defects(mesh: TriMesh):
     return defects, ~mesh.boundary_vertex_mask()
 
 
-def total_curvature(mesh: TriMesh, return_clamped: bool = False):
-    """Total absolute Gaussian curvature G = integral of -K, via angle
-    defects at interior vertices.  Positive defects (impossible on an exact
-    minimal surface, present as discretization noise) are clamped to zero;
-    their total is available as a diagnostic."""
+def total_curvature(mesh: TriMesh):
+    """(G, clamped): the total absolute Gaussian curvature G = integral of
+    -K, via angle defects at interior vertices, and the total of the
+    positive defects (impossible on an exact minimal surface, present as
+    discretization noise), which G leaves out."""
     defects, interior = angle_defects(mesh)
     d = defects[interior]
-    G = float(-d[d < 0].sum())
-    clamped = float(d[d > 0].sum())
-    if return_clamped:
-        return G, clamped
-    return G
+    return float(-d[d < 0].sum()), float(d[d > 0].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +420,10 @@ def factor_symmetric(A, ordered: bool = False):
                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
-def harmonic_capacity(mesh: TriMesh, loop0, loop1, return_potential: bool = False):
-    """Dirichlet energy of the harmonic potential with phi = 0 on loop0 and
-    phi = 1 on loop1 (both must be boundary loops of the mesh).
+def harmonic_capacity(mesh: TriMesh, loop0, loop1):
+    """(energy, phi): the Dirichlet energy of the harmonic potential phi
+    with phi = 0 on loop0 and phi = 1 on loop1 (both must be boundary loops
+    of the mesh), and phi itself.
 
     In two dimensions this energy also equals the module of the family of
     curves connecting the two boundary components.
@@ -475,10 +472,7 @@ def harmonic_capacity(mesh: TriMesh, loop0, loop1, return_potential: bool = Fals
             "mesh has negative cotangent weights",
             stacklevel=2,
         )
-    energy = float(phi @ laplacian_times(phi))
-    if return_potential:
-        return energy, phi
-    return energy
+    return float(phi @ laplacian_times(phi)), phi
 
 
 # ---------------------------------------------------------------------------

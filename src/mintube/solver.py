@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -118,20 +118,12 @@ class ConvergenceReport:
     residual_history: list
     message: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "final_area": self.area_history[-1] if self.area_history else None,
-            "final_residual": (self.residual_history[-1]
-                               if self.residual_history else None),
-            "area_history": self.area_history,
-            "residual_history": self.residual_history,
-            "message": self.message,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        doc = asdict(self)
+        doc.update(final_area=self.area_history[-1] if self.area_history else None,
+                   final_residual=(self.residual_history[-1]
+                                   if self.residual_history else None))
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def initial_annulus(problem: AnnulusProblem) -> TriMesh:

@@ -141,13 +141,16 @@ class ProfileCurve:
 
 def _arclength_integrand(m: int):
     # t(s) = integral of ds/sqrt(s^(2m) - 1); substituting s = 1 + w^2
-    # removes the inverse-square-root singularity at the neck.  expm1/log1p
-    # keep s^(2m) - 1 accurate where w^2 is below double rounding.
+    # removes the inverse-square-root singularity at the neck.  With
+    # L = log(s), the integrand 2w/sqrt(e^(2mL) - 1) is written in negative
+    # powers, 2w e^(-mL)/sqrt(1 - e^(-2mL)), so that it cannot overflow for
+    # large m; expm1/log1p keep 1 - e^(-2mL) accurate where w^2 is below
+    # double rounding.
     def g(w: float) -> float:
         if w == 0.0:
             return 2.0 / math.sqrt(2.0 * m)
-        denom = math.expm1(2.0 * m * math.log1p(w * w))
-        return 2.0 * w / math.sqrt(denom)
+        L = math.log1p(w * w)
+        return 2.0 * w * math.exp(-m * L) / math.sqrt(-math.expm1(-2.0 * m * L))
 
     return g
 
@@ -211,7 +214,8 @@ def ncatenoid_lifetime(n: int, f0: float) -> float:
     m = n - 2
     near, _ = quad(_arclength_integrand(m), 0.0, 1.0,
                    epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
-    far, _ = quad(lambda s: 1.0 / math.sqrt(s ** (2 * m) - 1.0), 2.0, np.inf,
+    # 1/sqrt(s^(2m) - 1) in negative powers of s, which cannot overflow
+    far, _ = quad(lambda s: s ** -m / math.sqrt(1.0 - s ** (-2 * m)), 2.0, np.inf,
                   epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
     return 2.0 * f0 * (near + far)
 

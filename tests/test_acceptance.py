@@ -99,7 +99,8 @@ def test_criterion_2_catenoid_flow(catenoid_fine, catenoid_fine_a2):
         rel_j3 = abs(J[2] - 2 * math.pi * a) / (2 * math.pi * a)
         horiz = float(np.hypot(J[0], J[1]))
         alpha = flux.flow_angle(J)
-        dev = flux.verify_flow_invariance(mesh, [-0.5, 0.0, 0.5])
+        dev = flux.analyze_tube(mesh, levels=[-0.5, 0.0, 0.5],
+                                compute_capacity=False).flow_level_deviation
         ok &= rel_j3 <= 1e-3 and horiz <= 1e-6 * j_norm
         ok &= alpha <= 1e-5 and dev <= 1e-3 * j_norm
         details.append(f"a={a:g}: dJ3 {rel_j3:.1e}, alpha {alpha:.1e}, "
@@ -169,7 +170,7 @@ def test_criterion_4_doubling_doubles(catenoid_fine, catenoid_wide):
 def test_criterion_4_flat_annulus_control():
     mesh = surfaces.flat_annulus_mesh(1.0, 3.0, 256, 64)
     lp0, lp1 = mesh.boundary_loops()
-    cap = harmonic_capacity(mesh, lp0, lp1)
+    cap, _ = harmonic_capacity(mesh, lp0, lp1)
     expect = 2.0 * math.pi / math.log(3.0)
     ok = abs(cap - expect) <= 0.01 * expect
     assert emit("criterion 4c - flat annulus capacity 2*pi/log(3)",

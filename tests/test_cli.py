@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from mintube import cli, surfaces
+from mintube import cli, solver, surfaces
 from mintube.mesh import write_obj
 
 
@@ -59,6 +59,28 @@ def test_ncatenoid_command(tmp_path, capsys):
     assert len(rows) == 4
 
 
+@pytest.mark.parametrize("n", ["68", "1000"])
+def test_ncatenoid_large_n(tmp_path, capsys, n):
+    assert run(["ncatenoid", "--n", n, "--outdir", str(tmp_path)]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[0] == n and 0 < float(row[2]) < 0.05
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["catenoid", "--res", "64x32"], (surfaces, "catenoid_mesh")),
+    (["solve-annulus", "--res", "32x16"], (solver, "solve_annulus")),
+])
+def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch, argv, target):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(*target, exhausted)
+    assert run(argv + ["--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_solve_annulus_command(tmp_path):
     code = run(["solve-annulus", "--res", "48x16", "--offset", "0.2",
                 "--levels", "3", "--outdir", str(tmp_path)])
@@ -69,6 +91,33 @@ def test_solve_annulus_command(tmp_path):
     assert conv["converged"] is True
     report = json.loads((tmp_path / "annulus_report.json").read_text())
     assert report["alpha"] > 0.01
+
+
+def test_artifact_schema(tmp_path):
+    # The report fields are written under their own names, so a renamed
+    # field would change these keys and the header of every artifact.
+    assert run(["solve-annulus", "--res", "24x12", "--offset", "0.2",
+                "--levels", "2", "--outdir", str(tmp_path)]) == 0
+    assert run(["analyze", str(tmp_path / "annulus.obj"), "--levels", "2",
+                "--outdir", str(tmp_path / "re")]) == 0
+    report = json.loads((tmp_path / "re" / "annulus_report.json").read_text())
+    assert set(report) == {
+        "schema", "angle_unit", "flow_vector", "flow_norm", "alpha",
+        "flow_level_deviation", "total_curvature", "clamped_positive_defect",
+        "slab_height", "capacity", "lifetime_bound", "lifetime_flat_contradiction",
+        "slices", "tolerances"}
+    assert set(report["slices"][0]) == {
+        "level", "components", "length", "gauss_diameter", "two_alpha",
+        "gauss_length", "diameter_margin", "curvature_margin", "flow_vector"}
+    assert set(report["capacity"]) == {
+        "measured", "height_over_flux", "flux_over_height",
+        "rel_error_height_over_flux", "rel_error_flux_over_height"}
+    header = (tmp_path / "re" / "annulus_slices.csv").read_text().splitlines()[0]
+    assert header == ("level,components,length,gauss_diameter,two_alpha,"
+                      "gauss_length,diameter_margin,curvature_margin,Jx,Jy,Jz")
+    conv = json.loads((tmp_path / "annulus_convergence.json").read_text())
+    assert set(conv) == {"iterations", "converged", "final_area", "final_residual",
+                         "area_history", "residual_history", "message"}
 
 
 def test_solve_annulus_rerun_byte_identical(tmp_path):

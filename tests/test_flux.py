@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mintube import exterior, flux, surfaces
-from mintube.mesh import slice_mesh, total_curvature, vertex_normals
+from mintube.mesh import (
+    TriMesh,
+    gauss_image_diameter,
+    gauss_image_length,
+    slice_mesh,
+    total_curvature,
+)
 
 
 def catenoid(a=1.0, v=(-1.0, 1.0), res=(128, 64)):
@@ -48,7 +54,8 @@ def test_flow_angle_domain():
 def test_flow_invariance_across_levels():
     mesh = catenoid()
     J = surfaces.catenoid_flux(1.0)
-    dev = flux.verify_flow_invariance(mesh, [-0.5, 0.0, 0.5])
+    dev = flux.analyze_tube(mesh, levels=[-0.5, 0.0, 0.5],
+                            compute_capacity=False).flow_level_deviation
     assert dev < 1e-3 * np.linalg.norm(J)
 
 
@@ -57,8 +64,8 @@ def test_orthogonal_tilt_direction():
     q = flux.orthogonal_tilt_direction(J)
     assert abs(q @ J) < 1e-12
     assert np.linalg.norm(q) == pytest.approx(1.0)
-    assert flux.max_axial_component_orthogonal(J) == pytest.approx(
-        math.sin(flux.flow_angle(J)), abs=1e-12)
+    # the largest q3 over unit q _|_ J is sin(alpha)
+    assert q[2] == pytest.approx(math.sin(flux.flow_angle(J)), abs=1e-12)
     # axial J: any horizontal direction; e1 is the deterministic pick
     assert np.allclose(flux.orthogonal_tilt_direction([0, 0, 1.0]), [1, 0, 0])
 
@@ -70,7 +77,7 @@ def test_sin_alpha_maximization_random(seed):
     J = rng.standard_normal(3)
     J[2] = abs(J[2]) + 0.1
     expect = math.sin(flux.flow_angle(J))
-    assert flux.max_axial_component_orthogonal(J) == pytest.approx(expect, abs=1e-12)
+    assert flux.orthogonal_tilt_direction(J)[2] == pytest.approx(expect, abs=1e-12)
 
 
 # -- identities -------------------------------------------------------------
@@ -118,28 +125,59 @@ def test_identities_require_closed_cycles():
 
 # -- inequality verifiers ---------------------------------------------------
 
-def test_diameter_bound_record_on_catenoid():
+def test_diameter_bound_on_catenoid():
     mesh = catenoid()
     (cycle,) = slice_mesh(mesh, 0.3)
-    rec = flux.verify_diameter_bound(cycle)
+    diameter = gauss_image_diameter(cycle.normals)
+    alpha = flux.flow_angle(flux.flow_vector(cycle))
     # axial flow: alpha ~ 0 while the Gauss image of a full slice has
     # diameter bounded away from zero -> large positive margin
-    assert rec.alpha < 1e-5
-    assert rec.diameter > 0.1
-    assert rec.margin > 0.1
-    assert rec.witness_gap <= 2.0
-    i, j = rec.witness_pair
-    gap = np.linalg.norm(cycle.normals[i] - cycle.normals[j])
-    assert gap == pytest.approx(rec.witness_gap)
+    assert alpha < 1e-5
+    assert diameter > 0.1
+    (s,) = flux.analyze_tube(mesh, levels=[0.3], compute_capacity=False).slices
+    assert s.gauss_diameter == diameter
+    assert s.diameter_margin == diameter - 2.0 * alpha
+    assert s.diameter_margin > 0.1
 
 
 def test_slice_curvature_bound_latitude_length():
     mesh = catenoid(res=(256, 128))
     (cycle,) = slice_mesh(mesh, 0.5)
-    length, four_alpha = flux.verify_slice_curvature_bound(cycle)
+    length = gauss_image_length(cycle)
+    four_alpha = 4.0 * flux.flow_angle(flux.flow_vector(cycle))
     assert length == pytest.approx(2 * math.pi / math.cosh(0.5), rel=2e-3)
     assert four_alpha < 1e-4
-    assert length > four_alpha
+    (s,) = flux.analyze_tube(mesh, levels=[0.5], compute_capacity=False).slices
+    assert s.gauss_length == length
+    assert s.curvature_margin == length - four_alpha
+    assert s.curvature_margin > 0
+
+
+def test_slice_records_measure_each_cycle():
+    # two sheared catenoid bands side by side: every slice has two tilted
+    # components, each with its own alpha
+    band = catenoid(res=(64, 32))
+    v, t = band.vertices, band.triangles
+    left = v + np.outer(v[:, 2], [0.3, 0.0, 0.0])
+    right = v * [0.5, 0.5, 1.0] + np.outer(v[:, 2], [0.0, -0.1, 0.0]) + [4.0, 0.0, 0.0]
+    mesh = TriMesh(np.vstack([left, right]), np.vstack([t, t + len(v)]))
+    levels = [-0.4, 0.1, 0.6]
+    report = flux.analyze_tube(mesh, levels=levels, compute_capacity=False)
+    for level, s in zip(levels, report.slices):
+        cycles = slice_mesh(mesh, level)
+        js = [flux.flow_vector(c) for c in cycles]
+        alphas = [flux.flow_angle(j) for j in js]
+        diameters = [gauss_image_diameter(c.normals) for c in cycles]
+        lengths = [gauss_image_length(c) for c in cycles]
+        assert s.components == 2 and min(alphas) > 0.01
+        assert s.flow_vector == pytest.approx(np.sum(js, axis=0), rel=1e-14)
+        assert s.two_alpha == pytest.approx(2.0 * flux.flow_angle(np.sum(js, axis=0)))
+        assert s.gauss_diameter == max(diameters)
+        assert s.gauss_length == pytest.approx(sum(lengths), rel=1e-14)
+        assert s.diameter_margin == pytest.approx(
+            min(d - 2.0 * a for d, a in zip(diameters, alphas)), rel=1e-14)
+        assert s.curvature_margin == pytest.approx(
+            min(gl - 4.0 * a for gl, a in zip(lengths, alphas)), rel=1e-14)
 
 
 def test_capacity_check_on_catenoid_slab():
@@ -201,7 +239,7 @@ def test_analyze_tube_catenoid_report():
     mesh = catenoid()
     report = flux.analyze_tube(mesh, n_levels=5)
     assert report.alpha < 1e-4
-    assert report.J[2] == pytest.approx(2 * math.pi, rel=1e-3)
+    assert report.flow_vector[2] == pytest.approx(2 * math.pi, rel=1e-3)
     assert len(report.slices) == 5
     assert report.lifetime_bound.unbounded
     assert report.min_diameter_margin() > 0
@@ -239,4 +277,4 @@ def test_analyze_tube_explicit_levels():
 def test_total_curvature_feeds_lifetime_bound():
     mesh = catenoid(res=(128, 64))
     report = flux.analyze_tube(mesh, n_levels=3, compute_capacity=False)
-    assert report.G == pytest.approx(total_curvature(mesh))
+    assert report.total_curvature == pytest.approx(total_curvature(mesh)[0])

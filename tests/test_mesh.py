@@ -346,7 +346,7 @@ def test_corner_angles_and_vertex_sums_match_add_at_loop():
 
 
 def test_total_curvature_flat_patch_zero():
-    G, clamped = total_curvature(square_patch(), return_clamped=True)
+    G, clamped = total_curvature(square_patch())
     assert G == 0.0
     assert clamped == 0.0
 
@@ -354,7 +354,7 @@ def test_total_curvature_flat_patch_zero():
 def test_total_curvature_catenoid_band():
     mesh = surfaces.catenoid_mesh(surfaces.CatenoidSpec(1.0, -1.0, 1.0, 256, 128))
     expect = surfaces.catenoid_total_curvature(1.0, -1.0, 1.0)
-    G, clamped = total_curvature(mesh, return_clamped=True)
+    G, clamped = total_curvature(mesh)
     assert G == pytest.approx(expect, rel=1e-2)
     assert clamped < 0.01 * G
 
@@ -373,7 +373,7 @@ def test_cot_laplacian_basic_properties():
 def test_harmonic_capacity_flat_annulus_log():
     mesh = surfaces.flat_annulus_mesh(1.0, 3.0, 256, 64)
     lp0, lp1 = mesh.boundary_loops()
-    cap = harmonic_capacity(mesh, lp0, lp1)
+    cap, _ = harmonic_capacity(mesh, lp0, lp1)
     assert cap == pytest.approx(2.0 * math.pi / math.log(3.0), rel=1e-3)
 
 
@@ -387,7 +387,7 @@ def test_harmonic_capacity_rejects_non_boundary_loop():
 def test_harmonic_capacity_potential_range():
     mesh = surfaces.flat_annulus_mesh(1.0, 3.0, 64, 16)
     lp0, lp1 = mesh.boundary_loops()
-    cap, phi = harmonic_capacity(mesh, lp0, lp1, return_potential=True)
+    cap, phi = harmonic_capacity(mesh, lp0, lp1)
     assert phi.min() >= -1e-9 and phi.max() <= 1 + 1e-9
     assert np.allclose(phi[lp0], 0.0) and np.allclose(phi[lp1], 1.0)
 
@@ -420,7 +420,7 @@ def capacity_case(name):
 def test_harmonic_capacity_matches_spsolve(name):
     mesh = capacity_case(name)
     lp0, lp1 = mesh.boundary_loops()
-    cap, phi = harmonic_capacity(mesh, lp0, lp1, return_potential=True)
+    cap, phi = harmonic_capacity(mesh, lp0, lp1)
     want_cap, want_phi = spsolve_capacity(mesh, lp0, lp1)
     assert abs(cap - want_cap) <= 1e-12 * want_cap
     assert np.max(np.abs(phi - want_phi)) <= 1e-12

@@ -93,7 +93,7 @@ def test_catenoid_total_curvature_oracle():
     mesh = surfaces.catenoid_mesh(surfaces.CatenoidSpec(1.0, -1.0, 1.0, 256, 128))
     expect = surfaces.catenoid_total_curvature(1.0, -1.0, 1.0)
     assert expect == pytest.approx(2.0 * math.pi * 2.0 * math.tanh(1.0))
-    assert total_curvature(mesh) == pytest.approx(expect, rel=1e-2)
+    assert total_curvature(mesh)[0] == pytest.approx(expect, rel=1e-2)
 
 
 def test_catenoid_slice_circumference():
@@ -143,6 +143,24 @@ def test_lifetime_oracle_and_monotonicity():
     assert all(a > b for a, b in zip(values, values[1:]))
     with pytest.raises(ValueError):
         surfaces.ncatenoid_lifetime(3, 1.0)
+
+
+def test_lifetime_large_n_is_finite_and_decreasing():
+    # the integrands are written in negative powers of s, so that s^(2m)
+    # cannot overflow; 68 is the first n that overflowed in positive powers
+    values = [surfaces.ncatenoid_lifetime(n, 1.0) for n in range(66, 71)]
+    assert all(math.isfinite(v) and v > 0 for v in values)
+    assert all(a > b for a, b in zip(values, values[1:]))
+    # for large n the life-time tends to pi/(n - 2)
+    assert surfaces.ncatenoid_lifetime(1000, 1.0) == pytest.approx(math.pi / 998, rel=2e-3)
+
+
+def test_lifetime_small_n_values_kept():
+    # the values the positive-power integrands gave
+    expect = {4: 2.6220575542921205, 5: 1.402182105325454,
+              6: 0.96395164815037737, 7: 0.73581879608117617}
+    for n, value in expect.items():
+        assert surfaces.ncatenoid_lifetime(n, 1.0) == pytest.approx(value, rel=1e-13)
 
 
 def test_lifetime_scales_linearly_in_neck():
