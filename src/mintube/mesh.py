@@ -287,6 +287,9 @@ def slice_mesh(mesh: TriMesh, t: float, normals: np.ndarray | None = None) -> li
     lo, hi = np.divmod(keys, mesh.n_vertices)
     s = ((level - z[lo]) / (z[hi] - z[lo]))[:, None]
     points = (1 - s) * mesh.vertices[lo] + s * mesh.vertices[hi]
+    # On the plane by construction; rounding would tilt the tangent of a
+    # segment of length ds by about 1e-16 / ds out of it.
+    points[:, 2] = level
     nrm = (1 - s) * normals[lo] + s * normals[hi]
     # Per-row matmul rounds like np.dot; norm(axis=1) and einsum can differ
     # in the last bit, which would change the bytes of the slice tables.

@@ -10,6 +10,7 @@ f^(n-2) / sqrt(1 + f'^2) = f0^(n-2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,12 +125,13 @@ class ProfileCurve:
             raise ValueError("neck radius must be positive")
         if np.any(self.f <= 0):
             raise ValueError("profile radius must stay positive")
+        # log of f^m / (neck^m sqrt(1 + f'^2)), which cannot overflow; its
+        # size is the relative error of the first integral, and NaN fails it
         m = self.n - 2
-        first_integral = self.f**m / np.sqrt(1.0 + self.fp**2)
-        rel = np.abs(first_integral - self.neck**m) / self.neck**m
-        if np.max(rel) > 1e-6:
+        err = np.abs(m * np.log(self.f / self.neck) - np.log(np.hypot(1.0, self.fp)))
+        if not np.all(err <= 1e-6):
             raise ValueError(
-                f"first integral violated: max relative error {np.max(rel):.3e}"
+                f"first integral violated: max relative error {np.max(err):.3e}"
             )
 
     def mirrored(self):
@@ -195,13 +197,18 @@ def ncatenoid_profile(n: int, f0: float, f_cap: float | None = None,
             if hi > 1e15:
                 raise ValueError("failed to bracket the requested t_span")
         s_cap = brentq(lambda s: _axial_distance(m, s) - target, 1.0 + 1e-14, hi)
+    if m * math.log(s_cap) >= math.log(sys.float_info.max):
+        raise ValueError(f"the profile slope (f/f0)^{m} overflows at "
+                         f"f/f0 = {s_cap:.6g}; ask for a smaller cap")
     # Uniform grid in w = sqrt(s - 1) clusters samples at the neck where the
     # profile turns fastest.
     w = np.linspace(0.0, math.sqrt(s_cap - 1.0), samples)
     s = 1.0 + w * w
     t = f0 * np.array([_axial_distance(m, si) for si in s])
     f = f0 * s
-    fp = np.sqrt(np.maximum(s ** (2 * m) - 1.0, 0.0))
+    # f' = sqrt(s^(2m) - 1) = s^m sqrt(1 - s^(-2m)), accurate at the neck
+    log_s = np.log(s)
+    fp = np.exp(m * log_s) * np.sqrt(-np.expm1(-2 * m * log_s))
     return ProfileCurve(n, f0, t, f, fp)
 
 

@@ -116,8 +116,9 @@ def test_artifact_schema(tmp_path):
     assert header == ("level,components,length,gauss_diameter,two_alpha,"
                       "gauss_length,diameter_margin,curvature_margin,Jx,Jy,Jz")
     conv = json.loads((tmp_path / "annulus_convergence.json").read_text())
-    assert set(conv) == {"iterations", "converged", "final_area", "final_residual",
-                         "area_history", "residual_history", "message"}
+    assert set(conv) == {"stack_iterations", "iterations", "converged", "final_area",
+                         "final_residual", "area_history", "residual_history",
+                         "message"}
 
 
 def test_solve_annulus_rerun_byte_identical(tmp_path):
@@ -134,6 +135,15 @@ def test_solve_annulus_no_annulus_exit_code(tmp_path, res, top):
     code = run(["solve-annulus", "--res", res, "--heights", "0", top,
                 "--outdir", str(tmp_path)])
     assert code == 2
+
+
+def test_solve_annulus_degeneration_exit_code(tmp_path, capsys):
+    # an annulus spans these circles (the stack stage converges), but the
+    # full stage degenerates the mesh: exit 3, not the no-annulus exit 2
+    code = run(["solve-annulus", "--res", "32x16", "--heights", "0", "0.2",
+                "--offset", "0.5", "--outdir", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: mesh degenerated")
 
 
 def test_sweep_no_annulus_exit_code(tmp_path, capsys):

@@ -120,6 +120,21 @@ def test_slice_level_snap_nudge():
     assert abs(cycle.level) < 1e-6
 
 
+def test_slice_points_lie_in_the_plane():
+    # Interpolated points are put exactly on the level, so every segment
+    # tangent is horizontal and the conormal check holds on segments as
+    # short as 1e-8, which rounding in x3 used to tilt by 1e-8.
+    mesh = surfaces.catenoid_mesh(surfaces.CatenoidSpec(1.0, -0.5, 0.5, 64, 32))
+    verts = mesh.vertices.copy()
+    rng = np.random.default_rng(0)
+    level = 0.0937503                     # ring 19 sits at 0.09375
+    ring = slice(19 * 64, 20 * 64)
+    verts[ring, 2] = level + rng.choice([-1, 1], 64) * rng.uniform(1.5e-9, 5e-9, 64)
+    (cycle,) = slice_mesh(TriMesh(verts, mesh.triangles), level)
+    assert np.all(cycle.points[:, 2] == cycle.level)
+    assert np.all(cycle.tangents[:, 2] == 0.0)
+
+
 def test_slice_outside_range_raises():
     mesh = surfaces.catenoid_mesh(surfaces.CatenoidSpec(1.0, -1.0, 1.0, 64, 32))
     with pytest.raises(SliceError):
@@ -192,6 +207,7 @@ def dict_slice_mesh(mesh, t, normals=None):
                 if key not in edge_points:
                     s = (level - z[key[0]]) / (z[key[1]] - z[key[0]])
                     p = (1 - s) * mesh.vertices[key[0]] + s * mesh.vertices[key[1]]
+                    p[2] = level
                     nrm = (1 - s) * normals[key[0]] + s * normals[key[1]]
                     edge_points[key] = (p, nrm / np.linalg.norm(nrm))
                 keys.append(key)

@@ -10,7 +10,7 @@ from conftest import cot_laplacian
 from scipy.optimize import brentq
 
 from mintube import mesh as meshmod
-from mintube import solver
+from mintube import solver, surfaces
 from mintube.mesh import MeshError, TriMesh, cot_stiffness, factor_symmetric
 
 
@@ -329,3 +329,108 @@ def test_singular_ordered_factor_escalates_damping(monkeypatch):
     assert specs[0] == "MMD_AT_PLUS_A" and set(specs[1:]) == {"NATURAL"}
     # the retry factors the same Hessian with a larger diagonal shift
     assert np.all(shifts[1] > shifts[0])
+
+
+def unit_circles(h, d, nu, nv):
+    """Unit circles at heights 0 and h, the upper one offset by d along x."""
+    return solver.AnnulusProblem(solver.Circle((0, 0, 0.0), 1.0),
+                                 solver.Circle((d, 0, h), 1.0), nu=nu, nv=nv)
+
+
+def test_coaxial_stack_minimizer_is_critical():
+    # rotational symmetry: the stack minimizer needs no full iteration, and
+    # it has the area the full solve converged to from the ruled start
+    _, report = solver.solve_annulus(unit_circles(1.2, 0.0, 64, 32))
+    assert report.converged and report.iterations == 0
+    assert report.stack_iterations > 0
+    assert abs(report.area_history[-1] - 6.99575808156) <= 1e-9
+
+
+def test_pinch_found_before_any_factorization(monkeypatch):
+    calls = []
+    splu = meshmod.spla.splu
+    monkeypatch.setattr(meshmod.spla, "splu",
+                        lambda *a, **k: calls.append(1) or splu(*a, **k))
+    with pytest.raises(solver.NoAnnulusError):
+        solver.solve_annulus(unit_circles(1.5, 0.0, 64, 32))
+    assert calls == []
+
+
+def stack_descent(h, d, nu, nv):
+    prob = unit_circles(h, d, nu, nv)
+    mesh = solver.initial_annulus(prob)
+    descent = solver._Descent(mesh, prob.options)
+    descent.stack_stage(solver._stack_basis(mesh))
+    return descent
+
+
+def test_stack_basis_recognizes_circle_stacks():
+    ruled = solver.initial_annulus(unit_circles(1.0, 0.3, 16, 6))
+    B = solver._stack_basis(ruled)
+    assert B.shape == (3 * 16 * 5, 3 * 5)
+    # the interior vertices are the image of the ring parameters under B
+    rings = ruled.vertices.reshape(7, 16, 3)[1:-1, :, :2]
+    centers = rings.mean(axis=1)
+    radii = np.linalg.norm(rings[:, 0] - centers, axis=1)
+    moved = B @ np.column_stack([centers, radii]).ravel()
+    interior = ~ruled.boundary_vertex_mask()
+    flat = ruled.vertices[interior].copy()
+    flat[:, 2] = 0.0
+    assert np.allclose(moved.reshape(-1, 3), flat, atol=1e-14)
+    catenoid = surfaces.catenoid_mesh(surfaces.CatenoidSpec(1.0, -0.5, 0.5, 32, 8))
+    assert solver._stack_basis(catenoid) is not None
+    perturbed, _ = perturbed_annulus(16, 6, seed=3)
+    assert solver._stack_basis(perturbed) is None
+    flipped = TriMesh(ruled.vertices, ruled.triangles[:, [0, 2, 1]])
+    assert solver._stack_basis(flipped) is None
+
+
+def test_minimize_area_runs_the_stack_stage_on_circle_stacks():
+    catenoid = surfaces.catenoid_mesh(surfaces.CatenoidSpec(0.9, -0.5, 0.5, 48, 16))
+    _, report = solver.minimize_area(catenoid)
+    assert report.converged and report.stack_iterations > 0
+    perturbed, _ = perturbed_annulus(16, 6, seed=3)
+    _, report = solver.minimize_area(perturbed)
+    assert report.converged and report.stack_iterations == 0
+
+
+def test_stack_stage_keeps_horizontal_circles():
+    nu, nv = 48, 16
+    descent = stack_descent(1.0, 0.3, nu, nv)
+    assert descent.annulus_found and descent.stack_iterations > 0
+    assert descent.areas[-1] < descent.areas[0]
+    start = descent.start.vertices.reshape(nv + 1, nu, 3)
+    rings = descent.cur.vertices.reshape(nv + 1, nu, 3)
+    assert np.array_equal(rings[:, :, 2], start[:, :, 2])   # heights held
+    for ring in rings[1:-1]:
+        center = ring[:, :2].mean(axis=0)
+        radii = np.linalg.norm(ring[:, :2] - center, axis=1)
+        assert np.ptp(radii) <= 1e-12 * radii.mean()
+    # the centers moved off the straight line of the ruled start
+    assert np.abs(rings[1:-1, :, :2].mean(axis=1)
+                  - start[1:-1, :, :2].mean(axis=1)).max() > 1e-3
+
+
+def test_pinch_after_stack_stage_is_degeneration():
+    # once the stack stage has converged an annulus exists: a pinch found
+    # later is the solver's failure (ConvergenceError), not NoAnnulusError
+    descent = stack_descent(1.0, 0.3, 32, 8)
+    assert descent.annulus_found
+    verts = descent.cur.vertices.copy().reshape(9, 32, 3)
+    mid = verts[4, :, :2]                                   # the ring at h / 2
+    verts[4, :, :2] = mid.mean(axis=0) + 1e-3 * (mid - mid.mean(axis=0))
+    descent.cur = TriMesh(verts.reshape(-1, 3), descent.cur.triangles)
+    with pytest.raises(solver.ConvergenceError, match="neck pinched"):
+        descent._safety_checks()
+    descent.annulus_found = False
+    with pytest.raises(solver.NoAnnulusError, match="neck pinched"):
+        descent._safety_checks()
+
+
+def test_sheared_annulus_converges():
+    # inside the existence region of the Riemann examples (ROADMAP item 2);
+    # from the ruled start the solve pinched
+    mesh, report = solver.solve_annulus(unit_circles(0.5, 0.4, 64, 32))
+    assert report.converged
+    assert report.residual_history[-1] <= 1e-6
+    mesh.validate(tube_axis_check=True)

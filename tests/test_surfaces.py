@@ -115,6 +115,20 @@ def test_profile_first_integral_enforced():
         surfaces.ProfileCurve(4, 1.0, prof.t, prof.f * 1.01, prof.fp)
 
 
+def test_profile_overflow_and_nan_rejected():
+    # s^(n-2) overflows here: the profile is refused, with no warning (the
+    # suite turns warnings into errors) and no NaN slipping past the check
+    with pytest.raises(ValueError, match="overflows"):
+        surfaces.ncatenoid_profile(200, 1.0, f_cap=100.0)
+    prof = surfaces.ncatenoid_profile(150, 1.0, f_cap=100.0, samples=20)
+    assert np.all(np.isfinite(prof.fp)) and prof.fp[-1] > 1e295
+    for bad in (np.nan, np.inf):
+        fp = prof.fp.copy()
+        fp[-1] = bad
+        with pytest.raises(ValueError, match="first integral"):
+            surfaces.ProfileCurve(150, 1.0, prof.t, prof.f, fp)
+
+
 def test_profile_argument_validation():
     with pytest.raises(ValueError):
         surfaces.ncatenoid_profile(2, 1.0, f_cap=2.0)
