@@ -22,6 +22,9 @@ OUTDIR_ENV = "MINTUBE_OUTDIR"
 DEFAULT_MARGIN_TOL = 0.05          # slack for inequality margins, radians
 DEFAULT_INVARIANCE_TOL = 1e-2      # flow deviation relative to ||J||
 
+# exit code of each solver failure, for `main` and for a failed sweep row
+SOLVER_EXIT_CODES = {solver.NoAnnulusError: 2, solver.ConvergenceError: 3}
+
 
 class CliError(Exception):
     pass
@@ -67,10 +70,22 @@ def _write(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _verify_report(report: flux.TubeReport, margin_tol: float,
-                   invariance_tol: float) -> int:
+def _report(args, m: meshmod.TriMesh, outdir: Path, stem: str, levels=None,
+            **solver_tols) -> flux.TubeReport:
+    """Analyze m, recording the check tolerances (and any solver tolerance)
+    in the report, and write its JSON and slice CSV."""
+    tols = {"margin_tol": args.margin_tol, "invariance_tol": args.invariance_tol,
+            **solver_tols}
+    report = flux.analyze_tube(m, levels=levels, n_levels=args.levels, tolerances=tols)
+    _write(outdir / f"{stem}_report.json", report.to_json())
+    _write(outdir / f"{stem}_slices.csv", report.slices_csv())
+    return report
+
+
+def _verify_report(report: flux.TubeReport, args) -> int:
     """Run the standard verification set on a TubeReport, print each
     failure to stderr and return the exit status: 1 if any check failed."""
+    margin_tol, invariance_tol = args.margin_tol, args.invariance_tol
     failures = []
     if report.flow_level_deviation > invariance_tol * report.flow_norm:
         failures.append(
@@ -90,11 +105,6 @@ def _verify_report(report: flux.TubeReport, margin_tol: float,
     return 1 if failures else 0
 
 
-def _emit_report(report: flux.TubeReport, outdir: Path, stem: str) -> None:
-    _write(outdir / f"{stem}_report.json", report.to_json())
-    _write(outdir / f"{stem}_slices.csv", report.slices_csv())
-
-
 def cmd_catenoid(args) -> int:
     nu, nv = _parse_res(args.res)
     spec = surfaces.CatenoidSpec(args.a, args.v[0], args.v[1], nu, nv)
@@ -102,12 +112,8 @@ def cmd_catenoid(args) -> int:
     m.validate()
     outdir = _outdir(args)
     meshmod.write_obj(m, outdir / "catenoid.obj")
-    tols = {"margin_tol": args.margin_tol, "invariance_tol": args.invariance_tol}
-    report = flux.analyze_tube(m, n_levels=args.levels, tolerances=tols)
-    _emit_report(report, outdir, "catenoid")
-    if args.verify == "none":
-        return 0
-    return _verify_report(report, args.margin_tol, args.invariance_tol)
+    report = _report(args, m, outdir, "catenoid")
+    return 0 if args.verify == "none" else _verify_report(report, args)
 
 
 def cmd_ncatenoid(args) -> int:
@@ -166,42 +172,42 @@ def cmd_solve_annulus(args) -> int:
     m, conv = solver.solve_annulus(prob)
     meshmod.write_obj(m, outdir / "annulus.obj")
     _write(outdir / "annulus_convergence.json", conv.to_json())
-    tols = {"margin_tol": args.margin_tol, "invariance_tol": args.invariance_tol,
-            "solver_tolerance": args.tolerance}
-    report = flux.analyze_tube(m, n_levels=args.levels, tolerances=tols)
-    _emit_report(report, outdir, "annulus")
-    if args.verify == "none":
-        return 0
-    return _verify_report(report, args.margin_tol, args.invariance_tol)
+    report = _report(args, m, outdir, "annulus", solver_tolerance=args.tolerance)
+    return 0 if args.verify == "none" else _verify_report(report, args)
 
 
 def cmd_analyze(args) -> int:
     m = meshmod.read_obj(args.obj)
     m.validate()
-    outdir = _outdir(args)
-    levels = args.levels_at if args.levels_at else None
-    report = flux.analyze_tube(m, levels=levels, n_levels=args.levels,
-                               tolerances={"margin_tol": args.margin_tol})
-    stem = Path(args.obj).stem
-    _emit_report(report, outdir, stem)
-    return _verify_report(report, args.margin_tol, args.invariance_tol)
+    report = _report(args, m, _outdir(args), Path(args.obj).stem,
+                     levels=args.levels_at)
+    return _verify_report(report, args)
 
 
 def cmd_sweep(args) -> int:
+    """One row per offset; a solver failure gives a row with its exit code
+    and empty fields, and the sweep goes on."""
     if not args.offsets:
         raise CliError("need at least one offset")
     # every offset is checked before the first solve
     problems = [_annulus_problem(args, off) for off in args.offsets]
-    rows = ["offset,alpha,min_diameter_margin,lifetime_bound_over_height"]
+    rows = ["offset,alpha,min_diameter_margin,lifetime_bound_over_height,"
+            "exit,stack_iterations,iterations,area"]
     for off, prob in zip(args.offsets, problems):
-        m, _ = solver.solve_annulus(prob)
+        try:
+            m, conv = solver.solve_annulus(prob)
+        except tuple(SOLVER_EXIT_CODES) as exc:
+            print(f"offset {off!r}: {exc}", file=sys.stderr)
+            rows.append(f"{off:.17g},,,,{SOLVER_EXIT_CODES[type(exc)]},,,")
+            continue
         report = flux.analyze_tube(m, n_levels=args.levels,
                                    compute_capacity=False)
         lb = report.lifetime_bound
-        ratio = math.inf if lb.unbounded else lb.value / report.slab_height
-        ratio_text = "inf" if math.isinf(ratio) else f"{ratio:.17g}"
+        ratio = "inf" if lb.unbounded else f"{lb.value / report.slab_height:.17g}"
         rows.append(f"{off:.17g},{report.alpha:.17g},"
-                    f"{report.min_diameter_margin():.17g},{ratio_text}")
+                    f"{report.min_diameter_margin():.17g},{ratio},0,"
+                    f"{conv.stack_iterations},{conv.iterations},"
+                    f"{conv.area_history[-1]:.17g}")
     outdir = _outdir(args)
     _write(outdir / "sweep.csv", "\n".join(rows) + "\n")
     print("\n".join(rows))
@@ -269,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep",
-                       help="offset sweep: tilt angle and bound tightness")
+                       help="offset sweep: tilt angle, bound tightness and exit "
+                            "class, one row per solve")
     _add_solver_args(p)
     p.add_argument("--offsets", type=float, nargs="+", required=True)
     _add_analysis_args(p, levels_default=5, tolerances=False)
@@ -291,12 +298,11 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory; a smaller --res needs less", file=sys.stderr)
         return 2
-    except solver.NoAnnulusError as exc:
-        print(exc, file=sys.stderr)  # the message starts "no annulus: "
-        return 2
-    except solver.ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except tuple(SOLVER_EXIT_CODES) as exc:
+        # a no-annulus message starts "no annulus: " on its own
+        prefix = "" if isinstance(exc, solver.NoAnnulusError) else "error: "
+        print(f"{prefix}{exc}", file=sys.stderr)
+        return SOLVER_EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

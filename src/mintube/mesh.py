@@ -88,7 +88,7 @@ class TriMesh:
         t = self.triangles
         return np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
 
-    def validate(self, tube_axis_check: bool = False) -> None:
+    def validate(self) -> None:
         """Check finiteness, manifoldness, orientation and non-degeneracy;
         raise MeshError."""
         finite = np.isfinite(self.vertices).all(axis=1)
@@ -109,12 +109,6 @@ class TriMesh:
                 f"directed edge ({k // self.n_vertices}, {k % self.n_vertices}) "
                 "repeats: mesh is non-manifold or inconsistently oriented"
             )
-        if tube_axis_check:
-            tol = 1e-6 * (self.x3_range()[1] - self.x3_range()[0])
-            for loop in self.boundary_loops():
-                z = self.vertices[loop, 2]
-                if z.max() - z.min() > tol:
-                    raise MeshError("boundary loop is not horizontal")
 
     def boundary_loops(self) -> list:
         """Ordered vertex cycles of the boundary (directed edges without a

@@ -133,11 +133,6 @@ class AnnulusProblem:
         if self.nu < 8 or self.nv < 2:
             raise ValueError("resolution too coarse: need nu >= 8, nv >= 2")
 
-    @property
-    def offset(self) -> float:
-        c0, c1 = np.asarray(self.circle0.center), np.asarray(self.circle1.center)
-        return float(np.linalg.norm((c1 - c0)[:2]))
-
 
 @dataclass
 class ConvergenceReport:

@@ -14,10 +14,11 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .mesh import TriMesh
+
+# scipy.integrate and scipy.optimize are imported inside the n-catenoid
+# functions, their only users, so that importing the CLI does not load them.
 
 QUAD_TOL = 1e-9
 
@@ -159,6 +160,8 @@ def _arclength_integrand(m: int):
 
 def _axial_distance(m: int, s: float) -> float:
     """t/f0 as a function of s = f/f0 >= 1."""
+    from scipy.integrate import quad
+
     if s < 1.0:
         raise ValueError("s must be >= 1")
     if s == 1.0:
@@ -191,6 +194,8 @@ def ncatenoid_profile(n: int, f0: float, f_cap: float | None = None,
         target = t_span / f0
         if n >= 4 and t_span >= 0.5 * ncatenoid_lifetime(n, f0):
             raise ValueError("t_span exceeds the life-time of this catenoid")
+        from scipy.optimize import brentq
+
         hi = 2.0
         while _axial_distance(m, hi) < target:
             hi *= 2.0
@@ -214,6 +219,8 @@ def ncatenoid_profile(n: int, f0: float, f_cap: float | None = None,
 
 def ncatenoid_lifetime(n: int, f0: float) -> float:
     """Life-time 2*f0*integral_1^inf ds/sqrt(s^(2(n-2)) - 1); finite for n >= 4."""
+    from scipy.integrate import quad
+
     if n < 4:
         raise ValueError("life-time is infinite for n = 3; need n >= 4")
     if f0 <= 0:

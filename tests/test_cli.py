@@ -2,9 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mintube
 from mintube import cli, solver, surfaces
 from mintube.mesh import write_obj
 
@@ -15,6 +19,14 @@ def run(argv):
 
 def read_all_bytes(d):
     return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+
+def sweep_rows(outdir, *argv):
+    """Run `sweep` (it exits 0 whatever its solves do) and return the rows
+    of sweep.csv as dicts keyed by the header."""
+    assert run(["sweep", *argv, "--outdir", str(outdir)]) == 0
+    header, *rows = (outdir / "sweep.csv").read_text().splitlines()
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
 
 
 def test_catenoid_command_outputs(tmp_path):
@@ -119,6 +131,11 @@ def test_artifact_schema(tmp_path):
     assert set(conv) == {"stack_iterations", "iterations", "converged", "final_area",
                          "final_residual", "area_history", "residual_history",
                          "message"}
+    assert run(["sweep", "--res", "24x12", "--offsets", "0.2", "--levels", "2",
+                "--outdir", str(tmp_path / "sweep")]) == 0
+    header = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[0]
+    assert header == ("offset,alpha,min_diameter_margin,lifetime_bound_over_height,"
+                      "exit,stack_iterations,iterations,area")
 
 
 def test_solve_annulus_rerun_byte_identical(tmp_path):
@@ -147,13 +164,52 @@ def test_solve_annulus_degeneration_exit_code(tmp_path, capsys):
 
 
 def test_sweep_no_annulus_exit_code(tmp_path, capsys):
-    # unit circles 2 apart: no catenoid spans them, so the neck pinches
-    code = run(["sweep", "--res", "32x16", "--offsets", "0.0", "--heights",
-                "0", "2", "--outdir", str(tmp_path)])
-    assert code == 2
+    # unit circles 2 apart: no catenoid spans them, so the neck pinches; the
+    # row records exit 2 and the sweep itself exits 0
+    (row,) = sweep_rows(tmp_path, "--res", "32x16", "--offsets", "0.0",
+                        "--heights", "0", "2")
+    assert row["exit"] == "2"
     err = capsys.readouterr().err
-    assert err.startswith("no annulus: ")
+    assert err.startswith("offset 0.0: no annulus: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_annulus_scan_rows(tmp_path):
+    # a scan over heights is one sweep per height
+    (converged,) = sweep_rows(tmp_path / "h1", "--res", "16x8", "--heights", "0", "1",
+                              "--offsets", "0.0")
+    (pinched,) = sweep_rows(tmp_path / "h3", "--res", "16x8", "--heights", "0", "3",
+                            "--offsets", "0.0")
+    assert converged["exit"] == "0"
+    assert int(converged["stack_iterations"]) > 0 and int(converged["iterations"]) >= 0
+    assert 5.5 < float(converged["area"]) < 6.5
+    assert pinched["exit"] == "2"
+    assert {k for k, v in pinched.items() if v} == {"offset", "exit"}
+
+
+def test_sweep_degeneration_row_rerun_byte_identical(tmp_path, capsys):
+    # at offset 0.5 the stack stage converges and the full stage degenerates:
+    # exit 3, and the rerun covers that failed row too
+    d1, d2 = tmp_path / "a", tmp_path / "b"
+    argv = ["--res", "32x16", "--heights", "0", "0.2", "--offsets", "0.0", "0.5",
+            "--levels", "3"]
+    rows = sweep_rows(d1, *argv)
+    assert [row["exit"] for row in rows] == ["0", "3"]
+    err = capsys.readouterr().err
+    assert err.startswith("offset 0.5: mesh degenerated") and err.count("\n") == 1
+    sweep_rows(d2, *argv)
+    assert read_all_bytes(d1) == read_all_bytes(d2)
+
+
+def test_sweep_row_matches_solve_annulus(tmp_path):
+    problem = ["--res", "32x16", "--heights", "0", "0.8"]
+    (row,) = sweep_rows(tmp_path / "sweep", *problem, "--offsets", "0.3")
+    assert run(["solve-annulus", *problem, "--offset", "0.3", "--levels", "1",
+                "--outdir", str(tmp_path / "solve")]) == 0
+    conv = json.loads((tmp_path / "solve" / "annulus_convergence.json").read_text())
+    assert row["exit"] == "0"
+    assert (int(row["stack_iterations"]), int(row["iterations"]), float(row["area"])) \
+        == (conv["stack_iterations"], conv["iterations"], conv["final_area"])
 
 
 @pytest.mark.parametrize("argv", [["ncatenoid", "--margin-tol", "0.1"],
@@ -232,18 +288,14 @@ def test_analyze_roundtrip(tmp_path):
 
 def test_analyze_reproduces_catenoid_outputs(tmp_path):
     # The OBJ keeps 17 significant digits, so re-reading it gives the same
-    # mesh and the same report; only the tolerances block differs, because
-    # analyze records margin_tol there and not invariance_tol.
+    # mesh and the same report, tolerances included.
     assert run(["catenoid", "--res", "64x32", "--outdir", str(tmp_path)]) == 0
     assert run(["analyze", str(tmp_path / "catenoid.obj"),
                 "--outdir", str(tmp_path / "re")]) == 0
     assert ((tmp_path / "re" / "catenoid_slices.csv").read_bytes()
             == (tmp_path / "catenoid_slices.csv").read_bytes())
-    want = json.loads((tmp_path / "catenoid_report.json").read_text())
-    got = json.loads((tmp_path / "re" / "catenoid_report.json").read_text())
-    assert want["tolerances"].pop("invariance_tol") == cli.DEFAULT_INVARIANCE_TOL
-    assert "invariance_tol" not in got["tolerances"]
-    assert got == want
+    assert ((tmp_path / "re" / "catenoid_report.json").read_bytes()
+            == (tmp_path / "catenoid_report.json").read_bytes())
 
 
 def test_analyze_missing_file(tmp_path):
@@ -251,19 +303,28 @@ def test_analyze_missing_file(tmp_path):
 
 
 def test_sweep_command(tmp_path):
-    code = run(["sweep", "--res", "48x16", "--offsets", "0.0", "0.2",
-                "--levels", "3", "--outdir", str(tmp_path)])
-    assert code == 0
-    rows = (tmp_path / "sweep.csv").read_text().splitlines()
-    assert len(rows) == 3
+    rows = sweep_rows(tmp_path, "--res", "48x16", "--offsets", "0.0", "0.2",
+                      "--levels", "3")
+    assert len(rows) == 2 and all(row["exit"] == "0" for row in rows)
     # offset 0 is axial: unbounded life-time bound reported as inf
-    assert rows[1].endswith(",inf")
+    assert rows[0]["lifetime_bound_over_height"] == "inf"
 
 
 def test_outdir_environment_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
     assert run(["catenoid", "--res", "64x32", "--levels", "2"]) == 0
     assert (tmp_path / "catenoid.obj").exists()
+
+
+def test_cli_import_leaves_out_quadrature_and_root_finding():
+    # only the n-catenoid needs scipy.integrate and scipy.optimize, so the
+    # other commands start without loading them
+    code = ("import sys, mintube.cli; "
+            "print(sorted({'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(mintube.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 def test_help_exits_zero():

@@ -21,13 +21,3 @@ def test_catenoid_convergence_study_row():
     residual, flux_err, G_err = study.convergence_row(1.0, 1.0, 32, 16)
     assert all(math.isfinite(x) and x >= 0 for x in (residual, flux_err, G_err))
     assert residual < 1e-2 and flux_err < 5e-3 and G_err < 5e-2
-
-
-def test_annulus_scan_rows():
-    scan = load_script("annulus_scan")
-    converged, pinched = (row.split(",") for row in scan.scan("16x8", [1.0, 3.0], [0.0]))
-    assert len(converged) == len(pinched) == len(scan.HEADER.split(","))
-    h, d, code, stack, full, area = converged
-    assert (float(h), float(d), code) == (1.0, 0.0, "0")
-    assert int(stack) > 0 and int(full) >= 0 and 5.5 < float(area) < 6.5
-    assert (float(pinched[0]), pinched[2:]) == (3.0, ["2", "", "", ""])

@@ -36,17 +36,11 @@ def test_problem_validation():
             solver.SolverOptions(**options)
 
 
-def test_offset_property():
-    prob = solver.AnnulusProblem(solver.Circle((0, 0, 0.0), 1.0),
-                                 solver.Circle((0.3, 0.4, 1.0), 1.0))
-    assert prob.offset == pytest.approx(0.5)
-
-
 def test_initial_annulus_boundary_circles():
     prob = solver.AnnulusProblem(solver.Circle((0, 0, 0.0), 1.0),
                                  solver.Circle((0.3, 0, 1.0), 0.8), nu=32, nv=8)
     mesh = solver.initial_annulus(prob)
-    mesh.validate(tube_axis_check=True)
+    mesh.validate()
     r_bottom = np.hypot(mesh.vertices[:32, 0], mesh.vertices[:32, 1])
     assert np.allclose(r_bottom, 1.0)
     top = mesh.vertices[-32:]
@@ -217,7 +211,7 @@ def test_offset_annulus_converges(annulus_coarse):
     mesh, report = annulus_coarse
     assert report.converged
     assert report.residual_history[-1] <= 1e-6
-    mesh.validate(tube_axis_check=True)
+    mesh.validate()
 
 
 def test_hessian_pattern_matches_coo_assembly():
@@ -433,4 +427,4 @@ def test_sheared_annulus_converges():
     mesh, report = solver.solve_annulus(unit_circles(0.5, 0.4, 64, 32))
     assert report.converged
     assert report.residual_history[-1] <= 1e-6
-    mesh.validate(tube_axis_check=True)
+    mesh.validate()

@@ -33,7 +33,7 @@ def test_catenoid_mesh_counts_and_loops():
     mesh = surfaces.catenoid_mesh(surfaces.CatenoidSpec(1.0, -1.0, 1.0, 64, 32))
     assert mesh.n_vertices == 64 * 33
     assert len(mesh.boundary_loops()) == 2
-    mesh.validate(tube_axis_check=True)
+    mesh.validate()
 
 
 @pytest.mark.parametrize("nu", [9, 12])
