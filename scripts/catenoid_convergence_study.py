@@ -9,7 +9,7 @@ import math
 import sys
 
 from mintube import flux, surfaces
-from mintube.mesh import cot_stiffness, slice_mesh, total_curvature
+from mintube.mesh import edge_geometry, slice_mesh, total_curvature
 from mintube.solver import mean_curvature_residual
 
 
@@ -17,8 +17,8 @@ def convergence_row(a: float, v: float, nu: int, nv: int):
     """(mean-curvature residual, relative flux error, relative total-curvature
     error) of the catenoid band of neck radius a over [-v, v] at nu x nv."""
     mesh = surfaces.catenoid_mesh(surfaces.CatenoidSpec(a, -v, v, nu, nv))
-    _, residual = mean_curvature_residual(
-        mesh, ~mesh.boundary_vertex_mask(), cot_stiffness(mesh))
+    _, residual = mean_curvature_residual(edge_geometry(mesh),
+                                          ~mesh.boundary_vertex_mask())
     J = flux.flow_vector_total(slice_mesh(mesh, 0.25 * v))
     flux_err = abs(J[2] - 2 * math.pi * a) / (2 * math.pi * a)
     G_expect = surfaces.catenoid_total_curvature(a, -v, v)

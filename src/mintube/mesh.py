@@ -75,11 +75,6 @@ class TriMesh:
     def bbox_diagonal(self) -> float:
         return float(np.linalg.norm(self.vertices.max(0) - self.vertices.min(0)))
 
-    def mean_edge_length(self) -> float:
-        p0, p1, p2 = self.triangle_corners()
-        e = np.concatenate([p1 - p0, p2 - p1, p0 - p2])
-        return float(np.linalg.norm(e, axis=1).mean())
-
     def x3_range(self):
         return float(self.vertices[:, 2].min()), float(self.vertices[:, 2].max())
 
@@ -403,6 +398,64 @@ def cot_stiffness(mesh: TriMesh) -> np.ndarray:
     e = np.roll(p, -1, axis=1) - np.roll(p, -2, axis=1)
     nn = np.linalg.norm(np.cross(e[:, 0], e[:, 1]), axis=1)
     return (e @ e.transpose(0, 2, 1)) * (0.5 / np.maximum(nn, 1e-300))[:, None, None]
+
+
+@dataclass(frozen=True)
+class EdgeGeometry:
+    """The cotangent geometry of a mesh, from `edge_geometry`.  Per-triangle
+    arrays are indexed by corner, with e_i the edge opposite corner i."""
+
+    area: float                 # total area
+    double_areas: np.ndarray    # (M,) |n|, with n = e_0 x e_1 the normal
+    normals: np.ndarray         # (M, 3) unit normals n / |n|
+    stiffness: np.ndarray       # (M, 3, 3) S_ij = e_i.e_j / 2|n|
+    gradient: np.ndarray        # (N, 3) area gradient L V, L the cotangent Laplacian
+    vertex_areas: np.ndarray    # (N,) barycentric: a third of each incident triangle's
+    mean_edge_length: float     # over the 3 M triangle edges
+
+
+def edge_geometry(mesh: TriMesh) -> EdgeGeometry:
+    """One pass over the edge vectors e_i = p_{i+1} - p_{i+2} of every
+    triangle gives its normal, the stiffness S from the dot products
+    e_i.e_j, and the area gradient 0.5 e_i x nh at corner i, which is
+    S_{i,i+2} e_{i+1} - S_{i,i+1} e_{i+2}: the cotangent Laplacian of the
+    positions (Pinkall & Polthier 1993), summed from edges rather than
+    positions.  The gradient and the vertex areas are summed onto the
+    vertices by one scatter, corner-major as in `_vertex_sums`.  A floor on
+    |n| keeps degenerate triangles finite.
+
+    The arrays are computed coordinate-major, (3, 3, M) and so on, so that
+    every product is an array operation on contiguous rows; the per-triangle
+    fields are copied out in triangle-major order."""
+    t = np.ascontiguousarray(mesh.triangles.T)        # (3 corners, M)
+    p = np.take(np.ascontiguousarray(mesh.vertices.T), t, axis=1)   # (3 coords, 3, M)
+    nxt, prv = (1, 2, 0), (2, 0, 1)
+    e = np.empty_like(p)                              # e[:, i] = p_{i+1} - p_{i+2}
+    for i in range(3):
+        e[:, i] = p[:, nxt[i]] - p[:, prv[i]]
+    ex, ey, ez = e
+    n = np.stack([ey[0] * ez[1] - ez[0] * ey[1],
+                  ez[0] * ex[1] - ex[0] * ez[1],
+                  ex[0] * ey[1] - ey[0] * ex[1]])
+    nn = np.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
+    half = 0.5 / np.maximum(nn, 1e-300)
+    sq = ex * ex + ey * ey + ez * ez                  # |e_i|^2
+    S = np.empty((3, 3, len(nn)))
+    for i, j, k in zip(range(3), nxt, prv):
+        S[i, i] = half * sq[i]
+        S[j, k] = S[k, j] = half * (ex[j] * ex[k] + ey[j] * ey[k] + ez[j] * ez[k])
+    corner = np.empty((4, 3, len(nn)))               # gradient x, y, z; area / 3
+    for i, j, k in zip(range(3), nxt, prv):
+        corner[:3, i] = S[i, k] * e[:, j] - S[i, j] * e[:, k]
+    corner[3] = nn / 6.0
+    nv = mesh.n_vertices
+    sums = np.bincount((t.ravel() + nv * np.arange(4)[:, None]).ravel(),
+                       weights=corner.ravel(), minlength=4 * nv).reshape(4, nv)
+    return EdgeGeometry(area=0.5 * float(nn.sum()), double_areas=nn,
+                        normals=np.ascontiguousarray((n * (2.0 * half)).T),
+                        stiffness=np.ascontiguousarray(S.transpose(2, 0, 1)),
+                        gradient=sums[:3].T, vertex_areas=sums[3],
+                        mean_edge_length=float(np.sqrt(sq).mean()))
 
 
 def factor_symmetric(A, ordered: bool = False):

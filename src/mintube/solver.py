@@ -16,9 +16,12 @@ accepted when the realized area decrease is at least a tenth of the
 decrease the quadratic model g.s + s.H s / 2 predicts (Nocedal & Wright,
 Numerical Optimization, ch. 4), so every accepted step lowers the area; mu
 shrinks after a step the model predicted well and grows after a rejected
-one.  The fixed point is a discrete minimal surface: zero cotangent
-mean-curvature vector at every interior vertex.  The residual only decides
-when to stop.
+one.  A predicted decrease below the rounding floor of the area sum,
+AREA_ROUNDING times the area, cannot be measured: such a step is accepted,
+with mu unchanged, when it lowers the residual of its stage, and ends the
+stage otherwise.  The fixed point is a discrete minimal surface: zero
+cotangent mean-curvature vector at every interior vertex.  Above the
+rounding floor the residual only decides when to stop.
 
 `solve_annulus` runs this in two stages.  Shiffman (1956) proved that a
 minimal annulus between two circles in parallel planes meets every plane in
@@ -45,19 +48,24 @@ pinch in the full stage is reported as degeneration.  Both stages run in
 `minimize_area`, which recognizes a stack of circles on that grid in its
 input; any other mesh gets the full stage alone.
 
-Linear algebra: each accepted iterate computes the per-triangle cotangent
-stiffness S_ij = e_i.e_j / 2|n| once (e_i the edge opposite corner i, n the
-normal); the residual, L and H all come from it.  The block of H coupling
-corners i and j is S_ij nh nh^T + k_ij [nh]x, with nh the unit normal and
-k_ii = 0, k_{i,i+1} = -1/2, k_{i,i+2} = +1/2.  Each iteration sums these
-blocks, and S onto their diagonals for kron(L, I3), into a CSC pattern built
-once per solve.  The stack stage multiplies it by B on both sides; the full
-stage factors H + mu kron(L, I3) with `mesh.factor_symmetric` (SuperLU,
-symmetric mode, diagonal pivots).  Its minimum-degree ordering depends on
-the pattern only: the first accepted factorization fixes it, the pattern is
-laid out in that order, and later factorizations keep the natural order.
-An exactly singular system is handled like a rejected step: mu grows and
-the step is retried.
+Linear algebra: each trial iterate makes one pass over its edge vectors,
+`mesh.edge_geometry`.  The pass gives the area, the doubled triangle areas
+|n|, the unit normals nh, the cotangent stiffness S_ij = e_i.e_j / 2|n|
+(e_i the edge opposite corner i), the gradient with the barycentric vertex
+areas, and the mean edge length.  The acceptance test, the residuals and
+the safety checks read it, and L and H come from S and nh.  The block of H
+coupling corners i and j is S_ij nh nh^T + k_ij [nh]x, with k_ii = 0,
+k_{i,i+1} = -1/2, k_{i,i+2} = +1/2.  The stack stage sums B^T H B and
+B^T kron(L, I3) B from these blocks in closed form, strip by strip of the
+ring grid (`_StackBasis`), and never forms a matrix of the 3N coordinates.
+The full stage sums the blocks, and S onto their diagonals for kron(L, I3),
+into a CSC pattern built on its first iteration, and factors
+H + mu kron(L, I3) with `mesh.factor_symmetric` (SuperLU, symmetric mode,
+diagonal pivots).  Its minimum-degree ordering depends on the pattern only:
+the first accepted factorization fixes it, the pattern is laid out in that
+order, and later factorizations keep the natural order.  An exactly
+singular system is handled like a rejected step: mu grows and the step is
+retried.
 """
 
 from __future__ import annotations
@@ -69,7 +77,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import (MeshError, TriMesh, _vertex_sums, cot_stiffness,
+from .mesh import (EdgeGeometry, MeshError, TriMesh, edge_geometry,
                    factor_symmetric, slice_mesh)
 from .surfaces import _revolution_mesh
 
@@ -80,6 +88,8 @@ CHECK_EVERY = 5       # iterations between pinch and degeneration checks
 STACK_TOL_RATIO = 0.01  # the stack stage stops at this fraction of the
                         # tolerance: its steps are cheap, and a closer stack
                         # minimizer leaves the full stage less to do
+AREA_ROUNDING = 16 * np.finfo(float).eps  # rounding floor of the area sum,
+                                          # relative to the area
 
 
 class NoAnnulusError(RuntimeError):
@@ -162,21 +172,16 @@ def initial_annulus(problem: AnnulusProblem) -> TriMesh:
     return _revolution_mesh(radii, heights, problem.nu, centers=centers)
 
 
-def _vertex_areas(mesh: TriMesh) -> np.ndarray:
-    """Barycentric vertex areas: a third of each incident triangle's."""
-    return _vertex_sums(mesh, np.repeat(mesh.triangle_areas()[:, None] / 3.0, 3, axis=1))
-
-
-def mean_curvature_residual(mesh: TriMesh, interior: np.ndarray, S: np.ndarray):
+def mean_curvature_residual(geo: EdgeGeometry, interior: np.ndarray):
     """Area gradient at the interior vertices and the solver's stopping
-    measure, from the cotangent stiffness S = `cot_stiffness(mesh)`.
+    measure, from one `edge_geometry` pass.
 
     Returns (grad, res): grad = (L @ V)[interior] with L the cotangent
     Laplacian, and res = max |H| * mean edge length, with |H| the gradient
     norm over the barycentric vertex area."""
-    grad = _vertex_sums(mesh, S @ mesh.vertices[mesh.triangles])[interior]
-    h = np.linalg.norm(grad, axis=1) / _vertex_areas(mesh)[interior]
-    return grad, float(h.max()) * mesh.mean_edge_length()
+    grad = geo.gradient[interior]
+    h = np.linalg.norm(grad, axis=1) / geo.vertex_areas[interior]
+    return grad, float(h.max()) * geo.mean_edge_length
 
 
 def _area_hessian(S: np.ndarray, nh: np.ndarray) -> np.ndarray:
@@ -230,14 +235,15 @@ class _HessianPattern:
         # (i, j) sit at 3 rank + a within it.
         self.indptr = np.append(9 * vptr[:-1, None] + 3 * deg[:, None] * a,
                                 9 * vptr[-1]).astype(np.int32)
+        # Slots are intp, the index type `np.bincount` takes without a copy.
         pair_slots = ((9 * vptr[pcol] + 3 * rank)[:, None, None] + a[:, None]
-                      + 3 * deg[pcol][:, None, None] * a).astype(np.int32)
+                      + 3 * deg[pcol][:, None, None] * a).astype(np.intp)
         self.nnz = 9 * len(pairs)
         self.indices = np.empty(self.nnz, dtype=np.int32)
         self.indices[pair_slots] = (3 * prow)[:, None, None] + a[:, None]
         entry_pair = np.full(valid.shape, len(pairs), dtype=np.int64)
         entry_pair[valid] = pair_of
-        spill = np.full((1, 3, 3), self.nnz, dtype=np.int32)
+        spill = np.full((1, 3, 3), self.nnz, dtype=np.intp)
         slots = np.concatenate([pair_slots, spill])[entry_pair]
         self.slots = slots.ravel()
         self.diag_slots = slots[..., a, a].ravel()
@@ -253,7 +259,7 @@ class _HessianPattern:
         order, counts = np.argsort(perm), np.diff(self.indptr)
         col, row = perm[np.repeat(np.arange(len(perm)), counts)], perm[self.indices]
         moved = np.argsort(col.astype(np.int64) * len(perm) + row)  # new -> old slot
-        where = np.append(np.argsort(moved), self.nnz).astype(np.int32)
+        where = np.append(np.argsort(moved), self.nnz)
         self.slots, self.diag_slots = where[self.slots], where[self.diag_slots]
         self.indices = row[moved]
         self.indptr = np.append(0, np.cumsum(counts[order])).astype(np.int32)
@@ -276,11 +282,104 @@ class _HessianPattern:
                              shape=self.shape)
 
 
+class _StackBasis:
+    """The stacks of horizontal circles on the ring grid of `_revolution_mesh`
+    with nu vertices per ring and rings 0 .. nv, ring 0 and ring nv on the
+    boundary: interior ring j is c_j + r_j (cos u_i, sin u_i, 0) at its
+    fixed height.  `matrix` is the linear map B from the unknowns
+    (c_j, r_j), in columns 3(j-1) .. 3(j-1)+2, to the interior vertex
+    coordinates.
+
+    B^T H B and B^T kron(L, I3) B are summed strip by strip, from the blocks
+    of `_area_hessian` in closed form.  The 2 nu triangles of strip s,
+    between rings s and s+1, are a block of the grid's triangle order, and
+    corner i of each moves with the six unknowns (c, r) of those two rings
+    through a 3x6 Jacobian J_i.  Its third row is zero, since a ring keeps
+    its height, and its first two rows Jh_i are (1, 0, cos u; 0, 1, sin u)
+    in the columns of the corner's ring.  Since each row of S sums to zero,
+    sum_ij S_ij a_i b_j^T = -sum_p S_p (a_j - a_k)(b_j - b_k)^T over the
+    three corner pairs p = (j, k) = (p+1, p+2) of a triangle, with
+    S_p = S_jk.  And for horizontal a and b, a.(nh x b) = nh_z (R a).b with
+    R (a1, a2) = (a2, -a1).  So a triangle adds
+
+        -sum_p S_p D_p^T nh nh^T D_p + nh_z F,   F = sum_ij k_ij (R Jh_i)^T Jh_j,
+
+    to B^T H B and -sum_p S_p D_p^T D_p to B^T kron(L, I3) B, with
+    D_p = Jh_j - Jh_k.  D and F depend only on the parity of the strip,
+    which sets its diagonals.  A strip's 6x6 sum is one product of
+    (pairs x 6) matrices, or of its nh_z and F; the columns of a boundary
+    ring are summed too, and dropped.
+    """
+
+    def __init__(self, nu: int, nv: int):
+        self.nv = nv
+        u = np.arange(nu) * (2.0 * math.pi / nu)       # as in `_revolution_mesh`
+        ring = np.zeros((nu, 3, 3))
+        ring[:, :2, :2] = np.eye(2)
+        ring[:, 0, 2], ring[:, 1, 2] = np.cos(u), np.sin(u)
+        self.matrix = sp.kron(sp.identity(nv - 1), ring.reshape(3 * nu, 3),
+                              format="csr")
+        # Jh_i on an even and an odd strip: rows, strips, triangles, corners.
+        tris = _revolution_mesh(np.ones(3), np.zeros(3), nu).triangles.reshape(2, -1, 3)
+        ring_of, k = np.divmod(tris, nu)
+        col = 3 * (ring_of - np.arange(2)[:, None, None])  # 0 lower ring, 3 upper
+        jac = np.zeros((2,) + tris.shape + (6,))
+        for a in range(2):
+            np.put_along_axis(jac[a], (col + a)[..., None], 1.0, axis=-1)
+            np.put_along_axis(jac[a], (col + 2)[..., None], ring[k, a, 2, None], axis=-1)
+        D = jac[:, :, :, [1, 2, 0]] - jac[:, :, :, [2, 0, 1]]       # D_p
+        # sum_j k_ij Jh_j = -D_i / 2, and the rows of R Jh_i are Jh_i's
+        # second row and minus its first.
+        jt = jac.swapaxes(-1, -2)
+        self.skew = (-0.5 * (jt[1] @ D[0] - jt[0] @ D[1])).reshape(2, 2 * nu, 36)
+        self.pair_jac = D[:, np.arange(nv) % 2].reshape(2, -1, 3, 6)
+
+    def reduced(self, geo: EdgeGeometry):
+        """(B^T H B, B^T kron(L, I3) B) at the surface of `geo`, dense."""
+        nv, D = self.nv, self.pair_jac
+        nh = geo.normals
+        neg_s = -geo.stiffness[:, [1, 2, 0], [2, 0, 1]][:, :, None]   # -S_p
+        dw = nh[:, 0, None, None] * D[0] + nh[:, 1, None, None] * D[1]  # D_p^T nh
+        skew = np.empty((nv, 36))
+        nh_z = nh[:, 2].reshape(nv, -1)
+        for q in range(2):
+            skew[q::2] = nh_z[q::2] @ self.skew[q]
+        H = self._strip_products(neg_s * dw, dw) + skew.reshape(nv, 6, 6)
+        L = sum(self._strip_products(neg_s * D[a], D[a]) for a in range(2))
+        return self._tridiagonal(H), self._tridiagonal(L)
+
+    def _strip_products(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """left^T right over the corner pairs of each strip, (nv, 6, 6), from
+        (M, 3, 6) arrays."""
+        n = self.nv
+        return left.reshape(n, -1, 6).transpose(0, 2, 1) @ right.reshape(n, -1, 6)
+
+    def _tridiagonal(self, blocks: np.ndarray) -> np.ndarray:
+        """The strips' 6x6 blocks summed over the unknowns of every ring,
+        restricted to the interior rings."""
+        n = self.nv
+        out = np.zeros((n + 1, 3, n + 1, 3))
+        s = np.arange(n)
+        for a in range(2):
+            for b in range(2):
+                out[s + a, :, s + b, :] += blocks[:, 3 * a:3 * a + 3, 3 * b:3 * b + 3]
+        return out[1:n, :, 1:n, :].reshape(3 * (n - 1), 3 * (n - 1))
+
+    def residual(self, geo: EdgeGeometry, interior: np.ndarray) -> float:
+        """Largest ring-averaged mean curvature: the norm of ring j's block
+        of B^T g over the vertex area of ring j, times the mean edge
+        length.  It is zero exactly where the stack is stationary."""
+        ring_g = (self.matrix.T @ geo.gradient[interior].ravel()).reshape(-1, 3)
+        ring_area = geo.vertex_areas[interior].reshape(len(ring_g), -1).sum(axis=1)
+        h = np.linalg.norm(ring_g, axis=1) / ring_area
+        return float(h.max()) * geo.mean_edge_length
+
+
 class _Descent:
     """Levenberg-Marquardt descent on the area of a mesh whose boundary is
-    pinned: the current surface with its stiffness, gradient and residual,
-    the damping, the histories and the safety checks.  The stack stage and
-    the full stage both step through `_iterate`, so they share one
+    pinned: the current surface with its `edge_geometry`, gradient and
+    residual, the damping, the histories and the safety checks.  The stack
+    stage and the full stage both step through `_iterate`, so they share one
     acceptance and damping rule, and the full stage starts from the damping
     the stack stage last accepted."""
 
@@ -293,69 +392,95 @@ class _Descent:
             raise MeshError(
                 f"expected an annulus with 2 boundary loops, found {len(loops)}")
         self.opts, self.start, self.interior = options, mesh, ~fixed
-        self.cur = TriMesh(mesh.vertices.copy(), mesh.triangles)
-        self.mid_level = 0.5 * sum(self.cur.x3_range())
+        self.mid_level = 0.5 * sum(mesh.x3_range())
         rims = [mesh.vertices[np.append(lp, lp[0])] for lp in loops]
         self.pinch_len = PINCH_RATIO * min(
             float(np.linalg.norm(np.diff(p, axis=0), axis=1).sum()) for p in rims)
-        self.pattern = _HessianPattern(mesh.triangles, self.interior)
+        self.pattern = None           # the full stage's, built on its first iteration
         self.lu = None
         self.mu = 1.0
         self.stack_iterations = self.iterations = 0
         self.annulus_found = False    # a stack stage converged without a pinch
         self.message = ""
-        self.areas = [self.cur.area()]
-        self.residuals = []
-        self._measure()
+        self.areas, self.residuals = [], []
+        cur = TriMesh(mesh.vertices.copy(), mesh.triangles)
+        self._accept(cur, edge_geometry(cur))
 
-    def _measure(self) -> None:
-        self.S = cot_stiffness(self.cur)
-        self.grad, self.res = mean_curvature_residual(self.cur, self.interior, self.S)
+    def _accept(self, mesh: TriMesh, geo: EdgeGeometry) -> None:
+        self.cur, self.geo = mesh, geo
+        self.grad, self.res = mean_curvature_residual(geo, self.interior)
+        self.areas.append(geo.area)
         self.residuals.append(self.res)
 
     def report(self, converged: bool = False) -> ConvergenceReport:
         return ConvergenceReport(self.stack_iterations, self.iterations, converged,
                                  self.areas, self.residuals, self.message)
 
-    def _iterate(self, system) -> bool:
-        """One iteration.  `system(hess, lap, g)` returns `solve(mu)`, a step
-        for H + mu kron(L, I3) in matrix order.  The damping grows until a
-        step lowers the area by at least a tenth of the model's prediction;
-        if none does at maximal damping, return False with the damping of
-        the last accepted step."""
-        pattern, cur = self.pattern, self.cur
-        g = self.grad.ravel()[pattern.order]          # in matrix order
-        hess = pattern.values(_area_hessian(self.S, cur.triangle_normals()))
-        solve = system(hess, pattern.stiffness_values(self.S), g)
-        mu = self.mu
+    def _iterate(self, solve, stage_residual) -> bool:
+        """One iteration.  `solve(mu)` returns a step of the interior
+        vertices, (n, 3), for the system damped by mu, and the area decrease
+        the quadratic model predicts for it.  The damping grows until a step
+        lowers the area by at least a tenth of the prediction; if none does
+        at maximal damping, return False with the damping of the last
+        accepted step.  A predicted decrease below the rounding floor of the
+        area sum cannot be measured: such a step is accepted at its damping,
+        neither shrunk nor grown, when it lowers `stage_residual(geometry)`,
+        and otherwise ends the stage."""
+        mu, area = self.mu, self.areas[-1]
         for _ in range(25):
             try:
-                step = solve(mu)
+                # A non-finite step is rejected below; its model value
+                # raises no warning.
+                with np.errstate(invalid="ignore", over="ignore"):
+                    step, predicted = solve(mu)
             except (RuntimeError, np.linalg.LinAlgError):  # exactly singular
                 mu *= 4.0
                 continue
             if np.all(np.isfinite(step)):
-                trial = cur.vertices.copy()
-                trial[self.interior] += step[pattern.perm].reshape(-1, 3)
-                cand = TriMesh(trial, cur.triangles)
-                cand_area = cand.area()
-                predicted = -(g @ step + 0.5 * step @ (pattern.matrix(hess) @ step))
-                actual = self.areas[-1] - cand_area
+                trial = self.cur.vertices.copy()
+                trial[self.interior] += step
+                cand = TriMesh(trial, self.cur.triangles)
+                geo = edge_geometry(cand)
+                actual = area - geo.area
+                if 0 < predicted < AREA_ROUNDING * area:
+                    if stage_residual(geo) >= stage_residual(self.geo):
+                        return False
+                    self.mu = mu
+                    self._accept(cand, geo)
+                    return True
                 if predicted > 0 and actual >= 0.1 * predicted:
                     self.mu = mu / 3.0 if actual > 0.75 * predicted else mu
-                    self.cur = cand
-                    self.areas.append(cand_area)
-                    self._measure()
+                    self._accept(cand, geo)
                     return True
             mu *= 4.0
         return False
 
-    def _factored_system(self, hess, lap, g):
+    def _factored_solve(self):
+        """`solve(mu)` for the full stage: H + mu kron(L, I3) factored by
+        SuperLU in the pattern's order."""
+        pattern = self.pattern
+        g = self.grad.ravel()[pattern.order]          # in matrix order
+        hess = pattern.values(_area_hessian(self.geo.stiffness, self.geo.normals))
+        lap = pattern.stiffness_values(self.geo.stiffness)
+        H = pattern.matrix(hess)
+
         def solve(mu):
             self.lu = None        # free the last factorization before the next
-            self.lu = factor_symmetric(self.pattern.matrix(hess + mu * lap),
-                                       ordered=self.pattern.ordered)
-            return self.lu.solve(-g)
+            self.lu = factor_symmetric(pattern.matrix(hess + mu * lap),
+                                       ordered=pattern.ordered)
+            x = self.lu.solve(-g)
+            return x[pattern.perm].reshape(-1, 3), -(g @ x + 0.5 * x @ (H @ x))
+        return solve
+
+    def _stack_solve(self, basis: _StackBasis):
+        """`solve(mu)` for the stack stage: the step B t from the dense
+        reduced system B^T (H + mu kron(L, I3)) B t = -B^T g."""
+        Hr, Lr = basis.reduced(self.geo)
+        gr = basis.matrix.T @ self.grad.ravel()
+
+        def solve(mu):
+            t = np.linalg.solve(Hr + mu * Lr, -gr)
+            return (basis.matrix @ t).reshape(-1, 3), -(gr @ t + 0.5 * t @ (Hr @ t))
         return solve
 
     def _safety_checks(self) -> None:
@@ -376,41 +501,29 @@ class _Descent:
         if sum(c.length() for c in mid) < self.pinch_len:
             raise lost(f"neck pinched below {PINCH_RATIO:.0%} of the boundary "
                        "circumference")
-        tri_areas = self.cur.triangle_areas()
-        if tri_areas.min() < MIN_QUALITY * tri_areas.mean():
+        quality = self.geo.double_areas.min() / self.geo.double_areas.mean()
+        if quality < MIN_QUALITY:
             raise ConvergenceError(
-                f"mesh degenerated (min/mean triangle area "
-                f"{tri_areas.min() / tri_areas.mean():.2e})", self.report())
+                f"mesh degenerated (min/mean triangle area {quality:.2e})",
+                self.report())
 
-    def _stack_residual(self, basis) -> float:
-        """Largest ring-averaged mean curvature: the norm of ring j's block
-        of B^T g over the vertex area of ring j, times the mean edge
-        length.  It is zero exactly where the stack is stationary."""
-        ring_g = (basis.T @ self.grad.ravel()).reshape(-1, 3)
-        ring_area = _vertex_areas(self.cur)[self.interior].reshape(len(ring_g), -1)
-        h = np.linalg.norm(ring_g, axis=1) / ring_area.sum(axis=1)
-        return float(h.max()) * self.cur.mean_edge_length()
-
-    def stack_stage(self, basis) -> None:
-        """Minimize area over the stacks of circles `basis` spans, B from
-        `_stack_basis`, with the step B t from the dense reduced system
-        B^T (H + mu kron(L, I3)) B t = -B^T g.  Runs before any
-        factorization, so the pattern is in natural order."""
-        def system(hess, lap, g):
-            Hr, Lr = ((basis.T @ (self.pattern.matrix(v) @ basis)).toarray()
-                      for v in (hess, lap))
-            gr = basis.T @ g
-            return lambda mu: basis @ np.linalg.solve(Hr + mu * Lr, -gr)
-
+    def stack_stage(self) -> None:
+        """Minimize area over the stacks of circles through the start, if
+        it is one (see `_stack_basis`).  Runs before any factorization."""
+        basis = _stack_basis(self.start)
+        if basis is None:
+            return
         tol = self.opts.tolerance
 
+        def residual(geo):
+            return basis.residual(geo, self.interior)
+
         def stationary():
-            return (self.res <= tol
-                    or self._stack_residual(basis) <= STACK_TOL_RATIO * tol)
+            return self.res <= tol or residual(self.geo) <= STACK_TOL_RATIO * tol
 
         while not stationary() and self.stack_iterations < self.opts.max_iterations:
             self.stack_iterations += 1
-            if not self._iterate(system):
+            if not self._iterate(self._stack_solve(basis), residual):
                 break
             if self.stack_iterations % CHECK_EVERY == 0:
                 self._safety_checks()
@@ -421,10 +534,18 @@ class _Descent:
         """Minimize over every interior vertex; return (mesh, report) or raise
         ConvergenceError."""
         opts = self.opts
+
+        def residual(geo):
+            return mean_curvature_residual(geo, self.interior)[1]
+
         while self.res > opts.tolerance and self.iterations < opts.max_iterations:
             self.iterations += 1
-            if not self._iterate(self._factored_system):
-                self.message = "no area-decreasing step at maximal damping"
+            if self.pattern is None:
+                self.pattern = _HessianPattern(self.cur.triangles, self.interior)
+            if not self._iterate(self._factored_solve(), residual):
+                self.message = ("no area-decreasing step at maximal damping, "
+                                "nor a residual-decreasing one below the area's "
+                                "rounding floor")
                 break
             if not self.pattern.ordered:
                 self.pattern.reorder(self.lu.perm_c)
@@ -445,13 +566,12 @@ class _Descent:
         return self.cur, report
 
 
-def _stack_basis(mesh: TriMesh) -> sp.csr_matrix | None:
-    """The linear map B from ring parameters to the interior vertex
-    coordinates, when `mesh` is a stack of horizontal circles on the ring
-    grid of `_revolution_mesh` (as `initial_annulus` builds it): vertex i
-    of ring j at j * nu + i, and interior ring j (0 < j < nv) equal to
-    c_j + r_j (cos u_i, sin u_i, 0) at a fixed height.  The unknowns
-    (c_j, r_j) sit in columns 3(j-1) .. 3(j-1)+2.  None for any other mesh.
+def _stack_basis(mesh: TriMesh) -> _StackBasis | None:
+    """The stacks of circles through `mesh`, when it is a stack of
+    horizontal circles on the ring grid of `_revolution_mesh` (as
+    `initial_annulus` builds it): vertex i of ring j at j * nu + i, and
+    interior ring j (0 < j < nv) equal to c_j + r_j (cos u_i, sin u_i, 0) at
+    a fixed height.  None for any other mesh.
     """
     nu = len(mesh.boundary_loops()[0])
     nv = mesh.n_vertices // nu - 1
@@ -468,10 +588,7 @@ def _stack_basis(mesh: TriMesh) -> sp.csr_matrix | None:
     if not np.allclose(offsets, radii[:, None, None] * dirs, rtol=0.0,
                        atol=1e-12 * mesh.bbox_diagonal()):
         return None
-    ring = np.zeros((nu, 3, 3))
-    ring[:, :2, :2] = np.eye(2)
-    ring[:, :, 2] = dirs
-    return sp.kron(sp.identity(nv - 1), ring.reshape(3 * nu, 3), format="csr")
+    return _StackBasis(nu, nv)
 
 
 def minimize_area(mesh: TriMesh, options: SolverOptions | None = None):
@@ -483,12 +600,11 @@ def minimize_area(mesh: TriMesh, options: SolverOptions | None = None):
 
     Returns (minimized TriMesh, ConvergenceReport).  Boundary vertices are
     bit-identical to their input positions.  Every accepted step lowers the
-    area, so the area history decreases strictly.
+    area, so the area history decreases strictly, except below the rounding
+    floor of the area sum, where a step lowers the residual instead.
     """
     descent = _Descent(mesh, options or SolverOptions())
-    basis = _stack_basis(mesh)
-    if basis is not None:
-        descent.stack_stage(basis)
+    descent.stack_stage()
     return descent.full_stage()
 
 

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from mintube import solver, surfaces
-from mintube.mesh import cot_stiffness, slice_mesh, total_curvature, vertex_normals
+from mintube.mesh import edge_geometry, slice_mesh, total_curvature, vertex_normals
 
 
 def residual(mesh):
     """The solver's stopping measure, max |H| * mean edge length."""
     interior = ~mesh.boundary_vertex_mask()
-    return solver.mean_curvature_residual(mesh, interior, cot_stiffness(mesh))[1]
+    return solver.mean_curvature_residual(edge_geometry(mesh), interior)[1]
 
 
 def test_catenoid_spec_validation():
