@@ -319,20 +319,17 @@ class _StackBasis:
         ring[:, 0, 2], ring[:, 1, 2] = np.cos(u), np.sin(u)
         self.matrix = sp.kron(sp.identity(nv - 1), ring.reshape(3 * nu, 3),
                               format="csr")
-        # Jh_i on an even and an odd strip: rows, strips, triangles, corners.
+        # Jh_i on an even and an odd strip: (strip, triangle, corner, row, 6).
         tris = _revolution_mesh(np.ones(3), np.zeros(3), nu).triangles.reshape(2, -1, 3)
         ring_of, k = np.divmod(tris, nu)
-        col = 3 * (ring_of - np.arange(2)[:, None, None])  # 0 lower ring, 3 upper
-        jac = np.zeros((2,) + tris.shape + (6,))
-        for a in range(2):
-            np.put_along_axis(jac[a], (col + a)[..., None], 1.0, axis=-1)
-            np.put_along_axis(jac[a], (col + 2)[..., None], ring[k, a, 2, None], axis=-1)
-        D = jac[:, :, :, [1, 2, 0]] - jac[:, :, :, [2, 0, 1]]       # D_p
-        # sum_j k_ij Jh_j = -D_i / 2, and the rows of R Jh_i are Jh_i's
-        # second row and minus its first.
-        jt = jac.swapaxes(-1, -2)
-        self.skew = (-0.5 * (jt[1] @ D[0] - jt[0] @ D[1])).reshape(2, 2 * nu, 36)
-        self.pair_jac = D[:, np.arange(nv) % 2].reshape(2, -1, 3, 6)
+        upper = (ring_of > np.arange(2)[:, None, None])[..., None, None]
+        jh = ring[k, :2]                               # (1, 0, cos u; 0, 1, sin u)
+        jac = np.concatenate([np.where(upper, 0.0, jh), np.where(upper, jh, 0.0)], axis=-1)
+        D = jac[:, :, [1, 2, 0]] - jac[:, :, [2, 0, 1]]             # D_p
+        # sum_j k_ij Jh_j = -D_i / 2, and R Jh_i has rows (Jh_i[1], -Jh_i[0]).
+        turned = np.stack([jac[..., 1, :], -jac[..., 0, :]], axis=-2)
+        self.skew = -0.5 * np.einsum("stirk,stirl->stkl", turned, D).reshape(2, 2 * nu, 36)
+        self.pair_jac = np.moveaxis(D, 3, 0)[:, np.arange(nv) % 2].reshape(2, -1, 3, 6)
 
     def reduced(self, geo: EdgeGeometry):
         """(B^T H B, B^T kron(L, I3) B) at the surface of `geo`, dense."""
