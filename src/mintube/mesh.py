@@ -1,6 +1,7 @@
 """Oriented triangle meshes in R^3 and the discrete operators used on them:
 plane slicing into cross-section cycles, vertex normals, angle-defect
-curvature, the cotangent stiffness and Dirichlet-energy capacity.
+curvature, the cotangent stiffness and Dirichlet-energy capacity, and the
+edge-vector geometry pass the area solver makes per iterate.
 """
 
 from __future__ import annotations
@@ -392,7 +393,9 @@ def cot_stiffness(mesh: TriMesh) -> np.ndarray:
 
     An off-diagonal entry is minus half the cotangent of the angle at the
     third corner, and each row sums to zero.  A floor on |n| keeps
-    degenerate triangles finite.
+    degenerate triangles finite.  The capacity is assembled from this form;
+    `edge_geometry` computes the same S, to rounding, with the rest of the
+    solver's per-iterate geometry.
     """
     p = mesh.vertices[mesh.triangles]                 # (M, 3 corners, 3)
     e = np.roll(p, -1, axis=1) - np.roll(p, -2, axis=1)

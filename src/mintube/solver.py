@@ -235,15 +235,14 @@ class _HessianPattern:
         # (i, j) sit at 3 rank + a within it.
         self.indptr = np.append(9 * vptr[:-1, None] + 3 * deg[:, None] * a,
                                 9 * vptr[-1]).astype(np.int32)
-        # Slots are intp, the index type `np.bincount` takes without a copy.
         pair_slots = ((9 * vptr[pcol] + 3 * rank)[:, None, None] + a[:, None]
-                      + 3 * deg[pcol][:, None, None] * a).astype(np.intp)
+                      + 3 * deg[pcol][:, None, None] * a).astype(np.int32)
         self.nnz = 9 * len(pairs)
         self.indices = np.empty(self.nnz, dtype=np.int32)
         self.indices[pair_slots] = (3 * prow)[:, None, None] + a[:, None]
         entry_pair = np.full(valid.shape, len(pairs), dtype=np.int64)
         entry_pair[valid] = pair_of
-        spill = np.full((1, 3, 3), self.nnz, dtype=np.intp)
+        spill = np.full((1, 3, 3), self.nnz, dtype=np.int32)
         slots = np.concatenate([pair_slots, spill])[entry_pair]
         self.slots = slots.ravel()
         self.diag_slots = slots[..., a, a].ravel()
@@ -259,7 +258,7 @@ class _HessianPattern:
         order, counts = np.argsort(perm), np.diff(self.indptr)
         col, row = perm[np.repeat(np.arange(len(perm)), counts)], perm[self.indices]
         moved = np.argsort(col.astype(np.int64) * len(perm) + row)  # new -> old slot
-        where = np.append(np.argsort(moved), self.nnz)
+        where = np.append(np.argsort(moved), self.nnz).astype(np.int32)
         self.slots, self.diag_slots = where[self.slots], where[self.diag_slots]
         self.indices = row[moved]
         self.indptr = np.append(0, np.cumsum(counts[order])).astype(np.int32)
@@ -394,7 +393,7 @@ class _Descent:
         self.pinch_len = PINCH_RATIO * min(
             float(np.linalg.norm(np.diff(p, axis=0), axis=1).sum()) for p in rims)
         self.pattern = None           # the full stage's, built on its first iteration
-        self.lu = None
+        self.fill_order = None        # perm_c of the last factorization in natural order
         self.mu = 1.0
         self.stack_iterations = self.iterations = 0
         self.annulus_found = False    # a stack stage converged without a pinch
@@ -462,10 +461,13 @@ class _Descent:
         H = pattern.matrix(hess)
 
         def solve(mu):
-            self.lu = None        # free the last factorization before the next
-            self.lu = factor_symmetric(pattern.matrix(hess + mu * lap),
-                                       ordered=pattern.ordered)
-            x = self.lu.solve(-g)
+            # The factors live only for this solve, so that they are freed
+            # before the next assembly; a copy of perm_c lets them go.
+            lu = factor_symmetric(pattern.matrix(hess + mu * lap),
+                                  ordered=pattern.ordered)
+            if not pattern.ordered:
+                self.fill_order = lu.perm_c.copy()
+            x = lu.solve(-g)
             return x[pattern.perm].reshape(-1, 3), -(g @ x + 0.5 * x @ (H @ x))
         return solve
 
@@ -545,10 +547,9 @@ class _Descent:
                                 "rounding floor")
                 break
             if not self.pattern.ordered:
-                self.pattern.reorder(self.lu.perm_c)
+                self.pattern.reorder(self.fill_order)
             if self.iterations % CHECK_EVERY == 0:
                 self._safety_checks()
-        self.lu = None
         self._safety_checks()
         converged = self.res <= opts.tolerance
         report = self.report(converged)
