@@ -230,13 +230,6 @@ def test_offset_annulus_iterations_at_96x48():
     assert (report.stack_iterations, report.iterations) == (7, 4)
 
 
-def tight(nu, nv, tolerance):
-    """Offset 0.3 between unit circles at heights 0 and 1, at `tolerance`."""
-    return solver.AnnulusProblem(solver.Circle((0, 0, 0.0), 1.0),
-                                 solver.Circle((0.3, 0, 1.0), 1.0), nu=nu, nv=nv,
-                                 options=solver.SolverOptions(tolerance=tolerance))
-
-
 @pytest.mark.parametrize("nu, nv", [(32, 16), (128, 64)])
 def test_stack_stage_converges_below_the_area_rounding_floor(nu, nv):
     # At a tight tolerance the last stack steps predict area decreases
@@ -244,7 +237,7 @@ def test_stack_stage_converges_below_the_area_rounding_floor(nu, nv):
     # damping grew until rounding noise passed a step, or the stage gave
     # up unconverged; judged by the stack residual, they converge the
     # stage with the damping unchanged.
-    prob = tight(nu, nv, 1e-9)
+    prob = unit_circles(1.0, 0.3, nu, nv, solver.SolverOptions(tolerance=1e-9))
     descent = solver._Descent(solver.initial_annulus(prob), prob.options)
     descent.stack_stage()
     assert descent.annulus_found
@@ -254,7 +247,8 @@ def test_stack_stage_converges_below_the_area_rounding_floor(nu, nv):
 def test_tight_tolerance_full_stage_starts_from_the_stack_damping():
     # With the damping the area's rounding noise used to inflate, the full
     # stage took 11 iterations here.
-    _, report = solver.solve_annulus(tight(96, 48, 1e-8))
+    options = solver.SolverOptions(tolerance=1e-8)
+    _, report = solver.solve_annulus(unit_circles(1.0, 0.3, 96, 48, options))
     assert report.converged
     assert report.iterations < 11
     areas = np.array(report.area_history)
@@ -406,10 +400,11 @@ def test_singular_ordered_factor_escalates_damping(monkeypatch):
     assert np.all(shifts[1] > shifts[0])
 
 
-def unit_circles(h, d, nu, nv):
+def unit_circles(h, d, nu, nv, options=solver.SolverOptions()):
     """Unit circles at heights 0 and h, the upper one offset by d along x."""
     return solver.AnnulusProblem(solver.Circle((0, 0, 0.0), 1.0),
-                                 solver.Circle((d, 0, h), 1.0), nu=nu, nv=nv)
+                                 solver.Circle((d, 0, h), 1.0), nu=nu, nv=nv,
+                                 options=options)
 
 
 def test_coaxial_stack_minimizer_is_critical():
