@@ -284,7 +284,7 @@ def slice_mesh(mesh: TriMesh, t: float, normals: np.ndarray | None = None) -> li
     # Per-row matmul rounds like np.dot; norm(axis=1) and einsum can differ
     # in the last bit, which would change the bytes of the slice tables.
     nn = np.sqrt((nrm[:, None, :] @ nrm[:, :, None]).ravel())
-    if np.any(nn < 1e-12):
+    if not np.all(nn >= 1e-12):                       # or is not finite
         raise SliceError("interpolated normal vanished on a slice edge")
     node_normals = nrm / nn[:, None]
 
@@ -467,8 +467,10 @@ def factor_symmetric(A, ordered: bool = False):
     minimum-degree ordering on A^T + A and diagonal pivots, which keeps the
     fill of a symmetric factorization.  With `ordered`, A is already laid
     out in such an order (the `perm_c` of an earlier factorization of the
-    same pattern) and is factored in its natural order.  Raises RuntimeError
-    when a pivot is exactly zero."""
+    same pattern) and is factored in its natural order.  The factors have
+    the precision of A's data, float32 or float64, and so must the
+    right-hand sides passed to their `solve`.  Raises RuntimeError when a
+    pivot is exactly zero."""
     return spla.splu(A, permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 

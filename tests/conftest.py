@@ -3,8 +3,8 @@ and solver-produced offset annuli at two refinement levels; and the
 reference cotangent Laplacian the tests check the stiffness-based
 operators against.
 
-Solves are session-scoped because the two annulus solves take about 2.2 s
-together on a 2-core x86 machine, 0.6 s of it the 256x128 one; every test
+Solves are session-scoped because the two annulus solves take about 1.9 s
+together on a 2-core x86 machine, 0.5 s of it the 256x128 one; every test
 sees the same converged meshes.
 """
 

@@ -354,6 +354,70 @@ def test_reordered_factor_matches_unpermuted_solve(mu):
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
+# Relative error of the full-stage step (float32 factors, two float64
+# refinements) against a float64 factorization of the same system, as
+# measured on x86-64 with scipy 1.17's SuperLU; the test allows 10x.  The
+# rough start of the perturbed annuli is far from minimal, so H is
+# indefinite there and small mu leaves the system nearly singular: at 96x48
+# and mu = 1e-6, kappa * u32 is about 1/2 and the worst error is 4.7e-2.
+# On solver iterates each refinement gains about three digits.
+REFINED_STEP_ERROR = {
+    (16, 6): {1e-6: 7.1e-11, 1e-2: 3.8e-14, 1.0: 9.2e-16, 30.0: 9.7e-16},
+    (96, 48): {1e-6: 4.7e-2, 1e-2: 3.8e-5, 1.0: 8.3e-15, 30.0: 8.2e-15},
+}
+
+
+@pytest.mark.parametrize("nu, nv", [(16, 6), (96, 48)])
+@pytest.mark.parametrize("mu", [1e-6, 1e-2, 1.0, 30.0])
+def test_refined_float32_step_matches_float64_solve(nu, nv, mu):
+    mesh, interior = perturbed_annulus(nu, nv, seed=11)
+    descent = solver._Descent(mesh, solver.SolverOptions())
+    descent.pattern = pattern = solver._HessianPattern(mesh.triangles, interior)
+    step, _ = descent._factored_solve()(mu)
+    geo = descent.geo
+    system = (pattern.values(solver._area_hessian(geo.stiffness, geo.normals))
+              + mu * pattern.stiffness_values(geo.stiffness))
+    want = factor_symmetric(pattern.matrix(system)).solve(-descent.grad.ravel())
+    err = np.abs(step.ravel() - want).max() / np.abs(want).max()
+    assert err <= 10 * REFINED_STEP_ERROR[nu, nv][mu]
+
+
+def test_full_stage_factors_in_float32_and_capacity_in_float64(monkeypatch):
+    splu = meshmod.spla.splu
+    dtypes = []
+    monkeypatch.setattr(meshmod.spla, "splu",
+                        lambda A, **k: dtypes.append(A.dtype) or splu(A, **k))
+    mesh, report = solver.solve_annulus(unit_circles(1.0, 0.3, 48, 16))
+    assert report.iterations > 0 and len(dtypes) >= report.iterations
+    assert set(dtypes) == {np.dtype(np.float32)}
+    dtypes.clear()
+    meshmod.harmonic_capacity(mesh, *mesh.boundary_loops())
+    assert dtypes == [np.dtype(np.float64)]
+
+
+def test_safety_slice_needs_no_angle_weighted_normals(monkeypatch):
+    slices = []
+
+    def recorded_slice(mesh, level, normals=None):
+        cycles = meshmod.slice_mesh(mesh, level, normals)
+        slices.append((mesh, level, sum(c.length() for c in cycles)))
+        return cycles
+
+    def no_vertex_normals(mesh):
+        raise AssertionError("the safety checks computed angle-weighted normals")
+
+    monkeypatch.setattr(solver, "slice_mesh", recorded_slice)
+    monkeypatch.setattr(meshmod, "vertex_normals", no_vertex_normals)
+    _, report = solver.solve_annulus(unit_circles(1.0, 0.3, 48, 16))
+    assert report.converged and report.iterations > 0 and slices
+    monkeypatch.undo()
+    # the slice points, and so the pinch test's length, do not depend on
+    # the normals
+    mesh, level, length = slices[-1]
+    want = sum(c.length() for c in meshmod.slice_mesh(mesh, level))
+    assert abs(length - want) <= 1e-14 * want
+
+
 def test_singular_factor_escalates_damping(monkeypatch):
     splu = meshmod.spla.splu
     shifts = []
