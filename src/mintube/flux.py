@@ -20,12 +20,12 @@ from .mesh import (
     E3,
     CrossSectionCycle,
     TriMesh,
+    corner_sums,
     gauss_image_diameter,
     gauss_image_length,
     harmonic_capacity,
     slice_mesh,
     total_curvature,
-    vertex_normals,
 )
 
 SCHEMA_VERSION = 1
@@ -255,14 +255,20 @@ def analyze_tube(mesh: TriMesh, levels=None, n_levels: int = 10,
                  compute_capacity: bool = True,
                  tolerances: dict | None = None) -> TubeReport:
     """Slice the tube, measure its flow vector and curvature, and evaluate
-    every inequality margin."""
+    every inequality margin.  One `corner_sums` pass gives both the vertex
+    normals the slices interpolate and the angle sums of the total
+    curvature."""
     zmin, zmax = mesh.x3_range()
     if levels is None:
         pad = 0.05 * (zmax - zmin)
         levels = list(np.linspace(zmin + pad, zmax - pad, n_levels))
     if not len(levels):
         raise ValueError("need at least one slice level")
-    normals = vertex_normals(mesh)
+    normals, angle_sums = corner_sums(mesh)
+    G, clamped = total_curvature(mesh, angle_sums)
+    # Not held through the slices and the capacity solve, where a live
+    # per-vertex array raised the peak memory of a report.
+    del angle_sums
 
     slice_records = []
     js = []
@@ -289,7 +295,6 @@ def analyze_tube(mesh: TriMesh, levels=None, n_levels: int = 10,
         ))
 
     J = np.mean(js, axis=0)
-    G, clamped = total_curvature(mesh)
     capacity = None
     if compute_capacity and len(mesh.boundary_loops()) == 2:
         capacity = verify_capacity_law(mesh, zmin, zmax, normals)

@@ -1,7 +1,9 @@
 """Oriented triangle meshes in R^3 and the discrete operators used on them:
-plane slicing into cross-section cycles, vertex normals, angle-defect
-curvature, the cotangent stiffness and Dirichlet-energy capacity, and the
-edge-vector geometry pass the area solver makes per iterate.
+plane slicing into cross-section cycles, the corner pass that gives both
+the angle-weighted vertex normals and the angle-defect curvature, the
+cotangent stiffness and Dirichlet-energy capacity, and the edge-vector
+geometry pass the area solver makes per iterate.  Both passes work on
+coordinate-major (3, M) rows and sum onto the vertices with `bincount`.
 """
 
 from __future__ import annotations
@@ -140,16 +142,6 @@ class TriMesh:
         return mask
 
 
-def corner_angles(mesh: TriMesh) -> np.ndarray:
-    """(M, 3) interior angle of each triangle at each of its corners."""
-    p = mesh.vertices[mesh.triangles]                 # (M, 3 corners, 3)
-    a = np.roll(p, -1, axis=1) - p
-    b = np.roll(p, -2, axis=1) - p
-    cosang = np.einsum("mkj,mkj->mk", a, b) / (
-        np.linalg.norm(a, axis=2) * np.linalg.norm(b, axis=2))
-    return np.arccos(np.clip(cosang, -1.0, 1.0))
-
-
 def _vertex_sums(mesh: TriMesh, corner_values: np.ndarray) -> np.ndarray:
     """Sum (M, 3, ...) per-corner values onto the vertices.  The scatter
     runs corner-major (corner 0 of every triangle, then corner 1, then 2),
@@ -161,14 +153,57 @@ def _vertex_sums(mesh: TriMesh, corner_values: np.ndarray) -> np.ndarray:
     return out.reshape((mesh.n_vertices,) + corner_values.shape[2:])
 
 
-def vertex_normals(mesh: TriMesh) -> np.ndarray:
-    """Angle-weighted average of incident triangle normals, normalized."""
-    fn = mesh.triangle_normals()
-    normals = _vertex_sums(mesh, corner_angles(mesh)[:, :, None] * fn[:, None, :])
+def corner_sums(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
+    """(normals, angle_sums): the angle-weighted unit vertex normals
+    (Thuermer & Wuethrich 1998) and the sum of the interior angles at each
+    vertex, from one pass over the triangle corners.
+
+    The edges d_k = p_{k+1} - p_k of each triangle give the angle at corner
+    k, arccos of -d_k.d_{k+2} / (|d_k| |d_{k+2}|), and the triangle's unit
+    normal n / |n|, n = d_2 x d_0 = (p_1 - p_0) x (p_2 - p_0).  As in
+    `edge_geometry` the arrays are coordinate-major, (3, M) per corner; each
+    coordinate of the weighted normals, and the angles, are summed onto the
+    vertices by one `bincount` in the corner-major order of `_vertex_sums`.
+    The dot product adds (x x + z z) + y y, as `np.einsum` adds three terms,
+    and the lengths add (x x + y y) + z z, as `np.linalg.norm` does, so the
+    results equal bit for bit those of the per-corner (M, 3, 3) form.
+
+    Raises MeshError naming the first vertex whose normal sum vanishes,
+    such as a vertex that no triangle references."""
+    t = np.ascontiguousarray(mesh.triangles.T)        # (3 corners, M)
+    p = np.take(np.ascontiguousarray(mesh.vertices.T), t, axis=1)   # (3 coords, 3, M)
+    d = np.empty_like(p)                              # d[:, k] = p_{k+1} - p_k
+    for k in range(3):
+        d[:, k] = p[:, (k + 1) % 3] - p[:, k]
+    del p
+    x, y, z = d
+    lengths = np.sqrt(x * x + y * y + z * z)
+    n = np.stack([y[2] * z[0] - z[2] * y[0],
+                  z[2] * x[0] - x[2] * z[0],
+                  x[2] * y[0] - y[2] * x[0]])
+    n /= np.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
+    angles = np.empty_like(lengths)
+    for k, j in zip(range(3), (2, 0, 1)):
+        dots = x[k] * x[j] + z[k] * z[j] + y[k] * y[j]
+        angles[k] = np.arccos(np.clip(-dots / (lengths[k] * lengths[j]), -1.0, 1.0))
+    nv, corners = mesh.n_vertices, t.ravel()
+    normals = np.empty((nv, 3))
+    for c in range(3):
+        normals[:, c] = np.bincount(corners, weights=(angles * n[c]).ravel(), minlength=nv)
     norms = np.linalg.norm(normals, axis=1)
     if np.any(norms < 1e-14):
-        raise MeshError("vertex with zero-area star")
-    return normals / norms[:, None]
+        bad = int(np.argmax(norms < 1e-14))
+        if not np.any(corners == bad):
+            raise MeshError(f"vertex {bad} is referenced by no triangle")
+        raise MeshError(f"the angle-weighted normal of vertex {bad} vanishes")
+    normals /= norms[:, None]
+    return normals, np.bincount(corners, weights=angles.ravel(), minlength=nv)
+
+
+def vertex_normals(mesh: TriMesh) -> np.ndarray:
+    """Angle-weighted average of incident triangle normals, normalized: the
+    normals of `corner_sums`, the pass that also gives the angle defects."""
+    return corner_sums(mesh)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +298,14 @@ def slice_mesh(mesh: TriMesh, t: float, normals: np.ndarray | None = None) -> li
         normals = vertex_normals(mesh)
 
     # Edge k of a triangle runs from corner k to corner k+1; a triangle
-    # crosses the plane on 0 or 2 of its edges.
-    below = z < level
-    ends = np.stack([mesh.triangles, np.roll(mesh.triangles, -1, axis=1)])
-    crossed = below[ends[0]] != below[ends[1]]
-    if not crossed.any():
+    # crosses the plane on 0 or 2 of its edges.  f lists the crossed edges
+    # triangle by triangle, each by the flat (M, 3) index of its corner k.
+    side = (z < level)[mesh.triangles]
+    f = np.flatnonzero(side != side[:, [1, 2, 0]])
+    if not len(f):
         raise SliceError(f"plane x3 = {level} misses the mesh")
-    lo, hi = np.sort(ends[:, crossed], axis=0)
+    corners = mesh.triangles.ravel()
+    lo, hi = np.sort([corners[f], corners[f - f % 3 + (f + 1) % 3]], axis=0)
     keys, seg_nodes = np.unique(lo * mesh.n_vertices + hi, return_inverse=True)
     seg_nodes = seg_nodes.reshape(-1, 2)
 
@@ -366,19 +402,25 @@ def gauss_image_length(cycle: CrossSectionCycle) -> float:
     return float(np.arctan2(sines, np.einsum("ij,ij->i", g, g_next)).sum())
 
 
-def angle_defects(mesh: TriMesh):
-    """Per-vertex angle defect 2*pi - sum(incident angles), plus the mask of
-    interior vertices where the defect approximates the curvature measure."""
-    defects = 2.0 * math.pi - _vertex_sums(mesh, corner_angles(mesh))
-    return defects, ~mesh.boundary_vertex_mask()
+def angle_defects(mesh: TriMesh, angle_sums=None):
+    """Per-vertex angle defect 2*pi - sum(incident angles) (Meyer, Desbrun,
+    Schroeder & Barr 2003), plus the mask of interior vertices where the
+    defect approximates the curvature measure.  The angle sums are those of
+    `corner_sums`, the pass that also gives the vertex normals; a caller that
+    has run it passes them in."""
+    if angle_sums is None:
+        angle_sums = corner_sums(mesh)[1]
+    return 2.0 * math.pi - angle_sums, ~mesh.boundary_vertex_mask()
 
 
-def total_curvature(mesh: TriMesh):
+def total_curvature(mesh: TriMesh, angle_sums=None):
     """(G, clamped): the total absolute Gaussian curvature G = integral of
     -K, via angle defects at interior vertices, and the total of the
     positive defects (impossible on an exact minimal surface, present as
-    discretization noise), which G leaves out."""
-    defects, interior = angle_defects(mesh)
+    discretization noise), which G leaves out.  The defects come from
+    `angle_defects`, on the angle sums of `corner_sums` (passed in by a
+    caller that has run that pass for its vertex normals)."""
+    defects, interior = angle_defects(mesh, angle_sums)
     d = defects[interior]
     return float(-d[d < 0].sum()), float(d[d > 0].sum())
 

@@ -1,7 +1,7 @@
 """Shared fixtures: analytic catenoid bands at the acceptance resolutions
 and solver-produced offset annuli at two refinement levels; and the
-reference cotangent Laplacian the tests check the stiffness-based
-operators against.
+reference cotangent Laplacian and per-corner angle sums the tests check
+the stiffness-based operators and the corner pass against.
 
 Solves are session-scoped because the two annulus solves take about 1.9 s
 together on a 2-core x86 machine, 0.5 s of it the 256x128 one; every test
@@ -30,6 +30,26 @@ def cot_laplacian(mesh):
     )
     mass = _vertex_sums(mesh, np.repeat(mesh.triangle_areas()[:, None] / 3.0, 3, axis=1))
     return L, mass
+
+
+def corner_angles(mesh):
+    """(M, 3) interior angle of each triangle at each of its corners, from
+    (M, 3 corners, 3) arrays: the per-corner form `mesh.corner_sums`
+    replaced."""
+    p = mesh.vertices[mesh.triangles]
+    a = np.roll(p, -1, axis=1) - p
+    b = np.roll(p, -2, axis=1) - p
+    cosang = np.einsum("mkj,mkj->mk", a, b) / (
+        np.linalg.norm(a, axis=2) * np.linalg.norm(b, axis=2))
+    return np.arccos(np.clip(cosang, -1.0, 1.0))
+
+
+def corner_sums(mesh):
+    """Reference for `mesh.corner_sums`: the angle-weighted unit vertex
+    normals and the per-vertex angle sums, from `corner_angles`."""
+    angles = corner_angles(mesh)
+    normals = _vertex_sums(mesh, angles[:, :, None] * mesh.triangle_normals()[:, None, :])
+    return normals / np.linalg.norm(normals, axis=1)[:, None], _vertex_sums(mesh, angles)
 
 
 def catenoid(a, v_min, v_max, nu, nv):

@@ -277,6 +277,18 @@ def test_analyze_rejects_non_finite_coordinates(tmp_path, capsys, value):
     assert not out.exists()
 
 
+def test_analyze_rejects_unreferenced_vertex(tmp_path, capsys):
+    obj = tmp_path / "tube.obj"
+    mesh = surfaces.catenoid_mesh(surfaces.CatenoidSpec(1.0, -1.0, 1.0, 16, 8))
+    write_obj(mesh, obj)
+    obj.write_text(obj.read_text() + "v 5 5 5\n")
+    out = tmp_path / "out"
+    assert run(["analyze", str(obj), "--outdir", str(out)]) == 2
+    # one line, no traceback
+    err = capsys.readouterr().err
+    assert err == f"error: vertex {mesh.n_vertices} is referenced by no triangle\n"
+
+
 def test_analyze_roundtrip(tmp_path):
     assert run(["catenoid", "--res", "64x32", "--outdir", str(tmp_path)]) == 0
     code = run(["analyze", str(tmp_path / "catenoid.obj"), "--levels", "3",

@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import corner_sums as oracle_corner_sums
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mintube import exterior, flux, surfaces
+from mintube import mesh as meshmod
 from mintube.mesh import (
     TriMesh,
     gauss_image_diameter,
@@ -278,3 +280,28 @@ def test_total_curvature_feeds_lifetime_bound():
     mesh = catenoid(res=(128, 64))
     report = flux.analyze_tube(mesh, n_levels=3, compute_capacity=False)
     assert report.total_curvature == pytest.approx(total_curvature(mesh)[0])
+
+
+def test_analyze_tube_makes_one_corner_pass(monkeypatch):
+    passes, corner_sums = [], meshmod.corner_sums
+
+    def counted(mesh):
+        passes.append(mesh)
+        return corner_sums(mesh)
+
+    monkeypatch.setattr(flux, "corner_sums", counted)
+    monkeypatch.setattr(meshmod, "corner_sums", counted)
+    mesh = catenoid(res=(64, 32))
+    flux.analyze_tube(mesh, n_levels=3)
+    assert passes == [mesh]
+
+
+def test_analyze_tube_reports_match_the_per_corner_oracle(monkeypatch, annulus_coarse):
+    # a tilted tube from the solver, so that the normals and defects vary
+    mesh, _ = annulus_coarse
+    report = flux.analyze_tube(mesh)
+    monkeypatch.setattr(flux, "corner_sums", oracle_corner_sums)
+    expect = flux.analyze_tube(mesh)
+    assert report.alpha > 0.1
+    assert report.to_json() == expect.to_json()
+    assert report.slices_csv() == expect.slices_csv()

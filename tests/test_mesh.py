@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from conftest import cot_laplacian
+from conftest import corner_angles, cot_laplacian
+from conftest import corner_sums as oracle_corner_sums
 
 from mintube import mesh as meshmod
 from mintube import surfaces
@@ -330,12 +331,14 @@ def test_gauss_image_length_keeps_digits_of_small_angles():
     assert abs(gauss_image_length(cycle) - 2.0 * math.pi) <= 1e-12 * 2.0 * math.pi
 
 
-def test_corner_angles_and_vertex_sums_match_add_at_loop():
-    mesh = surfaces.flat_annulus_mesh(1.0, 2.0, 24, 6)
+@pytest.mark.parametrize("nu, nv", [(24, 6), (64, 32), (256, 128)],
+                         ids=["24x6", "64x32", "256x128"])
+def test_corner_angles_and_vertex_sums_match_add_at_loop(nu, nv):
+    mesh = surfaces.flat_annulus_mesh(1.0, 2.0, nu, nv)
     rng = np.random.default_rng(7)
-    mesh = TriMesh(mesh.vertices + rng.normal(scale=0.02, size=mesh.vertices.shape),
+    mesh = TriMesh(mesh.vertices + rng.normal(scale=0.02 * 24 / nu, size=mesh.vertices.shape),
                    mesh.triangles)
-    angles = meshmod.corner_angles(mesh)
+    angles = corner_angles(mesh)
     assert angles.shape == (len(mesh.triangles), 3)
     assert np.max(np.abs(angles.sum(axis=1) - math.pi)) < 1e-12
     # Reference: one corner at a time, summed by np.add.at.
@@ -354,11 +357,25 @@ def test_corner_angles_and_vertex_sums_match_add_at_loop():
         np.add.at(angle_sum, mesh.triangles[:, k], ang)
         np.add.at(mass, mesh.triangles[:, k], mesh.triangle_areas() / 3.0)
     expect = normals / np.linalg.norm(normals, axis=1)[:, None]
+    # the one corner pass, through each of its readers, and the oracle
     assert np.all(vertex_normals(mesh) == expect)
     assert np.all(meshmod.angle_defects(mesh)[0] == 2.0 * math.pi - angle_sum)
+    for got in (meshmod.corner_sums(mesh), oracle_corner_sums(mesh)):
+        assert np.all(got[0] == expect) and np.all(got[1] == angle_sum)
     # the barycentric vertex areas, summed as the solver's residual sums them
     thirds = np.repeat(mesh.triangle_areas()[:, None] / 3.0, 3, axis=1)
     assert np.all(meshmod._vertex_sums(mesh, thirds) == mass)
+
+
+@pytest.mark.parametrize("tris, message", [
+    ([[0, 1, 3]], "vertex 2 is referenced by no triangle"),
+    ([[0, 1, 2], [0, 2, 1]], "the angle-weighted normal of vertex 0 vanishes")])
+def test_corner_sums_names_the_first_vertex_without_a_normal(tris, message):
+    # the two triangles of the second mesh are one triangle, once per
+    # orientation: at each vertex their normals cancel
+    verts = np.array([[0.0, 0, 0], [1, 0, 0], [5, 5, 5], [0, 1, 0]])
+    with pytest.raises(MeshError, match=f"^{message}$"):
+        meshmod.corner_sums(TriMesh(verts, np.array(tris)))
 
 
 def test_total_curvature_flat_patch_zero():
