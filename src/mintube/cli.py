@@ -31,6 +31,9 @@ class CliError(Exception):
 
 
 def _outdir(args) -> Path:
+    """The output directory, created if missing.  Each command calls this
+    only once its results are computed, so a failed run leaves no empty
+    directory behind."""
     d = Path(args.outdir or os.environ.get(OUTDIR_ENV, "."))
     d.mkdir(parents=True, exist_ok=True)
     return d
@@ -70,16 +73,18 @@ def _write(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _report(args, m: meshmod.TriMesh, outdir: Path, stem: str, levels=None,
-            **solver_tols) -> flux.TubeReport:
+def _analyze(args, m: meshmod.TriMesh, levels=None, **solver_tols) -> flux.TubeReport:
     """Analyze m, recording the check tolerances (and any solver tolerance)
-    in the report, and write its JSON and slice CSV."""
+    in the report."""
     tols = {"margin_tol": args.margin_tol, "invariance_tol": args.invariance_tol,
             **solver_tols}
-    report = flux.analyze_tube(m, levels=levels, n_levels=args.levels, tolerances=tols)
+    return flux.analyze_tube(m, levels=levels, n_levels=args.levels, tolerances=tols)
+
+
+def _write_report(report: flux.TubeReport, outdir: Path, stem: str) -> None:
+    """Write the report's JSON and slice CSV."""
     _write(outdir / f"{stem}_report.json", report.to_json())
     _write(outdir / f"{stem}_slices.csv", report.slices_csv())
-    return report
 
 
 def _verify_report(report: flux.TubeReport, args) -> int:
@@ -110,9 +115,10 @@ def cmd_catenoid(args) -> int:
     spec = surfaces.CatenoidSpec(args.a, args.v[0], args.v[1], nu, nv)
     m = surfaces.catenoid_mesh(spec)
     m.validate()
+    report = _analyze(args, m)
     outdir = _outdir(args)
     meshmod.write_obj(m, outdir / "catenoid.obj")
-    report = _report(args, m, outdir, "catenoid")
+    _write_report(report, outdir, "catenoid")
     return 0 if args.verify == "none" else _verify_report(report, args)
 
 
@@ -168,19 +174,20 @@ def _annulus_problem(args, offset: float) -> solver.AnnulusProblem:
 
 def cmd_solve_annulus(args) -> int:
     prob = _annulus_problem(args, args.offset)
-    outdir = _outdir(args)
     m, conv = solver.solve_annulus(prob)
+    report = _analyze(args, m, solver_tolerance=args.tolerance)
+    outdir = _outdir(args)
     meshmod.write_obj(m, outdir / "annulus.obj")
     _write(outdir / "annulus_convergence.json", conv.to_json())
-    report = _report(args, m, outdir, "annulus", solver_tolerance=args.tolerance)
+    _write_report(report, outdir, "annulus")
     return 0 if args.verify == "none" else _verify_report(report, args)
 
 
 def cmd_analyze(args) -> int:
     m = meshmod.read_obj(args.obj)
     m.validate()
-    report = _report(args, m, _outdir(args), Path(args.obj).stem,
-                     levels=args.levels_at)
+    report = _analyze(args, m, levels=args.levels_at)
+    _write_report(report, _outdir(args), Path(args.obj).stem)
     return _verify_report(report, args)
 
 

@@ -1,9 +1,12 @@
 """Oriented triangle meshes in R^3 and the discrete operators used on them:
 plane slicing into cross-section cycles, the corner pass that gives both
-the angle-weighted vertex normals and the angle-defect curvature, the
-cotangent stiffness and Dirichlet-energy capacity, and the edge-vector
-geometry pass the area solver makes per iterate.  Both passes work on
-coordinate-major (3, M) rows and sum onto the vertices with `bincount`.
+the angle-weighted vertex normals and the angle-defect curvature, and the
+edge-vector pass that gives the cotangent stiffness to the Dirichlet-energy
+capacity and to the geometry the area solver makes per iterate.  Both
+passes work on coordinate-major (3, M) rows and sum onto the vertices with
+`bincount`.  The capacity and the solver's full stage solve their sparse
+symmetric systems with one routine, `refined_solve`: float32 factors,
+refined in float64.
 """
 
 from __future__ import annotations
@@ -429,20 +432,34 @@ def total_curvature(mesh: TriMesh, angle_sums=None):
 # Cotangent stiffness and capacity
 
 
-def cot_stiffness(mesh: TriMesh) -> np.ndarray:
-    """Per-triangle cotangent stiffness: out[m, i, j] = 0.5 (e_i . e_j) / |n|
-    with e_i the edge opposite corner i and n the normal of triangle m.
-
-    An off-diagonal entry is minus half the cotangent of the angle at the
-    third corner, and each row sums to zero.  A floor on |n| keeps
-    degenerate triangles finite.  The capacity is assembled from this form;
-    `edge_geometry` computes the same S, to rounding, with the rest of the
-    solver's per-iterate geometry.
-    """
-    p = mesh.vertices[mesh.triangles]                 # (M, 3 corners, 3)
-    e = np.roll(p, -1, axis=1) - np.roll(p, -2, axis=1)
-    nn = np.linalg.norm(np.cross(e[:, 0], e[:, 1]), axis=1)
-    return (e @ e.transpose(0, 2, 1)) * (0.5 / np.maximum(nn, 1e-300))[:, None, None]
+def _stiffness_pass(mesh: TriMesh):
+    """(t, e, n, nn, half, sq, S): the coordinate-major edge arithmetic that
+    `edge_geometry` and `harmonic_capacity` share.  t holds the corners
+    (3, M); e[:, i] = p_{i+1} - p_{i+2} is the edge opposite corner i
+    (3 coords, 3, M); n = e_0 x e_1 is the normal, (3, M), with nn = |n|
+    and half = 0.5 / |n|, a floor on |n| keeping degenerate triangles
+    finite; sq[i] = |e_i|^2; and S (3, 3, M) is the cotangent stiffness
+    S_ij = e_i.e_j / 2|n|.  An off-diagonal S_ij is minus half the cotangent
+    of the angle at the third corner, and each row of S sums to zero."""
+    t = np.ascontiguousarray(mesh.triangles.T)        # (3 corners, M)
+    p = np.take(np.ascontiguousarray(mesh.vertices.T), t, axis=1)   # (3 coords, 3, M)
+    nxt, prv = (1, 2, 0), (2, 0, 1)
+    e = np.empty_like(p)                              # e[:, i] = p_{i+1} - p_{i+2}
+    for i in range(3):
+        e[:, i] = p[:, nxt[i]] - p[:, prv[i]]
+    del p
+    ex, ey, ez = e
+    n = np.stack([ey[0] * ez[1] - ez[0] * ey[1],
+                  ez[0] * ex[1] - ex[0] * ez[1],
+                  ex[0] * ey[1] - ey[0] * ex[1]])
+    nn = np.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
+    half = 0.5 / np.maximum(nn, 1e-300)
+    sq = ex * ex + ey * ey + ez * ez                  # |e_i|^2
+    S = np.empty((3, 3, len(nn)))
+    for i, j, k in zip(range(3), nxt, prv):
+        S[i, i] = half * sq[i]
+        S[j, k] = S[k, j] = half * (ex[j] * ex[k] + ey[j] * ey[k] + ez[j] * ez[k])
+    return t, e, n, nn, half, sq, S
 
 
 @dataclass(frozen=True)
@@ -461,36 +478,19 @@ class EdgeGeometry:
 
 def edge_geometry(mesh: TriMesh) -> EdgeGeometry:
     """One pass over the edge vectors e_i = p_{i+1} - p_{i+2} of every
-    triangle gives its normal, the stiffness S from the dot products
-    e_i.e_j, and the area gradient 0.5 e_i x nh at corner i, which is
-    S_{i,i+2} e_{i+1} - S_{i,i+1} e_{i+2}: the cotangent Laplacian of the
-    positions (Pinkall & Polthier 1993), summed from edges rather than
-    positions.  The gradient and the vertex areas are summed onto the
-    vertices by one scatter, corner-major as in `_vertex_sums`.  A floor on
-    |n| keeps degenerate triangles finite.
+    triangle, `_stiffness_pass`, gives its normal, the stiffness S from the
+    dot products e_i.e_j, and the area gradient 0.5 e_i x nh at corner i,
+    which is S_{i,i+2} e_{i+1} - S_{i,i+1} e_{i+2}: the cotangent Laplacian
+    of the positions (Pinkall & Polthier 1993), summed from edges rather
+    than positions.  The gradient and the vertex areas are summed onto the
+    vertices by one scatter, corner-major as in `_vertex_sums`.
 
     The arrays are computed coordinate-major, (3, 3, M) and so on, so that
     every product is an array operation on contiguous rows; the per-triangle
     fields are copied out in triangle-major order."""
-    t = np.ascontiguousarray(mesh.triangles.T)        # (3 corners, M)
-    p = np.take(np.ascontiguousarray(mesh.vertices.T), t, axis=1)   # (3 coords, 3, M)
-    nxt, prv = (1, 2, 0), (2, 0, 1)
-    e = np.empty_like(p)                              # e[:, i] = p_{i+1} - p_{i+2}
-    for i in range(3):
-        e[:, i] = p[:, nxt[i]] - p[:, prv[i]]
-    ex, ey, ez = e
-    n = np.stack([ey[0] * ez[1] - ez[0] * ey[1],
-                  ez[0] * ex[1] - ex[0] * ez[1],
-                  ex[0] * ey[1] - ey[0] * ex[1]])
-    nn = np.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
-    half = 0.5 / np.maximum(nn, 1e-300)
-    sq = ex * ex + ey * ey + ez * ez                  # |e_i|^2
-    S = np.empty((3, 3, len(nn)))
-    for i, j, k in zip(range(3), nxt, prv):
-        S[i, i] = half * sq[i]
-        S[j, k] = S[k, j] = half * (ex[j] * ex[k] + ey[j] * ey[k] + ez[j] * ez[k])
+    t, e, n, nn, half, sq, S = _stiffness_pass(mesh)
     corner = np.empty((4, 3, len(nn)))               # gradient x, y, z; area / 3
-    for i, j, k in zip(range(3), nxt, prv):
+    for i, j, k in zip(range(3), (1, 2, 0), (2, 0, 1)):
         corner[:3, i] = S[i, k] * e[:, j] - S[i, j] * e[:, k]
     corner[3] = nn / 6.0
     nv = mesh.n_vertices
@@ -503,6 +503,9 @@ def edge_geometry(mesh: TriMesh) -> EdgeGeometry:
                         mean_edge_length=float(np.sqrt(sq).mean()))
 
 
+REFINE_STEPS = 2      # float64 refinements of each float32-factored solve
+
+
 def factor_symmetric(A, ordered: bool = False):
     """SuperLU factorization of a sparse CSC matrix with symmetric structure
     and a safe diagonal (symmetric positive definite, or close to it):
@@ -511,10 +514,35 @@ def factor_symmetric(A, ordered: bool = False):
     out in such an order (the `perm_c` of an earlier factorization of the
     same pattern) and is factored in its natural order.  The factors have
     the precision of A's data, float32 or float64, and so must the
-    right-hand sides passed to their `solve`.  Raises RuntimeError when a
-    pivot is exactly zero."""
+    right-hand sides passed to their `solve`.  SuperLU's default panel size
+    and relaxation are kept: a panel of 6 with relaxation 3 factors the
+    float32 capacity system of the 256x128 catenoid about a fifth faster,
+    but raises the error of the refined full-stage step at 96x48 and
+    mu = 1e-2 from 3.8e-5 to 1.7e-2, and a panel of 32 with relaxation 16
+    corrupts the heap (scipy 1.17).  Raises RuntimeError when a pivot is
+    exactly zero."""
     return spla.splu(A, permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
+def refined_solve(A, b, ordered: bool = False):
+    """(x, perm_c): the solution of A x = b for a float64 CSC matrix A, as
+    `factor_symmetric` takes it, and the column order of the factorization.
+
+    A is factored by `factor_symmetric` in float32, in about three quarters
+    of the float64 time and half the memory, and x is then refined
+    REFINE_STEPS times against A in float64, x += LU32^-1 (b - A x)
+    (mixed-precision iterative refinement: Buttari, Dongarra, Kurzak,
+    Luszczek & Tomov 2008; Carson & Higham 2018).  Each refinement cuts the
+    error by a factor of about kappa(A) * u32, down to the error of a
+    float64 solve.  The factors live only for this call: perm_c is a copy.
+    Raises RuntimeError when a pivot is exactly zero."""
+    lu = factor_symmetric(sp.csc_matrix((A.data.astype(np.float32), A.indices, A.indptr),
+                                        shape=A.shape), ordered=ordered)
+    x = lu.solve(b.astype(np.float32)).astype(float)
+    for _ in range(REFINE_STEPS):
+        x += lu.solve((b - A @ x).astype(np.float32))
+    return x, lu.perm_c.copy()
 
 
 def harmonic_capacity(mesh: TriMesh, loop0, loop1):
@@ -524,6 +552,14 @@ def harmonic_capacity(mesh: TriMesh, loop0, loop1):
 
     In two dimensions this energy also equals the module of the family of
     curves connecting the two boundary components.
+
+    The free block of the cotangent Laplacian is summed from the stiffness
+    S of `_stiffness_pass` and solved by `refined_solve`: factored in
+    float32 and refined in float64, which leaves phi within about 1e-13 of
+    a float64 factorization's on the 256x128 catenoid, and the energy
+    within about 1e-14 relative.  Warns when phi leaves [0, 1] by more than
+    1e-9, which the discrete maximum principle forbids on a mesh whose
+    cotangent weights are all positive.
     """
     loop0 = np.asarray(loop0, dtype=np.int64)
     loop1 = np.asarray(loop1, dtype=np.int64)
@@ -534,29 +570,35 @@ def harmonic_capacity(mesh: TriMesh, loop0, loop1):
     if set(map(int, loop0)) & set(map(int, loop1)):
         raise MeshError("boundary loops overlap")
 
-    t = mesh.triangles
-    S = cot_stiffness(mesh)
-    phi = np.zeros(mesh.n_vertices)
+    # Only the corners (3, M) and S (3, 3, M) are kept: the edge arrays
+    # would raise the peak memory of the factorization.
+    stiffness = _stiffness_pass(mesh)
+    t, S = stiffness[0], stiffness[-1]
+    del stiffness
+    nv = mesh.n_vertices
+    phi = np.zeros(nv)
     phi[loop1] = 1.0
-    free = np.ones(mesh.n_vertices, dtype=bool)
+    free = np.ones(nv, dtype=bool)
     free[loop0] = free[loop1] = False
     # A = L[free][:, free], with L the cotangent Laplacian: the sum of S
     # over the corner pairs of triangles whose two corners are both free.
     # The row numbers are int32, the index type scipy stores; int64 ones
     # would be copied down only after the full-size index arrays exist.
     row = (np.cumsum(free, dtype=np.int32) - 1)[t]
-    pair = free[t][:, :, None] & free[t][:, None, :]
+    pair = free[t][:, None, :] & free[t][None, :, :]
     n_free = int(free.sum())
-    A = sp.csc_matrix((S[pair], (np.broadcast_to(row[:, :, None], S.shape)[pair],
-                                 np.broadcast_to(row[:, None, :], S.shape)[pair])),
+    A = sp.csc_matrix((S[pair], (np.broadcast_to(row[:, None, :], S.shape)[pair],
+                                 np.broadcast_to(row[None, :, :], S.shape)[pair])),
                       shape=(n_free, n_free))
 
     def laplacian_times(x):
-        return _vertex_sums(mesh, (S @ x[t][:, :, None])[:, :, 0])
+        xt = x[t]
+        y = S[:, 0] * xt[0] + S[:, 1] * xt[1] + S[:, 2] * xt[2]   # (3, M)
+        return np.bincount(t.ravel(), weights=y.ravel(), minlength=nv)
 
     rhs = -laplacian_times(phi)[free]
     try:
-        sol = factor_symmetric(A).solve(rhs)
+        sol, _ = refined_solve(A, rhs)
     except Exception as exc:  # singular system: disconnected mesh etc.
         raise MeshError(f"harmonic solve failed: {exc}") from exc
     if not np.all(np.isfinite(sol)):

@@ -59,24 +59,21 @@ k_{i,i+1} = -1/2, k_{i,i+2} = +1/2.  The stack stage sums B^T H B and
 B^T kron(L, I3) B from these blocks in closed form, strip by strip of the
 ring grid (`_StackBasis`), and never forms a matrix of the 3N coordinates.
 The full stage sums the blocks, and S onto their diagonals for kron(L, I3),
-into a CSC pattern built on its first iteration, and factors
-H + mu kron(L, I3) with `mesh.factor_symmetric` (SuperLU, symmetric mode,
-diagonal pivots).  Its minimum-degree ordering depends on the pattern only:
-the first accepted factorization fixes it, the pattern is laid out in that
-order, and later factorizations keep the natural order.  The factorization,
-most of a full iteration's cost, runs in float32: about three quarters of
-the float64 time and half the memory.  Each step is then refined twice
-against the float64 system, x += LU32^-1 (-g - A x) (mixed-precision
-iterative refinement: Buttari, Dongarra, Kurzak, Luszczek & Tomov 2008;
-Carson & Higham 2018), and the model prediction uses the float64 H.  A
-refinement cuts the step's error by about kappa * u32.  Against a float64
+into a CSC pattern built on its first iteration, and solves
+(H + mu kron(L, I3)) s = -g with `mesh.refined_solve`: a float32
+factorization by `mesh.factor_symmetric` (SuperLU, symmetric mode, diagonal
+pivots), about three quarters of the float64 time and half the memory,
+refined twice against the float64 system.  Its minimum-degree ordering
+depends on the pattern only: the first accepted factorization fixes it, the
+pattern is laid out in that order, and later factorizations keep the
+natural order.  The model prediction uses the float64 H.  Against a float64
 factorization, on the full-stage iterates of the offset-0.3 annulus, the
-error is at most 2e-3 unrefined, 1.3e-5 after one refinement and 6e-8 after
-two at 96x48, and 5e-3, 1e-4 and 2.3e-6 at 128x64 (the last at mu 6e-6);
-the iteration counts are those of float64 factors.  An exactly singular system is handled like a rejected step: mu
-grows and the step is retried.  `mesh.harmonic_capacity` calls
-`factor_symmetric` in float64: its one solve is cheap, and its potential is
-a reported result, not a step that an area test judges.
+step's error is at most 2e-3 unrefined, 1.3e-5 after one refinement and
+6e-8 after two at 96x48, and 5e-3, 1e-4 and 2.3e-6 at 128x64 (the last at
+mu 6e-6); the iteration counts are those of float64 factors.  An exactly
+singular system is handled like a rejected step: mu grows and the step is
+retried.  `mesh.harmonic_capacity` solves its system through the same
+routine.
 """
 
 from __future__ import annotations
@@ -89,7 +86,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import (EdgeGeometry, MeshError, TriMesh, _vertex_sums,
-                   edge_geometry, factor_symmetric, slice_mesh)
+                   edge_geometry, refined_solve, slice_mesh)
 from .surfaces import _revolution_mesh
 
 PINCH_RATIO = 0.02    # mid-slice length below this fraction of the
@@ -101,7 +98,6 @@ STACK_TOL_RATIO = 0.01  # the stack stage stops at this fraction of the
                         # minimizer leaves the full stage less to do
 AREA_ROUNDING = 16 * np.finfo(float).eps  # rounding floor of the area sum,
                                           # relative to the area
-REFINE_STEPS = 2      # float64 refinements of each float32-factored full step
 
 
 class NoAnnulusError(RuntimeError):
@@ -466,9 +462,9 @@ class _Descent:
         return False
 
     def _factored_solve(self):
-        """`solve(mu)` for the full stage: H + mu kron(L, I3) factored by
-        SuperLU in float32, in the pattern's order, and the step refined
-        REFINE_STEPS times against the float64 system."""
+        """`solve(mu)` for the full stage: H + mu kron(L, I3), in the
+        pattern's order, solved by `refined_solve` (float32 factors refined
+        against the float64 system)."""
         pattern = self.pattern
         g = self.grad.ravel()[pattern.order]          # in matrix order
         hess = pattern.values(_area_hessian(self.geo.stiffness, self.geo.normals))
@@ -476,17 +472,10 @@ class _Descent:
         H = pattern.matrix(hess)
 
         def solve(mu):
-            # The factors live only for this solve, so that they are freed
-            # before the next assembly; a copy of perm_c lets them go.
-            values = hess + mu * lap
-            lu = factor_symmetric(pattern.matrix(values.astype(np.float32)),
-                                  ordered=pattern.ordered)
+            x, perm_c = refined_solve(pattern.matrix(hess + mu * lap), -g,
+                                      ordered=pattern.ordered)
             if not pattern.ordered:
-                self.fill_order = lu.perm_c.copy()
-            A = pattern.matrix(values)
-            x = lu.solve(-g.astype(np.float32)).astype(float)
-            for _ in range(REFINE_STEPS):
-                x += lu.solve((-g - A @ x).astype(np.float32))
+                self.fill_order = perm_c
             return x[pattern.perm].reshape(-1, 3), -(g @ x + 0.5 * x @ (H @ x))
         return solve
 

@@ -1,7 +1,7 @@
 """Shared fixtures: analytic catenoid bands at the acceptance resolutions
 and solver-produced offset annuli at two refinement levels; and the
-reference cotangent Laplacian and per-corner angle sums the tests check
-the stiffness-based operators and the corner pass against.
+reference cotangent stiffness and Laplacian and per-corner angle sums the
+tests check the stiffness-based operators and the corner pass against.
 
 Solves are session-scoped because the two annulus solves take about 1.9 s
 together on a 2-core x86 machine, 0.5 s of it the 256x128 one; every test
@@ -13,16 +13,31 @@ import pytest
 import scipy.sparse as sp
 
 from mintube import solver, surfaces
-from mintube.mesh import _vertex_sums, cot_stiffness
+from mintube.mesh import _vertex_sums
 
 
-def cot_laplacian(mesh):
+def cot_stiffness(mesh):
+    """Reference per-triangle cotangent stiffness, from (M, 3 corners, 3)
+    arrays: out[m, i, j] = 0.5 (e_i . e_j) / |n| with e_i the edge opposite
+    corner i and n the normal of triangle m: the triangle-major form that
+    `mesh._stiffness_pass` replaced.  An off-diagonal entry is minus half
+    the cotangent of the angle at the third corner, and each row sums to
+    zero.  A floor on |n| keeps degenerate triangles finite."""
+    p = mesh.vertices[mesh.triangles]                 # (M, 3 corners, 3)
+    e = np.roll(p, -1, axis=1) - np.roll(p, -2, axis=1)
+    nn = np.linalg.norm(np.cross(e[:, 0], e[:, 1]), axis=1)
+    return (e @ e.transpose(0, 2, 1)) * (0.5 / np.maximum(nn, 1e-300))[:, None, None]
+
+
+def cot_laplacian(mesh, S=None):
     """Reference cotangent Laplacian L (positive semidefinite, L @ 1 = 0),
-    summed from the per-triangle stiffness into an n x n CSR matrix, and
-    the barycentric vertex areas.  phi^T L phi is the Dirichlet energy."""
+    summed from the per-triangle stiffness S, (M, 3, 3) and by default
+    `cot_stiffness`, into an n x n CSR matrix, and the barycentric vertex
+    areas.  phi^T L phi is the Dirichlet energy."""
     t = mesh.triangles
     nv = mesh.n_vertices
-    S = cot_stiffness(mesh)
+    if S is None:
+        S = cot_stiffness(mesh)
     L = sp.csr_matrix(
         (S.ravel(), (np.broadcast_to(t[:, :, None], S.shape).ravel(),
                      np.broadcast_to(t[:, None, :], S.shape).ravel())),

@@ -154,6 +154,16 @@ def test_solve_annulus_no_annulus_exit_code(tmp_path, res, top):
     assert code == 2
 
 
+def test_solve_annulus_pinch_creates_no_outdir(tmp_path, capsys):
+    # the output directory is made only once the solve has returned
+    out = tmp_path / "out"
+    code = run(["solve-annulus", "--res", "32x16", "--heights", "0", "4",
+                "--outdir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("no annulus: ")
+    assert not out.exists()
+
+
 def test_solve_annulus_degeneration_exit_code(tmp_path, capsys):
     # an annulus spans these circles (the stack stage converges), but the
     # full stage degenerates the mesh: exit 3, not the no-annulus exit 2
@@ -287,6 +297,7 @@ def test_analyze_rejects_unreferenced_vertex(tmp_path, capsys):
     # one line, no traceback
     err = capsys.readouterr().err
     assert err == f"error: vertex {mesh.n_vertices} is referenced by no triangle\n"
+    assert not out.exists()
 
 
 def test_analyze_roundtrip(tmp_path):

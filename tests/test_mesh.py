@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from conftest import corner_angles, cot_laplacian
+from conftest import catenoid, corner_angles, cot_laplacian
 from conftest import corner_sums as oracle_corner_sums
 
 from mintube import mesh as meshmod
@@ -442,14 +443,16 @@ def capacity_case(name):
     if name == "flat_annulus_256x64":
         return surfaces.flat_annulus_mesh(1.0, 3.0, 256, 64)
     if name == "catenoid_128x64":
-        return surfaces.catenoid_mesh(surfaces.CatenoidSpec(1.0, -1.0, 1.0, 128, 64))
+        return catenoid(1.0, -1.0, 1.0, 128, 64)
+    if name == "catenoid_256x128":
+        return catenoid(1.0, -1.0, 1.0, 256, 128)
     mesh = surfaces.flat_annulus_mesh(1.0, 3.0, 96, 24)
     z = np.random.default_rng(5).normal(scale=0.02, size=mesh.n_vertices)
     return TriMesh(mesh.vertices + np.outer(z, [0.0, 0.0, 1.0]), mesh.triangles)
 
 
 @pytest.mark.parametrize("name", ["flat_annulus_256x64", "catenoid_128x64",
-                                  "perturbed_annulus_96x24"])
+                                  "catenoid_256x128", "perturbed_annulus_96x24"])
 def test_harmonic_capacity_matches_spsolve(name):
     mesh = capacity_case(name)
     lp0, lp1 = mesh.boundary_loops()
@@ -463,25 +466,71 @@ def test_harmonic_capacity_matches_spsolve(name):
 @pytest.mark.parametrize("name", ["flat_annulus_256x64", "catenoid_128x64",
                                   "perturbed_annulus_96x24"])
 def test_harmonic_capacity_free_block_matches_reference(name, monkeypatch):
+    # The float64 block the float32 factors are refined against.
     mesh = capacity_case(name)
     lp0, lp1 = mesh.boundary_loops()
-    factored = []
-    factor_symmetric = meshmod.factor_symmetric
+    systems = []
+    refined_solve = meshmod.refined_solve
 
-    def capture(A, **kwargs):
-        factored.append(A)
-        return factor_symmetric(A, **kwargs)
+    def capture(A, b, **kwargs):
+        systems.append(A)
+        return refined_solve(A, b, **kwargs)
 
-    monkeypatch.setattr(meshmod, "factor_symmetric", capture)
+    monkeypatch.setattr(meshmod, "refined_solve", capture)
     harmonic_capacity(mesh, lp0, lp1)
-    (A,) = factored
-    L, _ = cot_laplacian(mesh)
+    (A,) = systems
+    # Summed from the solver's stiffness, so that only the assembly is
+    # compared; `test_edge_geometry_matches_formulas` checks that S.
+    L, _ = cot_laplacian(mesh, meshmod.edge_geometry(mesh).stiffness)
     free = ~mesh.boundary_vertex_mask()
     want = L[free][:, free].tocsc()
     assert A.format == "csc" and A.indices.dtype == np.int32
+    assert A.dtype == np.float64
     assert np.array_equal(A.indptr, want.indptr)
     assert np.array_equal(A.indices, want.indices)
     assert np.all(np.abs(A.data - want.data) <= 1e-15 * np.abs(want.data))
+
+
+@pytest.mark.parametrize("fixture", ["catenoid_fine", "catenoid_fine_a2"])
+def test_harmonic_capacity_energy_matches_float64_factors(fixture, request):
+    # At the benchmark's 256x128, for a = 1 and a = 2: the refined float32
+    # solve against a float64 factorization of the same free block.
+    mesh = request.getfixturevalue(fixture)
+    lp0, lp1 = mesh.boundary_loops()
+    cap, _ = harmonic_capacity(mesh, lp0, lp1)
+    L, _ = cot_laplacian(mesh)
+    phi = np.zeros(mesh.n_vertices)
+    phi[lp1] = 1.0
+    free = ~mesh.boundary_vertex_mask()
+    phi[free] = meshmod.factor_symmetric(L[free][:, free].tocsc()).solve(-(L @ phi)[free])
+    want = float(phi @ (L @ phi))
+    assert abs(cap - want) <= 1e-13 * want
+
+
+def test_harmonic_capacity_warns_outside_the_maximum_principle(monkeypatch):
+    # Interior vertex 16 of the 16x2 annulus 1 <= r <= 2, folded over the
+    # outer circle to (2.5, 0, 0): some of its edges get negative cotangent
+    # weights (positive off-diagonal entries of L), and phi rises to 1.14
+    # there, as the general LU solve of the same system confirms.
+    mesh = surfaces.flat_annulus_mesh(1.0, 2.0, 16, 2)
+    verts = mesh.vertices.copy()
+    verts[16] = [2.5, 0.0, 0.0]
+    folded = TriMesh(verts, mesh.triangles)
+    folded.validate()
+    L, _ = cot_laplacian(folded)
+    assert (L - sp.diags(L.diagonal())).max() > 0
+    lp0, lp1 = folded.boundary_loops()
+    splu = meshmod.spla.splu
+    dtypes = []
+    monkeypatch.setattr(meshmod.spla, "splu",
+                        lambda A, **k: dtypes.append(A.dtype) or splu(A, **k))
+    message = (r"^discrete maximum principle violated \(range \[0\.000e\+00, "
+               r"1\.140e\+00\]\); mesh has negative cotangent weights$")
+    with pytest.warns(UserWarning, match=message):
+        _, phi = harmonic_capacity(folded, lp0, lp1)
+    assert dtypes == [np.dtype(np.float32)]
+    _, want_phi = spsolve_capacity(folded, lp0, lp1)
+    assert np.max(np.abs(phi - want_phi)) <= 1e-12
 
 
 def test_harmonic_capacity_factorization_failure(monkeypatch):
