@@ -27,7 +27,7 @@ rounding floor the residual only decides when to stop.
 minimal annulus between two circles in parallel planes meets every plane in
 between in a circle, so it is a stack of circles (by Riemann (1867), a
 piece of a catenoid or of one of Riemann's examples).  The stack stage
-minimizes area over the stacks on the ring grid of `initial_annulus`:
+minimizes area over the stacks on the `RingGrid` of `initial_annulus`:
 interior ring j is c_j + r_j (cos u_i, sin u_i, 0) at its fixed height,
 3 (nv - 1) unknowns in all, and the ruled start is one such stack.  With B
 the linear map from those unknowns to the vertex coordinates, each step
@@ -87,7 +87,7 @@ import scipy.sparse as sp
 
 from .mesh import (EdgeGeometry, MeshError, TriMesh, _vertex_sums,
                    edge_geometry, refined_solve, slice_mesh)
-from .surfaces import _revolution_mesh
+from .surfaces import RingGrid, _revolution_mesh
 
 PINCH_RATIO = 0.02    # mid-slice length below this fraction of the
                       # smaller boundary circumference aborts
@@ -150,6 +150,10 @@ class AnnulusProblem:
             raise ValueError("circle0 must lie strictly below circle1")
         if self.nu < 8 or self.nv < 2:
             raise ValueError("resolution too coarse: need nu >= 8, nv >= 2")
+        try:
+            initial_annulus(self).validate()
+        except MeshError as exc:
+            raise ValueError(f"the ruled start is not a valid mesh: {exc}") from None
 
 
 @dataclass
@@ -171,13 +175,11 @@ class ConvergenceReport:
 
 def initial_annulus(problem: AnnulusProblem) -> TriMesh:
     """Ruled surface between the two circles, triangulated nu x nv."""
-    c0 = np.asarray(problem.circle0.center, dtype=float)
-    c1 = np.asarray(problem.circle1.center, dtype=float)
-    s = np.linspace(0.0, 1.0, problem.nv + 1)
-    radii = (1 - s) * problem.circle0.radius + s * problem.circle1.radius
-    heights = (1 - s) * c0[2] + s * c1[2]
-    centers = (1 - s)[:, None] * c0[None, :2] + s[:, None] * c1[None, :2]
-    return _revolution_mesh(radii, heights, problem.nu, centers=centers)
+    s = np.linspace(0.0, 1.0, problem.nv + 1)[:, None]
+    c0, c1 = (np.array([*c.center, c.radius], dtype=float)
+              for c in (problem.circle0, problem.circle1))
+    rings = (1 - s) * c0 + s * c1                  # (x, y, z, r) of each ring
+    return _revolution_mesh(rings[:, 3], rings[:, 2], problem.nu, centers=rings[:, :2])
 
 
 def mean_curvature_residual(geo: EdgeGeometry, interior: np.ndarray):
@@ -186,10 +188,19 @@ def mean_curvature_residual(geo: EdgeGeometry, interior: np.ndarray):
 
     Returns (grad, res): grad = (L @ V)[interior] with L the cotangent
     Laplacian, and res = max |H| * mean edge length, with |H| the gradient
-    norm over the barycentric vertex area."""
+    norm over the barycentric vertex area (inf where that area is zero)."""
     grad = geo.gradient[interior]
-    h = np.linalg.norm(grad, axis=1) / geo.vertex_areas[interior]
-    return grad, float(h.max()) * geo.mean_edge_length
+    return grad, _curvature_residual(np.linalg.norm(grad, axis=1),
+                                     geo.vertex_areas[interior], geo)
+
+
+def _curvature_residual(norms: np.ndarray, areas: np.ndarray,
+                        geo: EdgeGeometry) -> float:
+    """max(norms / areas) times the mean edge length of `geo`; inf where an
+    area is not positive, as on a collapsed triangle."""
+    if not np.all(areas > 0):
+        return math.inf
+    return float((norms / areas).max()) * geo.mean_edge_length
 
 
 def _area_hessian(S: np.ndarray, nh: np.ndarray) -> np.ndarray:
@@ -292,20 +303,18 @@ class _HessianPattern:
 
 
 class _StackBasis:
-    """The stacks of horizontal circles on the ring grid of `_revolution_mesh`
-    with nu vertices per ring and rings 0 .. nv, ring 0 and ring nv on the
-    boundary: interior ring j is c_j + r_j (cos u_i, sin u_i, 0) at its
-    fixed height.  `matrix` is the linear map B from the unknowns
+    """The stacks of horizontal circles on a `RingGrid`, ring 0 and ring nv
+    on the boundary: interior ring j is c_j + r_j (cos u_i, sin u_i, 0) at
+    its fixed height.  `matrix` is the linear map B from the unknowns
     (c_j, r_j), in columns 3(j-1) .. 3(j-1)+2, to the interior vertex
     coordinates.
 
     B^T H B and B^T kron(L, I3) B are summed strip by strip, from the blocks
-    of `_area_hessian` in closed form.  The 2 nu triangles of strip s,
-    between rings s and s+1, are a block of the grid's triangle order, and
-    corner i of each moves with the six unknowns (c, r) of those two rings
-    through a 3x6 Jacobian J_i.  Its third row is zero, since a ring keeps
-    its height, and its first two rows Jh_i are (1, 0, cos u; 0, 1, sin u)
-    in the columns of the corner's ring.  Since each row of S sums to zero,
+    of `_area_hessian` in closed form.  Corner i of a triangle of strip s
+    moves with the six unknowns (c, r) of rings s and s+1 through a 3x6
+    Jacobian J_i.  Its third row is zero, since a ring keeps its height,
+    and its first two rows Jh_i are (1, 0, cos u; 0, 1, sin u) in the
+    columns of the corner's ring.  Since each row of S sums to zero,
     sum_ij S_ij a_i b_j^T = -sum_p S_p (a_j - a_k)(b_j - b_k)^T over the
     three corner pairs p = (j, k) = (p+1, p+2) of a triangle, with
     S_p = S_jk.  And for horizontal a and b, a.(nh x b) = nh_z (R a).b with
@@ -320,16 +329,16 @@ class _StackBasis:
     ring are summed too, and dropped.
     """
 
-    def __init__(self, nu: int, nv: int):
+    def __init__(self, grid: RingGrid):
+        nu, nv = grid.nu, grid.nv
         self.nv = nv
-        u = np.arange(nu) * (2.0 * math.pi / nu)       # as in `_revolution_mesh`
         ring = np.zeros((nu, 3, 3))
         ring[:, :2, :2] = np.eye(2)
-        ring[:, 0, 2], ring[:, 1, 2] = np.cos(u), np.sin(u)
+        ring[:, :, 2] = grid.directions
         self.matrix = sp.kron(sp.identity(nv - 1), ring.reshape(3 * nu, 3),
                               format="csr")
         # Jh_i on an even and an odd strip: (strip, triangle, corner, row, 6).
-        tris = _revolution_mesh(np.ones(3), np.zeros(3), nu).triangles.reshape(2, -1, 3)
+        tris = grid.triangles[:4 * nu].reshape(2, -1, 3)
         ring_of, k = np.divmod(tris, nu)
         upper = (ring_of > np.arange(2)[:, None, None])[..., None, None]
         jh = ring[k, :2]                               # (1, 0, cos u; 0, 1, sin u)
@@ -377,8 +386,7 @@ class _StackBasis:
         length.  It is zero exactly where the stack is stationary."""
         ring_g = (self.matrix.T @ geo.gradient[interior].ravel()).reshape(-1, 3)
         ring_area = geo.vertex_areas[interior].reshape(len(ring_g), -1).sum(axis=1)
-        h = np.linalg.norm(ring_g, axis=1) / ring_area
-        return float(h.max()) * geo.mean_edge_length
+        return _curvature_residual(np.linalg.norm(ring_g, axis=1), ring_area, geo)
 
 
 class _Descent:
@@ -581,35 +589,29 @@ class _Descent:
 
 def _stack_basis(mesh: TriMesh) -> _StackBasis | None:
     """The stacks of circles through `mesh`, when it is a stack of
-    horizontal circles on the ring grid of `_revolution_mesh` (as
-    `initial_annulus` builds it): vertex i of ring j at j * nu + i, and
+    horizontal circles on a `RingGrid` (as `initial_annulus` builds it):
     interior ring j (0 < j < nv) equal to c_j + r_j (cos u_i, sin u_i, 0) at
     a fixed height.  None for any other mesh.
     """
-    nu = len(mesh.boundary_loops()[0])
-    nv = mesh.n_vertices // nu - 1
-    if nv < 2 or mesh.n_vertices != (nv + 1) * nu:
+    grid = RingGrid.of(mesh)
+    if grid is None or grid.nv < 2:
         return None
-    grid = _revolution_mesh(np.ones(nv + 1), np.zeros(nv + 1), nu)
-    if not np.array_equal(mesh.triangles, grid.triangles):
-        return None
-    u = np.arange(nu) * (2.0 * math.pi / nu)       # as in `_revolution_mesh`
-    dirs = np.stack([np.cos(u), np.sin(u), np.zeros(nu)], axis=1)
-    rings = mesh.vertices.reshape(nv + 1, nu, 3)[1:-1]
+    dirs = grid.directions
+    rings = mesh.vertices.reshape(grid.nv + 1, grid.nu, 3)[1:-1]
     offsets = rings - rings.mean(axis=1, keepdims=True)    # from the centers
-    radii = (offsets * dirs).sum(axis=(1, 2)) / nu
+    radii = (offsets * dirs).sum(axis=(1, 2)) / grid.nu
     if not np.allclose(offsets, radii[:, None, None] * dirs, rtol=0.0,
                        atol=1e-12 * mesh.bbox_diagonal()):
         return None
-    return _StackBasis(nu, nv)
+    return _StackBasis(grid)
 
 
 def minimize_area(mesh: TriMesh, options: SolverOptions | None = None):
     """Relax interior vertices to a discrete minimal surface.
 
-    A stack of horizontal circles on the ring grid of `_revolution_mesh`,
-    such as the ruled surface `initial_annulus` builds, is first relaxed
-    over stacks of circles, then over every interior vertex.
+    A stack of horizontal circles on a `RingGrid`, such as the ruled
+    surface `initial_annulus` builds, is first relaxed over stacks of
+    circles, then over every interior vertex.
 
     Returns (minimized TriMesh, ConvergenceReport).  Boundary vertices are
     bit-identical to their input positions.  Every accepted step lowers the

@@ -42,35 +42,63 @@ class CatenoidSpec:
             raise ValueError("v_min must be below v_max")
         if self.nu < 8 or self.nv < 2:
             raise ValueError("resolution too coarse: need nu >= 8, nv >= 2")
+        a, ends = self.neck_radius, np.array([self.v_min, self.v_max])
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(a * np.cosh(ends / a))):
+                raise ValueError(f"the radius a cosh(v/a) overflows on [{self.v_min:.6g}, "
+                                 f"{self.v_max:.6g}]; ask for a larger a or a shorter band")
+
+
+@dataclass(frozen=True)
+class RingGrid:
+    """The layout of every surface of revolution and solver annulus: rings
+    j = 0 .. nv, vertex i of ring j at index j * nu + i and angle
+    u_i = 2 pi i / nu.  Quad diagonals alternate with the parity of i + j,
+    for isotropy, and normals point toward the axis at a neck (as
+    gamma = (-cos u, -sin u, sinh v)/cosh v on the catenoid).  Triangle rows
+    2 nu j .. 2 nu (j + 1), strip j, lie between rings j and j + 1."""
+
+    nu: int
+    nv: int
+
+    @property
+    def directions(self) -> np.ndarray:
+        """(nu, 3): the unit vectors (cos u_i, sin u_i, 0)."""
+        u = np.arange(self.nu) * (2.0 * math.pi / self.nu)
+        return np.stack([np.cos(u), np.sin(u), np.zeros(self.nu)], axis=1)
+
+    @property
+    def triangles(self) -> np.ndarray:
+        nu = self.nu
+        j, i = np.indices((self.nv, nu))
+        v00, v10 = j * nu + i, j * nu + (i + 1) % nu
+        quad = np.stack([v00, v10, v00 + nu, v10 + nu], axis=-1)  # v00 v10 v01 v11
+        # Two triangles per quad as corners of `quad`, by the parity of i + j.
+        split = np.array([[0, 3, 1, 0, 2, 3], [0, 2, 1, 1, 2, 3]])
+        return np.take_along_axis(quad, split[(i + j) % 2], axis=2).reshape(-1, 3)
+
+    @classmethod
+    def of(cls, mesh: TriMesh) -> RingGrid | None:
+        """The grid whose triangles `mesh` has, nu being the length of its
+        first boundary loop; None for any other mesh."""
+        loops = mesh.boundary_loops()
+        if not loops or mesh.n_vertices % len(loops[0]):
+            return None
+        grid = cls(len(loops[0]), mesh.n_vertices // len(loops[0]) - 1)
+        return grid if np.array_equal(mesh.triangles, grid.triangles) else None
 
 
 def _revolution_mesh(radii: np.ndarray, heights: np.ndarray, nu: int,
                      centers: np.ndarray | None = None) -> TriMesh:
-    """Closed-in-u grid surface of revolution; rows may be offset by centers.
-
-    Triangles are wound so that vertex normals point toward the axis at a
-    neck (matching gamma = (-cos u, -sin u, sinh v)/cosh v on the catenoid).
-    Diagonals alternate per quad for isotropy.
-    """
-    nv = len(radii) - 1
-    u = np.arange(nu) * (2.0 * math.pi / nu)
-    cos_u, sin_u = np.cos(u), np.sin(u)
-    verts = np.empty(((nv + 1) * nu, 3))
-    for j in range(nv + 1):
-        row = slice(j * nu, (j + 1) * nu)
-        verts[row, 0] = radii[j] * cos_u
-        verts[row, 1] = radii[j] * sin_u
-        verts[row, 2] = heights[j]
-        if centers is not None:
-            verts[row, 0] += centers[j, 0]
-            verts[row, 1] += centers[j, 1]
-    j, i = np.indices((nv, nu))
-    v00, v10 = j * nu + i, j * nu + (i + 1) % nu
-    quad = np.stack([v00, v10, v00 + nu, v10 + nu], axis=-1)  # v00 v10 v01 v11
-    # Two triangles per quad as corners of `quad`, by the parity of i + j.
-    split = np.array([[0, 3, 1, 0, 2, 3], [0, 2, 1, 1, 2, 3]])
-    tris = np.take_along_axis(quad, split[(i + j) % 2], axis=2).reshape(-1, 3)
-    return TriMesh(verts, tris)
+    """Surface of revolution on `RingGrid(nu, len(radii) - 1)`: ring j is
+    the circle of radius radii[j] at height heights[j], about the axis or,
+    given centers (nv + 1, 2), about centers[j]."""
+    grid = RingGrid(nu, len(radii) - 1)
+    verts = radii[:, None, None] * grid.directions
+    verts[:, :, 2] = heights[:, None]
+    if centers is not None:
+        verts[:, :, :2] += centers[:, None, :]
+    return TriMesh(verts.reshape(-1, 3), grid.triangles)
 
 
 def catenoid_mesh(spec: CatenoidSpec) -> TriMesh:

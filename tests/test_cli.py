@@ -146,12 +146,15 @@ def test_solve_annulus_rerun_byte_identical(tmp_path):
     assert read_all_bytes(d1) == read_all_bytes(d2)
 
 
-@pytest.mark.parametrize("res, top", [("48x24", "4"), ("64x32", "1.5")])
-def test_solve_annulus_no_annulus_exit_code(tmp_path, res, top):
+@pytest.mark.parametrize("argv", [
     # coaxial unit circles: no catenoid spans them above h ~ 1.3255
-    code = run(["solve-annulus", "--res", res, "--heights", "0", top,
-                "--outdir", str(tmp_path)])
-    assert code == 2
+    pytest.param("--res 48x24 --heights 0 4", id="48x24-4"),
+    pytest.param("--res 64x32 --heights 0 1.5", id="64x32-1.5"),
+    # the neck collapses triangles; their zero vertex areas read as an inf residual
+    pytest.param("--res 16x8 --r 1e-7 1e-7", id="16x8-r1e-7"),
+])
+def test_solve_annulus_no_annulus_exit_code(tmp_path, argv):
+    assert run(["solve-annulus", *argv.split(), "--outdir", str(tmp_path)]) == 2
 
 
 def test_solve_annulus_pinch_creates_no_outdir(tmp_path, capsys):
@@ -245,13 +248,17 @@ INVALID_NUMBERS = [
     ["ncatenoid", "--n", "7..4"],
     ["catenoid", "--a", "nan"],
     ["catenoid", "--a", "inf"],
+    ["catenoid", "--a", "1e-3"],
     ["catenoid", "--margin-tol", "nan"],
     ["catenoid", "--invariance-tol", "inf"],
     ["solve-annulus", "--r", "nan", "1"],
     ["solve-annulus", "--offset", "nan"],
     ["solve-annulus", "--offset", "inf"],
+    ["solve-annulus", "--heights", "0", "1e-300"],
+    ["solve-annulus", "--r", "1e-300", "1e-300"],
     ["sweep", "--offsets", "nan"],
     ["sweep", "--offsets", "0.0", "inf"],
+    ["sweep", "--offsets", "0", "--heights", "0", "1e-300"],
     ["solve-annulus", "--tolerance", "nan"],
     ["solve-annulus", "--tolerance", "-1"],
     ["solve-annulus", "--max-iterations", "0"],
@@ -260,7 +267,7 @@ INVALID_NUMBERS = [
 
 @pytest.mark.parametrize("argv", INVALID_NUMBERS, ids=" ".join)
 def test_invalid_numbers_exit_code(tmp_path, capsys, argv):
-    # each is rejected before any mesh is built or solved
+    # each is rejected before any solve
     obj = tmp_path / "tube.obj"
     write_obj(surfaces.catenoid_mesh(surfaces.CatenoidSpec(1.0, -1.0, 1.0, 16, 8)), obj)
     argv = [a.format(obj=obj) for a in argv]

@@ -25,6 +25,10 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         solver.AnnulusProblem(solver.Circle((0, 0, 0.0), 1.0),
                               solver.Circle((0, 0, 1.0), 1.0), nu=4)
+    # coaxial circles this close are spanned, but the ruled start is flat
+    with pytest.raises(ValueError, match="ruled start"):
+        solver.AnnulusProblem(solver.Circle((0, 0, 0.0), 1.0),
+                              solver.Circle((0, 0, 1e-300), 1.0))
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             solver.Circle((0.0, 0.0, 0.0), bad)
@@ -517,6 +521,15 @@ def test_stack_basis_recognizes_circle_stacks():
     assert solver._stack_basis(perturbed) is None
     flipped = TriMesh(ruled.vertices, ruled.triangles[:, [0, 2, 1]])
     assert solver._stack_basis(flipped) is None
+
+
+def test_residuals_are_inf_on_zero_vertex_area():
+    # collapsed triangles: no NaN (nor a warning) reaches the >= of `_iterate`
+    ruled = solver.initial_annulus(unit_circles(1.0, 0.3, 16, 6))
+    interior = ~ruled.boundary_vertex_mask()
+    geo = meshmod.edge_geometry(TriMesh(np.zeros_like(ruled.vertices), ruled.triangles))
+    assert solver.mean_curvature_residual(geo, interior)[1] == math.inf
+    assert solver._stack_basis(ruled).residual(geo, interior) == math.inf
 
 
 def test_minimize_area_runs_the_stack_stage_on_circle_stacks():

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from mintube import solver, surfaces
-from mintube.mesh import edge_geometry, slice_mesh, total_curvature, vertex_normals
+from mintube import flux, solver, surfaces
+from mintube.mesh import (TriMesh, edge_geometry, slice_mesh, total_curvature,
+                          vertex_normals)
 
 
 def residual(mesh):
@@ -53,6 +54,31 @@ def test_revolution_mesh_triangles_match_quad_loop(nu):
                 tris += [(v00, v01, v10), (v10, v01, v11)]
     assert mesh.triangles.dtype == np.int64
     assert np.array_equal(mesh.triangles, np.array(tris))
+    assert np.array_equal(surfaces.RingGrid(nu, nv).triangles, np.array(tris))
+
+
+@pytest.mark.parametrize("nu", [9, 12])
+def test_ring_grid_strips_repeat_by_parity(nu):
+    # the stack stage reads every strip off the first two
+    tris = surfaces.RingGrid(nu, 5).triangles.reshape(5, 2 * nu, 3)
+    for s, strip in enumerate(tris):
+        assert set(np.unique(strip // nu)) == {s, s + 1}
+        assert np.array_equal(strip, tris[s % 2] + nu * (s - s % 2))
+
+
+def test_ring_grid_of_recognizes_the_grid():
+    sheared = solver.initial_annulus(solver.AnnulusProblem(
+        solver.Circle((0, 0, 0.0), 1.0), solver.Circle((0.4, 0, 0.5), 0.7), nu=16, nv=6))
+    catenoid = surfaces.catenoid_mesh(surfaces.CatenoidSpec(1.0, -0.5, 0.5, 32, 8))
+    flat = surfaces.flat_annulus_mesh(1.0, 3.0, 24, 5)
+    for mesh, nu, nv in ((sheared, 16, 6), (catenoid, 32, 8), (flat, 24, 5)):
+        assert surfaces.RingGrid.of(mesh) == surfaces.RingGrid(nu, nv)
+    flipped = TriMesh(sheared.vertices, sheared.triangles[:, [0, 2, 1]])
+    extra = TriMesh(np.vstack([sheared.vertices, [5.0, 5.0, 5.0]]), sheared.triangles)
+    closed = TriMesh(np.eye(4, 3), [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
+    assert closed.boundary_loops() == []
+    for mesh in (flipped, extra, closed):
+        assert surfaces.RingGrid.of(mesh) is None
 
 
 def test_catenoid_vertices_on_surface():
@@ -63,14 +89,19 @@ def test_catenoid_vertices_on_surface():
     assert np.max(np.abs(r2 - expect)) < 1e-12
 
 
-def test_catenoid_mean_curvature_residual_second_order():
-    # cotangent residual of the analytic surface decreases ~ h^2
-    res = []
-    for nu, nv in ((64, 32), (128, 64), (256, 128)):
-        mesh = surfaces.catenoid_mesh(surfaces.CatenoidSpec(1.0, -1.0, 1.0, nu, nv))
-        res.append(residual(mesh))
-    assert res[0] > res[1] > res[2]
-    assert res[2] < res[0] / 8.0  # at least cubic-in-h drop over 2 refinements
+def test_catenoid_residual_flux_and_curvature_convergence_orders():
+    # a = 1, v in [-1, 1]: per halving of h the residual falls by 8, the
+    # flux error at the slice v = 0.25 by 4 and the total-curvature error by 2
+    G = surfaces.catenoid_total_curvature(1.0, -1.0, 1.0)
+    errors = []
+    for nu in (64, 128, 256):
+        mesh = surfaces.catenoid_mesh(surfaces.CatenoidSpec(1.0, -1.0, 1.0, nu, nu // 2))
+        J = flux.flow_vector_total(slice_mesh(mesh, 0.25))
+        errors.append((residual(mesh), abs(J[2] / (2.0 * math.pi) - 1.0),
+                       abs(total_curvature(mesh)[0] / G - 1.0)))
+    ratios = np.array(errors[:-1]) / errors[1:]     # one row per halving of h
+    assert np.all(np.array(errors[0]) < [4e-4, 6e-4, 2e-2])
+    assert np.all((ratios > [7.5, 3.8, 1.9]) & (ratios < [8.5, 4.2, 2.1])), ratios
 
 
 def test_catenoid_normals_match_analytic():
