@@ -223,9 +223,7 @@ class CrossSectionCycle:
 
     points: np.ndarray
     level: float
-    requested_level: float
     closed: bool
-    midpoints: np.ndarray = field(repr=False)
     tangents: np.ndarray = field(repr=False)
     normals: np.ndarray = field(repr=False)
     conormals: np.ndarray = field(repr=False)
@@ -269,7 +267,7 @@ def _segment_frames(points: np.ndarray, seg_normals: np.ndarray, closed: bool):
     if np.any(nun < 1e-12):
         raise SliceError("surface normal is axial on the slice (critical point)")
     nu = nu / nun[:, None]
-    return (a + b) / 2.0, tangents, gamma, nu, ds
+    return tangents, gamma, nu, ds
 
 
 def slice_mesh(mesh: TriMesh, t: float, normals: np.ndarray | None = None) -> list:
@@ -367,10 +365,10 @@ def slice_mesh(mesh: TriMesh, t: float, normals: np.ndarray | None = None) -> li
             pts, nrms = points[nodes], node_normals[nodes]
             nseg = len(pts) if closed else len(pts) - 1
             seg_normals = (nrms + np.roll(nrms, -1, axis=0))[:nseg] / 2.0
-            mids, tans, gamma, nu, ds = _segment_frames(pts, seg_normals, closed)
+            tans, gamma, nu, ds = _segment_frames(pts, seg_normals, closed)
             if not np.linalg.det(np.stack([tans[0], nu[0], gamma[0]])) < 0:
                 break
-        cyc = CrossSectionCycle(pts, level, t, closed, mids, tans, gamma, nu, ds)
+        cyc = CrossSectionCycle(pts, level, closed, tans, gamma, nu, ds)
         cyc.check_invariants()
         cycles.append(cyc)
     cycles.sort(key=lambda c: (round(c.length(), 12), c.points[0, 0]))
@@ -405,26 +403,17 @@ def gauss_image_length(cycle: CrossSectionCycle) -> float:
     return float(np.arctan2(sines, np.einsum("ij,ij->i", g, g_next)).sum())
 
 
-def angle_defects(mesh: TriMesh, angle_sums=None):
-    """Per-vertex angle defect 2*pi - sum(incident angles) (Meyer, Desbrun,
-    Schroeder & Barr 2003), plus the mask of interior vertices where the
-    defect approximates the curvature measure.  The angle sums are those of
+def total_curvature(mesh: TriMesh, angle_sums=None):
+    """(G, clamped): the total absolute Gaussian curvature G = integral of
+    -K, via the angle defects 2*pi - sum(incident angles) at interior
+    vertices (Meyer, Desbrun, Schroeder & Barr 2003), and the total of the
+    positive defects (impossible on an exact minimal surface, present as
+    discretization noise), which G leaves out.  The angle sums are those of
     `corner_sums`, the pass that also gives the vertex normals; a caller that
     has run it passes them in."""
     if angle_sums is None:
         angle_sums = corner_sums(mesh)[1]
-    return 2.0 * math.pi - angle_sums, ~mesh.boundary_vertex_mask()
-
-
-def total_curvature(mesh: TriMesh, angle_sums=None):
-    """(G, clamped): the total absolute Gaussian curvature G = integral of
-    -K, via angle defects at interior vertices, and the total of the
-    positive defects (impossible on an exact minimal surface, present as
-    discretization noise), which G leaves out.  The defects come from
-    `angle_defects`, on the angle sums of `corner_sums` (passed in by a
-    caller that has run that pass for its vertex normals)."""
-    defects, interior = angle_defects(mesh, angle_sums)
-    d = defects[interior]
+    d = (2.0 * math.pi - angle_sums)[~mesh.boundary_vertex_mask()]
     return float(-d[d < 0].sum()), float(d[d > 0].sum())
 
 

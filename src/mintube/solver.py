@@ -44,7 +44,9 @@ circles.  By rotational symmetry a coaxial stack minimizer is a critical
 point of the full problem, up to the asymmetry of the alternating
 diagonals, and it meets the tolerance with no full iteration.  Once the
 stack stage has converged without a pinch an annulus exists, so a tear or
-pinch in the full stage is reported as degeneration.  Both stages run in
+pinch in the full stage is reported as degeneration; a stack degenerates
+only as a ring collapses, so a degeneration in the stack stage is reported
+as no annulus.  Both stages run in
 `minimize_area`, which recognizes a stack of circles on that grid in its
 input; any other mesh gets the full stage alone.
 
@@ -143,6 +145,9 @@ class AnnulusProblem:
     nu: int = 64
     nv: int = 32
     options: SolverOptions = field(default_factory=SolverOptions)
+    # the validated `initial_annulus`, built once; `solve_annulus` starts
+    # from it, and it is no part of the problem's value
+    start: TriMesh = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t1, t2 = self.circle0.center[2], self.circle1.center[2]
@@ -150,10 +155,12 @@ class AnnulusProblem:
             raise ValueError("circle0 must lie strictly below circle1")
         if self.nu < 8 or self.nv < 2:
             raise ValueError("resolution too coarse: need nu >= 8, nv >= 2")
+        start = initial_annulus(self)
         try:
-            initial_annulus(self).validate()
+            start.validate()
         except MeshError as exc:
             raise ValueError(f"the ruled start is not a valid mesh: {exc}") from None
+        object.__setattr__(self, "start", start)
 
 
 @dataclass
@@ -498,11 +505,12 @@ class _Descent:
             return (basis.matrix @ t).reshape(-1, 3), -(gr @ t + 0.5 * t @ (Hr @ t))
         return solve
 
-    def _safety_checks(self) -> None:
+    def _safety_checks(self, stack: bool = False) -> None:
         # Pinch first: a collapsing neck also degenerates triangles, and the
         # topological diagnosis is the one worth reporting.  Once a stack
         # stage has found an annulus, a tear or pinch is the solver's
-        # failure, not the verdict that no annulus exists.
+        # failure, not the verdict that no annulus exists.  A degeneration
+        # in the stack stage (`stack`) is a ring collapsing: a pinch too.
         def lost(what):
             if self.annulus_found:
                 return ConvergenceError(f"mesh degenerated: {what}", self.report())
@@ -525,9 +533,10 @@ class _Descent:
                        "circumference")
         quality = geo.double_areas.min() / geo.double_areas.mean()
         if quality < MIN_QUALITY:
-            raise ConvergenceError(
-                f"mesh degenerated (min/mean triangle area {quality:.2e})",
-                self.report())
+            what = f"mesh degenerated (min/mean triangle area {quality:.2e})"
+            if stack:
+                raise NoAnnulusError(f"no annulus: {what}")
+            raise ConvergenceError(what, self.report())
 
     def stack_stage(self) -> None:
         """Minimize area over the stacks of circles through the start, if
@@ -548,8 +557,8 @@ class _Descent:
             if not self._iterate(self._stack_solve(basis), residual):
                 break
             if self.stack_iterations % CHECK_EVERY == 0:
-                self._safety_checks()
-        self._safety_checks()
+                self._safety_checks(stack=True)
+        self._safety_checks(stack=True)
         self.annulus_found = stationary()
 
     def full_stage(self):
@@ -624,5 +633,5 @@ def minimize_area(mesh: TriMesh, options: SolverOptions | None = None):
 
 
 def solve_annulus(problem: AnnulusProblem):
-    """Build the ruled initial annulus and minimize its area."""
-    return minimize_area(initial_annulus(problem), problem.options)
+    """Minimize the area of the problem's ruled start."""
+    return minimize_area(problem.start, problem.options)

@@ -66,6 +66,10 @@ def test_ncatenoid_command(tmp_path, capsys):
     assert "3,1,infinite" in out
     doc = json.loads((tmp_path / "ncatenoid_report.json").read_text())
     assert len(doc["n3_growth_samples"]) == 2
+    # the two-sample profiles end where the default 200-sample ones do
+    assert [s["partial_lifetime"] for s in doc["n3_growth_samples"]] == [
+        2.0 * float(surfaces.ncatenoid_profile(3, 1.0, f_cap=cap).t[-1])
+        for cap in (1e3, 1e6)]
     rows = (tmp_path / "ncatenoid_lifetimes.csv").read_text().splitlines()
     assert rows[0] == "n,f0,lifetime"
     assert len(rows) == 4
@@ -152,6 +156,8 @@ def test_solve_annulus_rerun_byte_identical(tmp_path):
     pytest.param("--res 64x32 --heights 0 1.5", id="64x32-1.5"),
     # the neck collapses triangles; their zero vertex areas read as an inf residual
     pytest.param("--res 16x8 --r 1e-7 1e-7", id="16x8-r1e-7"),
+    # a stack stage collapses the small circle's rings to degenerate triangles
+    pytest.param("--res 64x32 --r 0.01 1", id="64x32-r0.01"),
 ])
 def test_solve_annulus_no_annulus_exit_code(tmp_path, argv):
     assert run(["solve-annulus", *argv.split(), "--outdir", str(tmp_path)]) == 2
@@ -226,15 +232,22 @@ def test_sweep_row_matches_solve_annulus(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["ncatenoid", "--margin-tol", "0.1"],
-                                  ["sweep", "--offsets", "0.0", "--invariance-tol", "1"]])
+                                  ["sweep", "--offsets", "0.0", "--invariance-tol", "1"],
+                                  ["catenoid", "--verify", "none"],
+                                  ["solve-annulus", "--verify", "none"],
+                                  ["analyze", "{obj}", "--levels-at", "0.1"]])
 def test_unused_flags_rejected(tmp_path, capsys, argv):
-    # neither command checks margins or flow invariance, so neither takes
-    # the tolerances (and ncatenoid slices nothing, so it takes no --levels)
-    assert run(argv + ["--outdir", str(tmp_path)]) == 2
+    # neither ncatenoid nor sweep checks margins or flow invariance, so
+    # neither takes the tolerances (and ncatenoid slices nothing, so it takes
+    # no --levels); the checking commands always check, at their own levels
+    obj = tmp_path / "tube.obj"
+    write_obj(surfaces.catenoid_mesh(surfaces.CatenoidSpec(1.0, -1.0, 1.0, 16, 8)), obj)
+    out = tmp_path / "out"
+    assert run([a.format(obj=obj) for a in argv] + ["--outdir", str(out)]) == 2
     err = capsys.readouterr().err
     assert "unrecognized arguments" in err
     assert "Traceback" not in err
-    assert not any(tmp_path.iterdir())
+    assert not out.exists()
 
 
 INVALID_NUMBERS = [

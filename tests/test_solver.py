@@ -558,6 +558,35 @@ def test_stack_stage_keeps_horizontal_circles():
                   - start[1:-1, :, :2].mean(axis=1)).max() > 1e-3
 
 
+def test_ruled_start_built_once(monkeypatch):
+    calls = []
+    build = solver._revolution_mesh
+    monkeypatch.setattr(solver, "_revolution_mesh",
+                        lambda *a, **k: calls.append(1) or build(*a, **k))
+    prob = unit_circles(1.0, 0.3, 32, 8)
+    _, report = solver.solve_annulus(prob)
+    assert report.converged and len(calls) == 1
+    # the start is no part of the problem's value
+    twin = unit_circles(1.0, 0.3, 32, 8)
+    assert prob == twin and hash(prob) == hash(twin)
+    assert "start" not in repr(prob)
+
+
+def test_degeneration_in_stack_stage_is_no_annulus():
+    # a stack degenerates only as a ring collapses: while the stack stage
+    # runs that is the pinch's verdict, and after it the solver's failure
+    descent = stack_descent(1.0, 0.3, 32, 8)
+    verts = descent.cur.vertices.copy().reshape(9, 32, 3)
+    ring = verts[1, :, :2]                      # the ring above the lower circle
+    verts[1, :, :2] = ring.mean(axis=0) + 1e-6 * (ring - ring.mean(axis=0))
+    collapsed = TriMesh(verts.reshape(-1, 3), descent.cur.triangles)
+    descent._accept(collapsed, meshmod.edge_geometry(collapsed))
+    with pytest.raises(solver.NoAnnulusError, match="^no annulus: mesh degenerated"):
+        descent._safety_checks(stack=True)
+    with pytest.raises(solver.ConvergenceError, match="^mesh degenerated"):
+        descent._safety_checks()
+
+
 def test_pinch_after_stack_stage_is_degeneration():
     # once the stack stage has converged an annulus exists: a pinch found
     # later is the solver's failure (ConvergenceError), not NoAnnulusError
