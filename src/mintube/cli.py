@@ -100,8 +100,7 @@ def _verify_report(report: flux.TubeReport, args) -> int:
         failures.append(
             f"diameter-bound margin {report.min_diameter_margin():.3e} below "
             f"-{margin_tol}")
-    if not math.isnan(report.min_curvature_margin()) \
-            and report.min_curvature_margin() < -margin_tol:
+    if report.min_curvature_margin() < -margin_tol:       # False when NaN
         failures.append(
             f"slice curvature margin {report.min_curvature_margin():.3e} below "
             f"-{margin_tol}")

@@ -20,7 +20,6 @@ from .mesh import (
     E3,
     CrossSectionCycle,
     TriMesh,
-    corner_sums,
     gauss_image_diameter,
     gauss_image_length,
     harmonic_capacity,
@@ -115,10 +114,9 @@ class CapacityCheck:
     rel_error_flux_over_height: float
 
 
-def verify_capacity_law(mesh: TriMesh, t1: float, t2: float,
-                        normals=None) -> CapacityCheck:
+def verify_capacity_law(mesh: TriMesh, t1: float, t2: float) -> CapacityCheck:
     """Compare the measured Dirichlet-energy capacity of the slab mesh
-    against the flux-based predictions."""
+    against the flux-based predictions, with J from the mid-level slice."""
     loops = mesh.boundary_loops()
     if len(loops) != 2:
         raise ValueError(f"slab mesh must have exactly 2 boundary loops, has {len(loops)}")
@@ -131,7 +129,7 @@ def verify_capacity_law(mesh: TriMesh, t1: float, t2: float,
     hi = loops[int(np.argmax(levels))]
     measured, _ = harmonic_capacity(mesh, lo, hi)
     mid = 0.5 * (t1 + t2)
-    J = flow_vector_total(slice_mesh(mesh, mid, normals))
+    J = flow_vector_total(slice_mesh(mesh, mid))
     pred_pub = (t2 - t1) / float(J[2])
     pred_rec = float(J[2]) / (t2 - t1)
     return CapacityCheck(
@@ -232,7 +230,8 @@ class TubeReport:
         return min(s.diameter_margin for s in self.slices)
 
     def min_curvature_margin(self) -> float:
-        return min(s.curvature_margin for s in self.slices)
+        """Min over the slices with a closed cycle; NaN when none has one."""
+        return float(np.fmin.reduce([s.curvature_margin for s in self.slices]))
 
     def to_json(self) -> str:
         doc = asdict(self)
@@ -255,25 +254,21 @@ def analyze_tube(mesh: TriMesh, levels=None, n_levels: int = 10,
                  compute_capacity: bool = True,
                  tolerances: dict | None = None) -> TubeReport:
     """Slice the tube, measure its flow vector and curvature, and evaluate
-    every inequality margin.  One `corner_sums` pass gives both the vertex
-    normals the slices interpolate and the angle sums of the total
-    curvature."""
+    every inequality margin.  The slices interpolate the vertex normals, and
+    the total curvature reads the angle sums, of the mesh's one cached
+    `corner_pass`."""
     zmin, zmax = mesh.x3_range()
     if levels is None:
         pad = 0.05 * (zmax - zmin)
         levels = list(np.linspace(zmin + pad, zmax - pad, n_levels))
     if not len(levels):
         raise ValueError("need at least one slice level")
-    normals, angle_sums = corner_sums(mesh)
-    G, clamped = total_curvature(mesh, angle_sums)
-    # Not held through the slices and the capacity solve, where a live
-    # per-vertex array raised the peak memory of a report.
-    del angle_sums
+    G, clamped = total_curvature(mesh)
 
     slice_records = []
     js = []
     for t in levels:
-        cycles = slice_mesh(mesh, t, normals)
+        cycles = slice_mesh(mesh, t)
         cycle_js = [flow_vector(c) for c in cycles]
         alphas = [flow_angle(j) for j in cycle_js]
         diameters = [gauss_image_diameter(c.normals) for c in cycles]
@@ -297,7 +292,7 @@ def analyze_tube(mesh: TriMesh, levels=None, n_levels: int = 10,
     J = np.mean(js, axis=0)
     capacity = None
     if compute_capacity and len(mesh.boundary_loops()) == 2:
-        capacity = verify_capacity_law(mesh, zmin, zmax, normals)
+        capacity = verify_capacity_law(mesh, zmin, zmax)
     return TubeReport(
         flow_vector=tuple(float(x) for x in J),
         flow_norm=float(np.linalg.norm(J)),

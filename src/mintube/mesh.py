@@ -4,9 +4,9 @@ the angle-weighted vertex normals and the angle-defect curvature, and the
 edge-vector pass that gives the cotangent stiffness to the Dirichlet-energy
 capacity and to the geometry the area solver makes per iterate.  Both
 passes work on coordinate-major (3, M) rows and sum onto the vertices with
-`bincount`.  The capacity and the solver's full stage solve their sparse
-symmetric systems with one routine, `refined_solve`: float32 factors,
-refined in float64.
+`bincount`.  A mesh caches its corner pass like its boundary loops.  The
+capacity and the solver's full stage solve their sparse symmetric systems
+with one routine, `refined_solve`: float32 factors, refined in float64.
 """
 
 from __future__ import annotations
@@ -39,11 +39,13 @@ class SliceError(ValueError):
 @dataclass
 class TriMesh:
     """Oriented manifold triangle mesh. Vertices (N, 3); triangles (M, 3)
-    with counterclockwise winding defining the normal orientation."""
+    with counterclockwise winding defining the normal orientation.  It is
+    not changed after construction, so its cached passes stay valid."""
 
     vertices: np.ndarray
     triangles: np.ndarray
     _boundary_loops: list | None = field(default=None, repr=False, compare=False)
+    _corner_pass: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
@@ -138,6 +140,14 @@ class TriMesh:
             self._boundary_loops = loops
         return self._boundary_loops
 
+    def corner_pass(self) -> tuple:
+        """(normals, angle_sums) of `corner_sums`, read-only; cached."""
+        if self._corner_pass is None:
+            self._corner_pass = corner_sums(self)
+            for a in self._corner_pass:
+                a.setflags(write=False)
+        return self._corner_pass
+
     def boundary_vertex_mask(self) -> np.ndarray:
         mask = np.zeros(self.n_vertices, dtype=bool)
         for loop in self.boundary_loops():
@@ -205,8 +215,8 @@ def corner_sums(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
 
 def vertex_normals(mesh: TriMesh) -> np.ndarray:
     """Angle-weighted average of incident triangle normals, normalized: the
-    normals of `corner_sums`, the pass that also gives the angle defects."""
-    return corner_sums(mesh)[0]
+    normals of the cached `corner_pass`, which also gives the angle defects."""
+    return mesh.corner_pass()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +305,7 @@ def slice_mesh(mesh: TriMesh, t: float, normals: np.ndarray | None = None) -> li
         level = t + NUDGE_REL * zrange
         if np.min(np.abs(z - level)) < SNAP_REL_TOL * zrange:
             raise SliceError(f"could not find a regular level near {t}")
-    if normals is None:
-        normals = vertex_normals(mesh)
+    normals = vertex_normals(mesh) if normals is None else normals
 
     # Edge k of a triangle runs from corner k to corner k+1; a triangle
     # crosses the plane on 0 or 2 of its edges.  f lists the crossed edges
@@ -403,17 +412,14 @@ def gauss_image_length(cycle: CrossSectionCycle) -> float:
     return float(np.arctan2(sines, np.einsum("ij,ij->i", g, g_next)).sum())
 
 
-def total_curvature(mesh: TriMesh, angle_sums=None):
+def total_curvature(mesh: TriMesh):
     """(G, clamped): the total absolute Gaussian curvature G = integral of
     -K, via the angle defects 2*pi - sum(incident angles) at interior
     vertices (Meyer, Desbrun, Schroeder & Barr 2003), and the total of the
     positive defects (impossible on an exact minimal surface, present as
     discretization noise), which G leaves out.  The angle sums are those of
-    `corner_sums`, the pass that also gives the vertex normals; a caller that
-    has run it passes them in."""
-    if angle_sums is None:
-        angle_sums = corner_sums(mesh)[1]
-    d = (2.0 * math.pi - angle_sums)[~mesh.boundary_vertex_mask()]
+    the mesh's cached `corner_pass`, which also gives the vertex normals."""
+    d = (2.0 * math.pi - mesh.corner_pass()[1])[~mesh.boundary_vertex_mask()]
     return float(-d[d < 0].sum()), float(d[d > 0].sum())
 
 
@@ -588,7 +594,7 @@ def harmonic_capacity(mesh: TriMesh, loop0, loop1):
     rhs = -laplacian_times(phi)[free]
     try:
         sol, _ = refined_solve(A, rhs)
-    except Exception as exc:  # singular system: disconnected mesh etc.
+    except RuntimeError as exc:  # exactly singular: disconnected mesh etc.
         raise MeshError(f"harmonic solve failed: {exc}") from exc
     if not np.all(np.isfinite(sol)):
         raise MeshError("harmonic solve produced non-finite values (singular system)")

@@ -87,8 +87,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import (EdgeGeometry, MeshError, TriMesh, _vertex_sums,
-                   edge_geometry, refined_solve, slice_mesh)
+from .mesh import (EdgeGeometry, MeshError, TriMesh, edge_geometry,
+                   refined_solve, slice_mesh)
 from .surfaces import RingGrid, _revolution_mesh
 
 PINCH_RATIO = 0.02    # mid-slice length below this fraction of the
@@ -408,6 +408,9 @@ class _Descent:
         fixed = mesh.boundary_vertex_mask()
         if not fixed.any():
             raise MeshError("mesh has no boundary to pin")
+        used = np.bincount(mesh.triangles.ravel(), minlength=mesh.n_vertices)
+        if not used.all():
+            raise MeshError(f"vertex {int(np.argmin(used))} is referenced by no triangle")
         loops = mesh.boundary_loops()
         if len(loops) != 2:
             raise MeshError(
@@ -516,22 +519,15 @@ class _Descent:
                 return ConvergenceError(f"mesh degenerated: {what}", self.report())
             return NoAnnulusError(f"no annulus: {what}")
 
-        # Only the lengths of the slice are read, and its points do not
-        # depend on the normals, so the area-weighted ones from the
-        # iterate's geometry serve.
-        geo = self.geo
-        area_normals = (geo.normals * geo.double_areas[:, None])[:, None]
         try:
             with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-                normals = _vertex_sums(self.cur, np.repeat(area_normals, 3, axis=1))
-                normals /= np.linalg.norm(normals, axis=1)[:, None]
-                mid = slice_mesh(self.cur, self.mid_level, normals)
-        except Exception:
+                mid = slice_mesh(self.cur, self.mid_level)
+        except ValueError:          # SliceError, or a vanishing normal's MeshError
             raise lost("the surface tore at the mid level") from None
         if sum(c.length() for c in mid) < self.pinch_len:
             raise lost(f"neck pinched below {PINCH_RATIO:.0%} of the boundary "
                        "circumference")
-        quality = geo.double_areas.min() / geo.double_areas.mean()
+        quality = self.geo.double_areas.min() / self.geo.double_areas.mean()
         if quality < MIN_QUALITY:
             what = f"mesh degenerated (min/mean triangle area {quality:.2e})"
             if stack:

@@ -9,6 +9,7 @@ f^(n-2) / sqrt(1 + f'^2) = f0^(n-2).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -68,6 +69,7 @@ class RingGrid:
         return np.stack([np.cos(u), np.sin(u), np.zeros(self.nu)], axis=1)
 
     @property
+    @functools.lru_cache(maxsize=4)     # equal grids share one read-only array
     def triangles(self) -> np.ndarray:
         nu = self.nu
         j, i = np.indices((self.nv, nu))
@@ -75,7 +77,9 @@ class RingGrid:
         quad = np.stack([v00, v10, v00 + nu, v10 + nu], axis=-1)  # v00 v10 v01 v11
         # Two triangles per quad as corners of `quad`, by the parity of i + j.
         split = np.array([[0, 3, 1, 0, 2, 3], [0, 2, 1, 1, 2, 3]])
-        return np.take_along_axis(quad, split[(i + j) % 2], axis=2).reshape(-1, 3)
+        tris = np.take_along_axis(quad, split[(i + j) % 2], axis=2).reshape(-1, 3)
+        tris.setflags(write=False)
+        return tris
 
     @classmethod
     def of(cls, mesh: TriMesh) -> RingGrid | None:

@@ -1,6 +1,8 @@
 """Command-line interface: outputs, exit codes, byte-level determinism."""
 
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import mintube
-from mintube import cli, solver, surfaces
+from mintube import cli, flux, solver, surfaces
 from mintube.mesh import write_obj
 
 
@@ -85,6 +87,8 @@ def test_ncatenoid_large_n(tmp_path, capsys, n):
 @pytest.mark.parametrize("argv, target", [
     (["catenoid", "--res", "64x32"], (surfaces, "catenoid_mesh")),
     (["solve-annulus", "--res", "32x16"], (solver, "solve_annulus")),
+    (["solve-annulus", "--res", "32x16"], (solver, "slice_mesh")),
+    (["catenoid", "--res", "64x32"], (mintube.mesh.spla, "splu")),
 ])
 def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch, argv, target):
     def exhausted(*args, **kwargs):
@@ -95,6 +99,24 @@ def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch, argv, target):
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("margins, code", [
+    ((math.nan, -1.0), 1), ((-1.0, math.nan), 1), ((math.nan, math.nan), 0)])
+def test_curvature_margin_check_skips_slices_without_a_closed_cycle(capsys, margins, code):
+    # a slice with no closed cycle has a NaN curvature margin, in any position
+    slices = [flux.SliceRecord(level=t, components=1, length=1.0, gauss_diameter=1.0,
+                               two_alpha=0.0, gauss_length=math.nan, diameter_margin=1.0,
+                               curvature_margin=m, flow_vector=(0.0, 0.0, 1.0))
+              for t, m in zip((0.25, 0.75), margins)]
+    report = flux.TubeReport(
+        flow_vector=(0.0, 0.0, 1.0), flow_norm=1.0, alpha=0.0, flow_level_deviation=0.0,
+        total_curvature=0.0, clamped_positive_defect=0.0, slices=slices, capacity=None,
+        lifetime_bound=flux.lifetime_bound((0.0, 0.0, 1.0), 0.0), slab_height=1.0)
+    args = argparse.Namespace(margin_tol=0.05, invariance_tol=1e-2)
+    assert cli._verify_report(report, args) == code
+    assert capsys.readouterr().err == (
+        "FAIL: slice curvature margin -1.000e+00 below -0.05\n" if code else "")
 
 
 def test_solve_annulus_command(tmp_path):

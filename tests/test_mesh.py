@@ -376,6 +376,19 @@ def test_corner_sums_names_the_first_vertex_without_a_normal(tris, message):
         meshmod.corner_sums(TriMesh(verts, np.array(tris)))
 
 
+def test_corner_pass_runs_once_per_mesh(monkeypatch):
+    passes, corner_sums = [], meshmod.corner_sums
+    monkeypatch.setattr(meshmod, "corner_sums",
+                        lambda mesh: passes.append(mesh) or corner_sums(mesh))
+    mesh = surfaces.catenoid_mesh(surfaces.CatenoidSpec(1.0, -1.0, 1.0, 32, 16))
+    normals = vertex_normals(mesh)
+    total_curvature(mesh)
+    slice_mesh(mesh, 0.3)
+    slice_mesh(mesh, -0.4)
+    assert len(passes) == 1 and passes[0] is mesh
+    assert not normals.flags.writeable      # shared by every reader of the cache
+
+
 def test_total_curvature_flat_patch_zero():
     G, clamped = total_curvature(square_patch())
     assert G == 0.0

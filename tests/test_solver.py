@@ -399,27 +399,25 @@ def test_every_factorization_is_float32(monkeypatch):
     assert set(dtypes) == {np.dtype(np.float32)}
 
 
-def test_safety_slice_needs_no_angle_weighted_normals(monkeypatch):
-    slices = []
+def test_safety_slice_interpolates_the_cached_vertex_normals(monkeypatch):
+    calls = []
 
-    def recorded_slice(mesh, level, normals=None):
-        cycles = meshmod.slice_mesh(mesh, level, normals)
-        slices.append((mesh, level, sum(c.length() for c in cycles)))
-        return cycles
-
-    def no_vertex_normals(mesh):
-        raise AssertionError("the safety checks computed angle-weighted normals")
+    def recorded_slice(*args, **kwargs):
+        calls.append((args[2:], kwargs))
+        return meshmod.slice_mesh(*args, **kwargs)
 
     monkeypatch.setattr(solver, "slice_mesh", recorded_slice)
-    monkeypatch.setattr(meshmod, "vertex_normals", no_vertex_normals)
     _, report = solver.solve_annulus(unit_circles(1.0, 0.3, 48, 16))
-    assert report.converged and report.iterations > 0 and slices
-    monkeypatch.undo()
-    # the slice points, and so the pinch test's length, do not depend on
-    # the normals
-    mesh, level, length = slices[-1]
-    want = sum(c.length() for c in meshmod.slice_mesh(mesh, level))
-    assert abs(length - want) <= 1e-14 * want
+    assert report.converged and report.iterations > 0 and calls
+    assert all(call == ((), {}) for call in calls)      # no normals passed
+
+
+def test_unreferenced_vertex_is_rejected():
+    # its missing normal would make the safety slice report a tear
+    start = unit_circles(1.0, 0.3, 16, 6).start
+    mesh = TriMesh(np.vstack([start.vertices, [[0.0, 0.0, 0.5]]]), start.triangles)
+    with pytest.raises(MeshError, match=f"^vertex {start.n_vertices} is referenced by no triangle$"):
+        solver.minimize_area(mesh)
 
 
 def test_singular_factor_escalates_damping(monkeypatch):
@@ -570,6 +568,12 @@ def test_ruled_start_built_once(monkeypatch):
     twin = unit_circles(1.0, 0.3, 32, 8)
     assert prob == twin and hash(prob) == hash(twin)
     assert "start" not in repr(prob)
+
+
+def test_problems_at_one_resolution_share_one_triangle_array():
+    a, b = unit_circles(1.0, 0.3, 32, 8), unit_circles(1.0, 0.5, 32, 8)
+    assert a.start.triangles is b.start.triangles
+    assert not a.start.triangles.flags.writeable
 
 
 def test_degeneration_in_stack_stage_is_no_annulus():
