@@ -164,19 +164,14 @@ def _annulus_problem(args, offset: float) -> solver.AnnulusProblem:
         raise CliError("--heights must be increasing")
     nu, nv = _parse_res(args.res)
     t1, t2 = args.heights
-    return solver.AnnulusProblem(
-        solver.Circle((0.0, 0.0, t1), args.r[0]),
-        solver.Circle((offset, 0.0, t2), args.r[1]),
-        nu=nu, nv=nv,
-        options=solver.SolverOptions(max_iterations=args.max_iterations,
-                                     tolerance=args.tolerance),
-    )
+    return solver.AnnulusProblem(solver.Circle((0.0, 0.0, t1), args.r[0]),
+                                 solver.Circle((offset, 0.0, t2), args.r[1]), nu=nu, nv=nv)
 
 
 def cmd_solve_annulus(args) -> int:
     prob = _annulus_problem(args, args.offset)
     m, conv = solver.solve_annulus(prob)
-    report = _analyze(args, m, solver_tolerance=args.tolerance)
+    report = _analyze(args, m, solver_tolerance=solver.TOLERANCE)
     outdir = _outdir(args)
     meshmod.write_obj(m, outdir / "annulus.obj")
     _write(outdir / "annulus_convergence.json", conv.to_json())
@@ -244,8 +239,6 @@ def _add_solver_args(p):
     p.add_argument("--heights", type=float, nargs=2, default=[0.0, 1.0],
                    metavar=("T1", "T2"))
     p.add_argument("--res", default="96x48")
-    p.add_argument("--max-iterations", type=int, default=500)
-    p.add_argument("--tolerance", type=float, default=1e-6)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -34,6 +34,8 @@ SCHEMA_VERSION = 1
 # as unbounded instead of dividing by a discretization-noise angle.
 ALPHA_ZERO_TOL = 1e-5
 
+LEVEL_TOL = 1e-6  # a slab's boundary loop lies within this * (t2 - t1 + 1) of its end plane
+
 
 def flow_vector(cycle: CrossSectionCycle) -> np.ndarray:
     """J(Sigma) = integral of the conormal over the cycle (midpoint rule)."""
@@ -121,7 +123,7 @@ def verify_capacity_law(mesh: TriMesh, t1: float, t2: float) -> CapacityCheck:
     if len(loops) != 2:
         raise ValueError(f"slab mesh must have exactly 2 boundary loops, has {len(loops)}")
     levels = [float(np.mean(mesh.vertices[lp, 2])) for lp in loops]
-    tol = 1e-6 * (abs(t2 - t1) + 1.0)
+    tol = LEVEL_TOL * (abs(t2 - t1) + 1.0)
     if abs(min(levels) - t1) > tol or abs(max(levels) - t2) > tol:
         raise ValueError(
             f"boundary loops sit at levels {sorted(levels)}, expected ({t1}, {t2})")
@@ -256,8 +258,23 @@ def analyze_tube(mesh: TriMesh, levels=None, n_levels: int = 10,
     """Slice the tube, measure its flow vector and curvature, and evaluate
     every inequality margin.  The slices interpolate the vertex normals, and
     the total curvature reads the angle sums, of the mesh's one cached
-    `corner_pass`."""
+    `corner_pass`.
+
+    On a mesh with two boundary loops the default levels and the slab
+    height span the band from the top of the lower loop to the bottom of
+    the upper one, and the capacity is measured only when each loop lies in
+    its end plane; otherwise they span the whole x3-range."""
     zmin, zmax = mesh.x3_range()
+    loops = mesh.boundary_loops()
+    level_ends = False
+    if len(loops) == 2:
+        (lo0, hi0), (lo1, hi1) = sorted((float(mesh.vertices[lp, 2].min()),
+                                         float(mesh.vertices[lp, 2].max())) for lp in loops)
+        if not hi0 < lo1:
+            raise ValueError(f"no slab lies between the boundary loops: they span "
+                             f"x3 in [{lo0}, {hi0}] and [{lo1}, {hi1}]")
+        zmin, zmax = hi0, lo1
+        level_ends = max(hi0 - lo0, hi1 - lo1) <= LEVEL_TOL * (zmax - zmin + 1.0)
     if levels is None:
         pad = 0.05 * (zmax - zmin)
         levels = list(np.linspace(zmin + pad, zmax - pad, n_levels))
@@ -290,9 +307,8 @@ def analyze_tube(mesh: TriMesh, levels=None, n_levels: int = 10,
         ))
 
     J = np.mean(js, axis=0)
-    capacity = None
-    if compute_capacity and len(mesh.boundary_loops()) == 2:
-        capacity = verify_capacity_law(mesh, zmin, zmax)
+    capacity = (verify_capacity_law(mesh, zmin, zmax)
+                if compute_capacity and level_ends else None)
     return TubeReport(
         flow_vector=tuple(float(x) for x in J),
         flow_norm=float(np.linalg.norm(J)),

@@ -98,8 +98,11 @@ class TriMesh:
         if not finite.all():
             bad = int(np.argmin(finite))
             raise MeshError(f"vertex {bad} has a non-finite coordinate")
-        areas = self.triangle_areas()
-        thresh = DEGENERATE_AREA_FACTOR * self.bbox_diagonal() ** 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            areas = self.triangle_areas()
+            thresh = DEGENERATE_AREA_FACTOR * self.bbox_diagonal() ** 2
+        if not (np.isfinite(areas).all() and math.isfinite(thresh)):
+            raise MeshError("mesh too large to measure: its areas overflow")
         if np.any(areas <= thresh):
             bad = int(np.argmin(areas))
             raise MeshError(f"degenerate triangle {bad} (area {areas[bad]:.3e})")

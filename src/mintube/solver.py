@@ -42,13 +42,13 @@ last accepted stack step; what is left to it is the tangential sliding of
 the vertices and the departure of the discrete minimizer from exact
 circles.  By rotational symmetry a coaxial stack minimizer is a critical
 point of the full problem, up to the asymmetry of the alternating
-diagonals, and it meets the tolerance with no full iteration.  Once the
-stack stage has converged without a pinch an annulus exists, so a tear or
-pinch in the full stage is reported as degeneration; a stack degenerates
-only as a ring collapses, so a degeneration in the stack stage is reported
-as no annulus.  Both stages run in
-`minimize_area`, which recognizes a stack of circles on that grid in its
-input; any other mesh gets the full stage alone.
+diagonals, and it meets the tolerance with no full iteration.  By
+Shiffman's theorem an annulus that exists is a stack, so only the stack
+stage can say that none does: a tear or a pinch at the mid level, or
+collapsed triangles, while it runs is `NoAnnulusError`.  The full stage
+reports each of them as the degeneration of its mesh, `ConvergenceError`.
+Both stages run in `minimize_area`, which recognizes a stack of circles on
+that grid in its input; any other mesh gets the full stage alone.
 
 Linear algebra: each trial iterate makes one pass over its edge vectors,
 `mesh.edge_geometry`.  The pass gives the area, the doubled triangle areas
@@ -66,8 +66,9 @@ into a CSC pattern built on its first iteration, and solves
 factorization by `mesh.factor_symmetric` (SuperLU, symmetric mode, diagonal
 pivots), about three quarters of the float64 time and half the memory,
 refined twice against the float64 system.  Its minimum-degree ordering
-depends on the pattern only: the first accepted factorization fixes it, the
-pattern is laid out in that order, and later factorizations keep the
+depends on the pattern only: the pattern keeps the order of its first
+factorization, is laid out in it before the next iteration assembles its
+system, and later factorizations keep the
 natural order.  The model prediction uses the float64 H.  Against a float64
 factorization, on the full-stage iterates of the offset-0.3 annulus, the
 step's error is at most 2e-3 unrefined, 1.3e-5 after one refinement and
@@ -91,6 +92,8 @@ from .mesh import (EdgeGeometry, MeshError, TriMesh, edge_geometry,
                    refined_solve, slice_mesh)
 from .surfaces import RingGrid, _revolution_mesh
 
+TOLERANCE = 1e-6      # normalized residual: max |H| * mean edge length
+MAX_ITERATIONS = 500  # in each stage of `minimize_area`
 PINCH_RATIO = 0.02    # mid-slice length below this fraction of the
                       # smaller boundary circumference aborts
 MIN_QUALITY = 1e-4    # min triangle area / mean triangle area
@@ -103,7 +106,7 @@ AREA_ROUNDING = 16 * np.finfo(float).eps  # rounding floor of the area sum,
 
 
 class NoAnnulusError(RuntimeError):
-    """No embedded annulus spans the boundary circles (neck pinch detected)."""
+    """No embedded annulus spans the boundary circles (the stack stage failed)."""
 
 
 class ConvergenceError(RuntimeError):
@@ -127,24 +130,11 @@ class Circle:
 
 
 @dataclass(frozen=True)
-class SolverOptions:
-    max_iterations: int = 500     # in each stage of `minimize_area`
-    tolerance: float = 1e-6       # normalized residual: max |H| * mean edge
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if not 0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be finite and positive")
-
-
-@dataclass(frozen=True)
 class AnnulusProblem:
     circle0: Circle
     circle1: Circle
     nu: int = 64
     nv: int = 32
-    options: SolverOptions = field(default_factory=SolverOptions)
     # the validated `initial_annulus`, built once; `solve_annulus` starts
     # from it, and it is no part of the problem's value
     start: TriMesh = field(init=False, repr=False, compare=False)
@@ -240,6 +230,8 @@ class _HessianPattern:
     blocks to its slot, and `diag_slots` the (i, j, a, a) entries, which
     carry kron(L, I3); entries touching other vertices go to a spill slot
     past the end.  Coordinate k sits at position `perm[k]` of the matrix.
+    `fill_order` keeps the order of a factorization in the natural order
+    until `reorder` applies it.
     """
 
     def __init__(self, tris: np.ndarray, dof_mask: np.ndarray):
@@ -275,6 +267,7 @@ class _HessianPattern:
         self.shape = (3 * n_verts, 3 * n_verts)
         self.perm = self.order = np.arange(3 * n_verts)
         self.ordered = False
+        self.fill_order = None
 
     def reorder(self, perm: np.ndarray) -> None:
         """Move coordinate k to position perm[k] of the matrix, keeping every
@@ -290,7 +283,7 @@ class _HessianPattern:
         self.slots, self.diag_slots = where[self.slots], where[self.diag_slots]
         self.indices = row[moved]
         self.indptr = np.append(0, np.cumsum(counts[order])).astype(np.int32)
-        self.perm, self.order, self.ordered = perm, order, True
+        self.perm, self.order, self.ordered, self.fill_order = perm, order, True, None
 
     def values(self, blocks: np.ndarray) -> np.ndarray:
         """CSC data array of the summed blocks."""
@@ -404,7 +397,7 @@ class _Descent:
     acceptance and damping rule, and the full stage starts from the damping
     the stack stage last accepted."""
 
-    def __init__(self, mesh: TriMesh, options: SolverOptions):
+    def __init__(self, mesh: TriMesh):
         fixed = mesh.boundary_vertex_mask()
         if not fixed.any():
             raise MeshError("mesh has no boundary to pin")
@@ -415,16 +408,14 @@ class _Descent:
         if len(loops) != 2:
             raise MeshError(
                 f"expected an annulus with 2 boundary loops, found {len(loops)}")
-        self.opts, self.start, self.interior = options, mesh, ~fixed
+        self.start, self.interior = mesh, ~fixed
         self.mid_level = 0.5 * sum(mesh.x3_range())
         rims = [mesh.vertices[np.append(lp, lp[0])] for lp in loops]
         self.pinch_len = PINCH_RATIO * min(
             float(np.linalg.norm(np.diff(p, axis=0), axis=1).sum()) for p in rims)
         self.pattern = None           # the full stage's, built on its first iteration
-        self.fill_order = None        # perm_c of the last factorization in natural order
         self.mu = 1.0
         self.stack_iterations = self.iterations = 0
-        self.annulus_found = False    # a stack stage converged without a pinch
         self.message = ""
         self.areas, self.residuals = [], []
         cur = TriMesh(mesh.vertices.copy(), mesh.triangles)
@@ -481,9 +472,14 @@ class _Descent:
 
     def _factored_solve(self):
         """`solve(mu)` for the full stage: H + mu kron(L, I3), in the
-        pattern's order, solved by `refined_solve` (float32 factors refined
-        against the float64 system)."""
+        pattern's order (built on the first call, and laid out in its first
+        factorization's fill order on the next), solved by `refined_solve`
+        (float32 factors refined against the float64 system)."""
+        if self.pattern is None:
+            self.pattern = _HessianPattern(self.cur.triangles, self.interior)
         pattern = self.pattern
+        if pattern.fill_order is not None:
+            pattern.reorder(pattern.fill_order)
         g = self.grad.ravel()[pattern.order]          # in matrix order
         hess = pattern.values(_area_hessian(self.geo.stiffness, self.geo.normals))
         lap = pattern.stiffness_values(self.geo.stiffness)
@@ -493,7 +489,7 @@ class _Descent:
             x, perm_c = refined_solve(pattern.matrix(hess + mu * lap), -g,
                                       ordered=pattern.ordered)
             if not pattern.ordered:
-                self.fill_order = perm_c
+                pattern.fill_order = perm_c
             return x[pattern.perm].reshape(-1, 3), -(g @ x + 0.5 * x @ (H @ x))
         return solve
 
@@ -508,83 +504,77 @@ class _Descent:
             return (basis.matrix @ t).reshape(-1, 3), -(gr @ t + 0.5 * t @ (Hr @ t))
         return solve
 
-    def _safety_checks(self, stack: bool = False) -> None:
-        # Pinch first: a collapsing neck also degenerates triangles, and the
-        # topological diagnosis is the one worth reporting.  Once a stack
-        # stage has found an annulus, a tear or pinch is the solver's
-        # failure, not the verdict that no annulus exists.  A degeneration
-        # in the stack stage (`stack`) is a ring collapsing: a pinch too.
-        def lost(what):
-            if self.annulus_found:
-                return ConvergenceError(f"mesh degenerated: {what}", self.report())
-            return NoAnnulusError(f"no annulus: {what}")
-
+    def _safety_failure(self) -> str | None:
+        """What went wrong with the current surface, if anything: a tear or
+        a pinch at the mid level, or collapsed triangles.  The stage that
+        asks chooses the exception.  Pinch first: a collapsing neck also
+        degenerates triangles, and the topological diagnosis is the one
+        worth reporting."""
         try:
             with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
                 mid = slice_mesh(self.cur, self.mid_level)
         except ValueError:          # SliceError, or a vanishing normal's MeshError
-            raise lost("the surface tore at the mid level") from None
+            return "the surface tore at the mid level"
         if sum(c.length() for c in mid) < self.pinch_len:
-            raise lost(f"neck pinched below {PINCH_RATIO:.0%} of the boundary "
-                       "circumference")
+            return f"neck pinched below {PINCH_RATIO:.0%} of the boundary circumference"
         quality = self.geo.double_areas.min() / self.geo.double_areas.mean()
         if quality < MIN_QUALITY:
-            what = f"mesh degenerated (min/mean triangle area {quality:.2e})"
-            if stack:
-                raise NoAnnulusError(f"no annulus: {what}")
-            raise ConvergenceError(what, self.report())
+            return f"mesh degenerated (min/mean triangle area {quality:.2e})"
+        return None
 
     def stack_stage(self) -> None:
         """Minimize area over the stacks of circles through the start, if
-        it is one (see `_stack_basis`).  Runs before any factorization."""
+        it is one (see `_stack_basis`).  Runs before any factorization.  A
+        minimal annulus is a stack, so a safety failure here means that
+        none exists: NoAnnulusError."""
         basis = _stack_basis(self.start)
         if basis is None:
             return
-        tol = self.opts.tolerance
 
         def residual(geo):
             return basis.residual(geo, self.interior)
 
-        def stationary():
-            return self.res <= tol or residual(self.geo) <= STACK_TOL_RATIO * tol
+        def check():
+            if what := self._safety_failure():
+                raise NoAnnulusError(f"no annulus: {what}")
 
-        while not stationary() and self.stack_iterations < self.opts.max_iterations:
+        while (self.res > TOLERANCE and residual(self.geo) > STACK_TOL_RATIO * TOLERANCE
+               and self.stack_iterations < MAX_ITERATIONS):
             self.stack_iterations += 1
             if not self._iterate(self._stack_solve(basis), residual):
                 break
             if self.stack_iterations % CHECK_EVERY == 0:
-                self._safety_checks(stack=True)
-        self._safety_checks(stack=True)
-        self.annulus_found = stationary()
+                check()
+        check()
 
     def full_stage(self):
         """Minimize over every interior vertex; return (mesh, report) or raise
-        ConvergenceError."""
-        opts = self.opts
-
+        ConvergenceError, a safety failure included."""
         def residual(geo):
             return mean_curvature_residual(geo, self.interior)[1]
 
-        while self.res > opts.tolerance and self.iterations < opts.max_iterations:
+        def check():
+            if what := self._safety_failure():
+                if not what.startswith("mesh degenerated"):
+                    what = f"mesh degenerated: {what}"
+                raise ConvergenceError(what, self.report())
+
+        while self.res > TOLERANCE and self.iterations < MAX_ITERATIONS:
             self.iterations += 1
-            if self.pattern is None:
-                self.pattern = _HessianPattern(self.cur.triangles, self.interior)
             if not self._iterate(self._factored_solve(), residual):
                 self.message = ("no area-decreasing step at maximal damping, "
                                 "nor a residual-decreasing one below the area's "
                                 "rounding floor")
                 break
-            if not self.pattern.ordered:
-                self.pattern.reorder(self.fill_order)
             if self.iterations % CHECK_EVERY == 0:
-                self._safety_checks()
-        self._safety_checks()
-        converged = self.res <= opts.tolerance
+                check()
+        check()
+        converged = self.res <= TOLERANCE
         report = self.report(converged)
         if not converged:
             raise ConvergenceError(
                 self.message or f"not converged after {self.iterations} iterations "
-                f"(residual {self.res:.3e} > {opts.tolerance:.1e})",
+                f"(residual {self.res:.3e} > {TOLERANCE:.1e})",
                 report)
         # Boundary rows were never written; assert the contract cheaply.
         fixed = ~self.interior
@@ -611,7 +601,7 @@ def _stack_basis(mesh: TriMesh) -> _StackBasis | None:
     return _StackBasis(grid)
 
 
-def minimize_area(mesh: TriMesh, options: SolverOptions | None = None):
+def minimize_area(mesh: TriMesh):
     """Relax interior vertices to a discrete minimal surface.
 
     A stack of horizontal circles on a `RingGrid`, such as the ruled
@@ -623,11 +613,11 @@ def minimize_area(mesh: TriMesh, options: SolverOptions | None = None):
     area, so the area history decreases strictly, except below the rounding
     floor of the area sum, where a step lowers the residual instead.
     """
-    descent = _Descent(mesh, options or SolverOptions())
+    descent = _Descent(mesh)
     descent.stack_stage()
     return descent.full_stage()
 
 
 def solve_annulus(problem: AnnulusProblem):
     """Minimize the area of the problem's ruled start."""
-    return minimize_area(problem.start, problem.options)
+    return minimize_area(problem.start)

@@ -167,12 +167,6 @@ class ProfileCurve:
                 f"first integral violated: max relative error {np.max(err):.3e}"
             )
 
-    def mirrored(self):
-        """(t, f) samples extended symmetrically to t < 0."""
-        t = np.concatenate([-self.t[:0:-1], self.t])
-        f = np.concatenate([self.f[:0:-1], self.f])
-        return t, f
-
 
 def _arclength_integrand(m: int):
     # t(s) = integral of ds/sqrt(s^(2m) - 1); substituting s = 1 + w^2
@@ -264,14 +258,6 @@ def ncatenoid_lifetime(n: int, f0: float) -> float:
     far, _ = quad(lambda s: s ** -m / math.sqrt(1.0 - s ** (-2 * m)), 2.0, np.inf,
                   epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
     return 2.0 * f0 * (near + far)
-
-
-def ncatenoid_mesh(profile: ProfileCurve, nu: int = 64) -> TriMesh:
-    """Surface of revolution of a 3-D profile (n == 3 only)."""
-    if profile.n != 3:
-        raise ValueError("meshing is only supported for surfaces in R^3")
-    t, f = profile.mirrored()
-    return _revolution_mesh(f, t, nu)
 
 
 def flat_annulus_mesh(r_inner: float, r_outer: float, nu: int, nr: int) -> TriMesh:

@@ -1,19 +1,22 @@
-"""Shared fixtures: analytic catenoid bands at the acceptance resolutions
-and solver-produced offset annuli at two refinement levels; and the
-reference cotangent stiffness and Laplacian and per-corner angle sums the
-tests check the stiffness-based operators and the corner pass against.
+"""Shared fixtures: analytic catenoid bands at the acceptance resolutions,
+a rotated band whose ends are not level, and solver-produced offset annuli
+at two refinement levels; and the reference cotangent stiffness and
+Laplacian and per-corner angle sums the tests check the stiffness-based
+operators and the corner pass against.
 
 Solves are session-scoped because the two annulus solves take about 1.9 s
 together on a 2-core x86 machine, 0.5 s of it the 256x128 one; every test
 sees the same converged meshes.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from mintube import solver, surfaces
-from mintube.mesh import _vertex_sums
+from mintube.mesh import TriMesh, _vertex_sums
 
 
 def cot_stiffness(mesh):
@@ -69,6 +72,16 @@ def corner_sums(mesh):
 
 def catenoid(a, v_min, v_max, nu, nv):
     return surfaces.catenoid_mesh(surfaces.CatenoidSpec(a, v_min, v_max, nu, nv))
+
+
+def rotated_catenoid(beta, nu, nv):
+    """The a = 1 catenoid band over [-1, 1] rotated by beta about the
+    x1-axis: a minimal tube with flow vector 2 pi (0, -sin beta, cos beta),
+    so alpha = beta, whose boundary loops are not level."""
+    c, s = math.cos(beta), math.sin(beta)
+    rotation = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    band = catenoid(1.0, -1.0, 1.0, nu, nv)
+    return TriMesh(band.vertices @ rotation.T, band.triangles)
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import rotated_catenoid
 
 import mintube
 from mintube import cli, flux, solver, surfaces
@@ -294,9 +295,10 @@ INVALID_NUMBERS = [
     ["sweep", "--offsets", "nan"],
     ["sweep", "--offsets", "0.0", "inf"],
     ["sweep", "--offsets", "0", "--heights", "0", "1e-300"],
-    ["solve-annulus", "--tolerance", "nan"],
-    ["solve-annulus", "--tolerance", "-1"],
-    ["solve-annulus", "--max-iterations", "0"],
+    # too large to measure: the triangle areas overflow
+    ["solve-annulus", "--offset", "1e300"],
+    ["catenoid", "--a", "1e300"],
+    ["solve-annulus", "--r", "1e100", "1e100", "--heights", "0", "1e100"],
 ]
 
 
@@ -361,6 +363,17 @@ def test_analyze_reproduces_catenoid_outputs(tmp_path):
             == (tmp_path / "catenoid_slices.csv").read_bytes())
     assert ((tmp_path / "re" / "catenoid_report.json").read_bytes()
             == (tmp_path / "catenoid_report.json").read_bytes())
+
+
+def test_analyze_tilted_band(tmp_path):
+    # its ends are not level: it is checked on the band between them, with
+    # no capacity
+    obj = tmp_path / "band.obj"
+    write_obj(rotated_catenoid(0.2, 64, 32), obj)
+    assert run(["analyze", str(obj), "--outdir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "band_report.json").read_text())
+    assert abs(doc["alpha"] - 0.2) < 1e-4
+    assert doc["capacity"] is None
 
 
 def test_analyze_missing_file(tmp_path):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from conftest import corner_sums as oracle_corner_sums
+from conftest import rotated_catenoid
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -280,6 +281,28 @@ def test_total_curvature_feeds_lifetime_bound():
     mesh = catenoid(res=(128, 64))
     report = flux.analyze_tube(mesh, n_levels=3, compute_capacity=False)
     assert report.total_curvature == pytest.approx(total_curvature(mesh)[0])
+
+
+def test_analyze_tube_tilted_band_converges():
+    # a minimal tube with alpha = beta whose ends are not level: the levels
+    # span the band between its boundary loops, and no capacity is measured
+    for beta in (0.05, 0.2, 0.4):
+        errors = []
+        for nu, nv in ((64, 32), (128, 64)):
+            report = flux.analyze_tube(rotated_catenoid(beta, nu, nv))
+            assert report.capacity is None
+            # the lower loop reaches up to -cos(beta) + cosh(1) sin(beta)
+            assert report.slab_height == pytest.approx(
+                2.0 * (math.cos(beta) - math.cosh(1.0) * math.sin(beta)), rel=1e-12)
+            errors.append(abs(report.alpha - beta))
+        assert errors[1] <= errors[0] / 3
+
+
+def test_analyze_tube_needs_a_band_between_the_boundary_loops():
+    # tilted this far, the ends overlap in x3 and no level meets both
+    with pytest.raises(ValueError, match=r"^no slab lies between the boundary loops: "
+                                         r"they span x3 in \[-1\.8"):
+        flux.analyze_tube(rotated_catenoid(1.2, 32, 16))
 
 
 def test_analyze_tube_makes_one_corner_pass(monkeypatch):

@@ -34,10 +34,6 @@ def test_problem_validation():
             solver.Circle((0.0, 0.0, 0.0), bad)
         with pytest.raises(ValueError, match="finite"):
             solver.Circle((bad, 0.0, 0.0), 1.0)
-    for options in ({"max_iterations": 0}, {"tolerance": math.nan},
-                    {"tolerance": math.inf}, {"tolerance": 0.0}, {"tolerance": -1.0}):
-        with pytest.raises(ValueError):
-            solver.SolverOptions(**options)
 
 
 def test_initial_annulus_boundary_circles():
@@ -56,7 +52,7 @@ def test_coaxial_solution_matches_catenoid():
                                  solver.Circle((0, 0, 0.5), 1.0), nu=64, nv=32)
     mesh, report = solver.solve_annulus(prob)
     assert report.converged
-    assert report.residual_history[-1] <= prob.options.tolerance
+    assert report.residual_history[-1] <= solver.TOLERANCE
     a = brentq(lambda x: x * math.cosh(0.5 / x) - 1.0, 0.5, 1.0)
     r = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
     expect = a * np.cosh(mesh.vertices[:, 2] / a)
@@ -67,7 +63,7 @@ def test_boundary_vertices_bit_identical():
     prob = solver.AnnulusProblem(solver.Circle((0, 0, 0.0), 1.0),
                                  solver.Circle((0.2, 0, 1.0), 1.0), nu=48, nv=16)
     initial = solver.initial_annulus(prob)
-    mesh, _ = solver.minimize_area(initial, prob.options)
+    mesh, _ = solver.minimize_area(initial)
     fixed = initial.boundary_vertex_mask()
     assert np.array_equal(mesh.vertices[fixed], initial.vertices[fixed])
 
@@ -110,7 +106,7 @@ def test_coaxial_circles_below_critical_height_converge():
                                  solver.Circle((0, 0, 1.3), 1.0), nu=64, nv=32)
     _, report = solver.solve_annulus(prob)
     assert report.converged
-    assert report.residual_history[-1] <= prob.options.tolerance
+    assert report.residual_history[-1] <= solver.TOLERANCE
 
 
 def test_far_circles_pinch_detected():
@@ -121,11 +117,11 @@ def test_far_circles_pinch_detected():
         solver.solve_annulus(prob)
 
 
-def test_iteration_cap_raises_with_report():
-    prob = solver.AnnulusProblem(
-        solver.Circle((0, 0, 0.0), 1.0), solver.Circle((0.3, 0, 1.0), 1.0),
-        nu=48, nv=16,
-        options=solver.SolverOptions(max_iterations=2, tolerance=1e-14))
+def test_iteration_cap_raises_with_report(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 2)
+    monkeypatch.setattr(solver, "TOLERANCE", 1e-14)
+    prob = solver.AnnulusProblem(solver.Circle((0, 0, 0.0), 1.0),
+                                 solver.Circle((0.3, 0, 1.0), 1.0), nu=48, nv=16)
     with pytest.raises(solver.ConvergenceError) as err:
         solver.solve_annulus(prob)
     assert err.value.report is not None
@@ -235,24 +231,23 @@ def test_offset_annulus_iterations_at_96x48():
 
 
 @pytest.mark.parametrize("nu, nv", [(32, 16), (128, 64)])
-def test_stack_stage_converges_below_the_area_rounding_floor(nu, nv):
+def test_stack_stage_converges_below_the_area_rounding_floor(monkeypatch, nu, nv):
     # At a tight tolerance the last stack steps predict area decreases
     # below what the area sum resolves.  Judged by the measured area, the
     # damping grew until rounding noise passed a step, or the stage gave
     # up unconverged; judged by the stack residual, they converge the
     # stage with the damping unchanged.
-    prob = unit_circles(1.0, 0.3, nu, nv, solver.SolverOptions(tolerance=1e-9))
-    descent = solver._Descent(solver.initial_annulus(prob), prob.options)
-    descent.stack_stage()
-    assert descent.annulus_found
+    monkeypatch.setattr(solver, "TOLERANCE", 1e-9)
+    descent = stack_descent(1.0, 0.3, nu, nv)
+    assert stack_residual(descent) <= solver.STACK_TOL_RATIO * 1e-9
     assert descent.mu < 1e-3
 
 
-def test_tight_tolerance_full_stage_starts_from_the_stack_damping():
+def test_tight_tolerance_full_stage_starts_from_the_stack_damping(monkeypatch):
     # With the damping the area's rounding noise used to inflate, the full
     # stage took 11 iterations here.
-    options = solver.SolverOptions(tolerance=1e-8)
-    _, report = solver.solve_annulus(unit_circles(1.0, 0.3, 96, 48, options))
+    monkeypatch.setattr(solver, "TOLERANCE", 1e-8)
+    _, report = solver.solve_annulus(unit_circles(1.0, 0.3, 96, 48))
     assert report.converged
     assert report.iterations < 11
     areas = np.array(report.area_history)
@@ -375,7 +370,7 @@ REFINED_STEP_ERROR = {
 @pytest.mark.parametrize("mu", [1e-6, 1e-2, 1.0, 30.0])
 def test_refined_float32_step_matches_float64_solve(nu, nv, mu):
     mesh, interior = perturbed_annulus(nu, nv, seed=11)
-    descent = solver._Descent(mesh, solver.SolverOptions())
+    descent = solver._Descent(mesh)
     descent.pattern = pattern = solver._HessianPattern(mesh.triangles, interior)
     step, _ = descent._factored_solve()(mu)
     geo = descent.geo
@@ -435,7 +430,7 @@ def test_singular_factor_escalates_damping(monkeypatch):
                                  solver.Circle((0.3, 0, 1.0), 1.0), nu=48, nv=16)
     mesh, report = solver.solve_annulus(prob)
     assert report.converged
-    assert report.residual_history[-1] <= prob.options.tolerance
+    assert report.residual_history[-1] <= solver.TOLERANCE
     # the retry factors the same Hessian with a larger diagonal shift
     assert len(shifts) > 2
     assert np.all(shifts[1] > shifts[0])
@@ -458,7 +453,7 @@ def test_singular_ordered_factor_escalates_damping(monkeypatch):
                                  solver.Circle((0.3, 0, 1.0), 1.0), nu=48, nv=16)
     mesh, report = solver.solve_annulus(prob)
     assert report.converged
-    assert report.residual_history[-1] <= prob.options.tolerance
+    assert report.residual_history[-1] <= solver.TOLERANCE
     # the ordering came from the first factorization; every later one,
     # the failed one and its retry included, keeps it
     assert specs[0] == "MMD_AT_PLUS_A" and set(specs[1:]) == {"NATURAL"}
@@ -466,11 +461,10 @@ def test_singular_ordered_factor_escalates_damping(monkeypatch):
     assert np.all(shifts[1] > shifts[0])
 
 
-def unit_circles(h, d, nu, nv, options=solver.SolverOptions()):
+def unit_circles(h, d, nu, nv):
     """Unit circles at heights 0 and h, the upper one offset by d along x."""
     return solver.AnnulusProblem(solver.Circle((0, 0, 0.0), 1.0),
-                                 solver.Circle((d, 0, h), 1.0), nu=nu, nv=nv,
-                                 options=options)
+                                 solver.Circle((d, 0, h), 1.0), nu=nu, nv=nv)
 
 
 def test_coaxial_stack_minimizer_is_critical():
@@ -493,11 +487,15 @@ def test_pinch_found_before_any_factorization(monkeypatch):
 
 
 def stack_descent(h, d, nu, nv):
-    prob = unit_circles(h, d, nu, nv)
-    mesh = solver.initial_annulus(prob)
-    descent = solver._Descent(mesh, prob.options)
+    descent = solver._Descent(unit_circles(h, d, nu, nv).start)
     descent.stack_stage()
     return descent
+
+
+def stack_residual(descent):
+    """The stack residual of the descent's current surface, which the
+    stack stage drives below STACK_TOL_RATIO * TOLERANCE."""
+    return solver._stack_basis(descent.start).residual(descent.geo, descent.interior)
 
 
 def test_stack_basis_recognizes_circle_stacks():
@@ -542,7 +540,8 @@ def test_minimize_area_runs_the_stack_stage_on_circle_stacks():
 def test_stack_stage_keeps_horizontal_circles():
     nu, nv = 48, 16
     descent = stack_descent(1.0, 0.3, nu, nv)
-    assert descent.annulus_found and descent.stack_iterations > 0
+    assert stack_residual(descent) <= solver.STACK_TOL_RATIO * solver.TOLERANCE
+    assert descent.stack_iterations > 0
     assert descent.areas[-1] < descent.areas[0]
     start = descent.start.vertices.reshape(nv + 1, nu, 3)
     rings = descent.cur.vertices.reshape(nv + 1, nu, 3)
@@ -576,36 +575,55 @@ def test_problems_at_one_resolution_share_one_triangle_array():
     assert not a.start.triangles.flags.writeable
 
 
-def test_degeneration_in_stack_stage_is_no_annulus():
-    # a stack degenerates only as a ring collapses: while the stack stage
-    # runs that is the pinch's verdict, and after it the solver's failure
-    descent = stack_descent(1.0, 0.3, 32, 8)
-    verts = descent.cur.vertices.copy().reshape(9, 32, 3)
-    ring = verts[1, :, :2]                      # the ring above the lower circle
-    verts[1, :, :2] = ring.mean(axis=0) + 1e-6 * (ring - ring.mean(axis=0))
-    collapsed = TriMesh(verts.reshape(-1, 3), descent.cur.triangles)
-    descent._accept(collapsed, meshmod.edge_geometry(collapsed))
-    with pytest.raises(solver.NoAnnulusError, match="^no annulus: mesh degenerated"):
-        descent._safety_checks(stack=True)
-    with pytest.raises(solver.ConvergenceError, match="^mesh degenerated"):
-        descent._safety_checks()
+def squeezed_ring(descent, j, factor):
+    """The descent's current surface with interior ring j shrunk about its
+    center by `factor`, accepted as its iterate."""
+    grid = surfaces.RingGrid.of(descent.start)
+    verts = descent.cur.vertices.copy().reshape(grid.nv + 1, grid.nu, 3)
+    ring = verts[j, :, :2]
+    verts[j, :, :2] = ring.mean(axis=0) + factor * (ring - ring.mean(axis=0))
+    squeezed = TriMesh(verts.reshape(-1, 3), descent.cur.triangles)
+    descent._accept(squeezed, meshmod.edge_geometry(squeezed))
 
 
-def test_pinch_after_stack_stage_is_degeneration():
-    # once the stack stage has converged an annulus exists: a pinch found
-    # later is the solver's failure (ConvergenceError), not NoAnnulusError
+def test_degeneration_in_stack_stage_is_no_annulus(monkeypatch):
+    # a stack degenerates only as a ring collapses: in the stack stage that
+    # is the verdict that no annulus exists, in the full stage the solver's
+    # failure
     descent = stack_descent(1.0, 0.3, 32, 8)
-    assert descent.annulus_found
-    verts = descent.cur.vertices.copy().reshape(9, 32, 3)
-    mid = verts[4, :, :2]                                   # the ring at h / 2
-    verts[4, :, :2] = mid.mean(axis=0) + 1e-3 * (mid - mid.mean(axis=0))
-    pinched = TriMesh(verts.reshape(-1, 3), descent.cur.triangles)
-    descent._accept(pinched, meshmod.edge_geometry(pinched))
-    with pytest.raises(solver.ConvergenceError, match="neck pinched"):
-        descent._safety_checks()
-    descent.annulus_found = False
-    with pytest.raises(solver.NoAnnulusError, match="neck pinched"):
-        descent._safety_checks()
+    squeezed_ring(descent, 1, 1e-6)             # the ring above the lower circle
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 0)   # each stage only checks
+    with pytest.raises(solver.NoAnnulusError,
+                       match=r"^no annulus: mesh degenerated \(min/mean"):
+        descent.stack_stage()
+    with pytest.raises(solver.ConvergenceError, match=r"^mesh degenerated \(min/mean") as err:
+        descent.full_stage()
+    assert err.value.report is not None
+
+
+def test_pinch_after_stack_stage_is_degeneration(monkeypatch):
+    # a pinch in the full stage is the solver's failure (ConvergenceError),
+    # not NoAnnulusError: only the stack stage says that no annulus exists
+    descent = stack_descent(1.0, 0.3, 32, 8)
+    squeezed_ring(descent, 4, 1e-3)             # the ring at h / 2
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 0)
+    with pytest.raises(solver.ConvergenceError, match="^mesh degenerated: neck pinched"):
+        descent.full_stage()
+
+
+def test_pinch_of_a_start_that_is_no_stack_is_degeneration():
+    # a mesh that is not a stack of circles gets the full stage alone, so
+    # its pinch says nothing about existence
+    start = unit_circles(2.0, 0.0, 32, 16).start
+    interior = ~start.boundary_vertex_mask()
+    verts = start.vertices.copy()
+    verts[interior] += 1e-3 * np.random.default_rng(0).standard_normal(verts[interior].shape)
+    mesh = TriMesh(verts, start.triangles)
+    assert solver._stack_basis(mesh) is None
+    with pytest.raises(solver.ConvergenceError,
+                       match="^mesh degenerated: neck pinched below 2% of the "
+                             "boundary circumference$"):
+        solver.minimize_area(mesh)
 
 
 def test_sheared_annulus_converges():

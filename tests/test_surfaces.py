@@ -219,15 +219,6 @@ def test_n3_profile_is_standard_catenoid():
     assert np.max(np.abs(prof.f - 2.0 * np.cosh(prof.t / 2.0))) < 1e-6
 
 
-def test_ncatenoid_mesh_minimal():
-    prof = surfaces.ncatenoid_profile(3, 1.0, t_span=1.0, samples=80)
-    mesh = surfaces.ncatenoid_mesh(prof, nu=128)
-    mesh.validate()
-    assert residual(mesh) < 2e-3
-    with pytest.raises(ValueError):
-        surfaces.ncatenoid_mesh(surfaces.ncatenoid_profile(4, 1.0, f_cap=2.0))
-
-
 def test_flat_annulus_mesh():
     mesh = surfaces.flat_annulus_mesh(1.0, 3.0, 128, 48)
     mesh.validate()
