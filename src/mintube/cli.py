@@ -294,7 +294,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print("error: out of memory; a smaller --res needs less", file=sys.stderr)
+        hint = "; a smaller --res needs less" if hasattr(args, "res") else ""
+        print(f"error: out of memory{hint}", file=sys.stderr)
         return 2
     except tuple(SOLVER_EXIT_CODES) as exc:
         # a no-annulus message starts "no annulus: " on its own

@@ -24,6 +24,7 @@ E3 = np.array([0.0, 0.0, 1.0])
 
 DEGENERATE_AREA_FACTOR = 1e-14
 SNAP_REL_TOL = 1e-9
+FRAME_TOL = 1e-8  # conormal orthogonality allowed by `check_invariants`
 NUDGE_REL = 1e-7
 _OBJ_SLASH_SUFFIX = re.compile(r"(?<=\S)/\S*")
 
@@ -249,10 +250,10 @@ class CrossSectionCycle:
     def length(self) -> float:
         return float(self.ds.sum())
 
-    def check_invariants(self, tol: float = 1e-8) -> None:
-        if np.max(np.abs(np.einsum("ij,ij->i", self.conormals, self.tangents))) > tol:
+    def check_invariants(self) -> None:
+        if np.max(np.abs(np.einsum("ij,ij->i", self.conormals, self.tangents))) > FRAME_TOL:
             raise SliceError("conormal not orthogonal to the cycle tangent")
-        if np.max(np.abs(np.einsum("ij,ij->i", self.conormals, self.normals))) > tol:
+        if np.max(np.abs(np.einsum("ij,ij->i", self.conormals, self.normals))) > FRAME_TOL:
             raise SliceError("conormal not orthogonal to the surface normal")
         if np.min(self.conormals[:, 2]) <= 0:
             raise SliceError("conormal lost its positive axial component")
@@ -504,43 +505,40 @@ def edge_geometry(mesh: TriMesh) -> EdgeGeometry:
 REFINE_STEPS = 2      # float64 refinements of each float32-factored solve
 
 
-def factor_symmetric(A, ordered: bool = False):
+def factor_symmetric(A):
     """SuperLU factorization of a sparse CSC matrix with symmetric structure
-    and a safe diagonal (symmetric positive definite, or close to it):
-    minimum-degree ordering on A^T + A and diagonal pivots, which keeps the
-    fill of a symmetric factorization.  With `ordered`, A is already laid
-    out in such an order (the `perm_c` of an earlier factorization of the
-    same pattern) and is factored in its natural order.  The factors have
-    the precision of A's data, float32 or float64, and so must the
-    right-hand sides passed to their `solve`.  SuperLU's default panel size
-    and relaxation are kept: a panel of 6 with relaxation 3 factors the
-    float32 capacity system of the 256x128 catenoid about a fifth faster,
-    but raises the error of the refined full-stage step at 96x48 and
-    mu = 1e-2 from 3.8e-5 to 1.7e-2, and a panel of 32 with relaxation 16
-    corrupts the heap (scipy 1.17).  Raises RuntimeError when a pivot is
-    exactly zero."""
-    return spla.splu(A, permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    and a safe diagonal (symmetric positive definite, or close to it): its
+    own minimum-degree ordering on A^T + A, and diagonal pivots, which keeps
+    the fill of a symmetric factorization.  The factors have the precision
+    of A's data, float32 or float64, and so must the right-hand sides
+    passed to their `solve`.  SuperLU's default panel size and relaxation
+    are kept: a panel of 6 with relaxation 3 factors the float32 capacity
+    system of the 256x128 catenoid about a fifth faster, but raises the
+    error of the refined full-stage step at 96x48 and mu = 1e-2 from 3.8e-5
+    to 1.7e-2, and a panel of 32 with relaxation 16 corrupts the heap
+    (scipy 1.17).  Raises RuntimeError when a pivot is exactly zero."""
+    return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
 
 
-def refined_solve(A, b, ordered: bool = False):
-    """(x, perm_c): the solution of A x = b for a float64 CSC matrix A, as
-    `factor_symmetric` takes it, and the column order of the factorization.
+def refined_solve(A, b):
+    """The solution x of A x = b for a float64 CSC matrix A, as
+    `factor_symmetric` takes it.
 
-    A is factored by `factor_symmetric` in float32, in about three quarters
-    of the float64 time and half the memory, and x is then refined
-    REFINE_STEPS times against A in float64, x += LU32^-1 (b - A x)
-    (mixed-precision iterative refinement: Buttari, Dongarra, Kurzak,
-    Luszczek & Tomov 2008; Carson & Higham 2018).  Each refinement cuts the
-    error by a factor of about kappa(A) * u32, down to the error of a
-    float64 solve.  The factors live only for this call: perm_c is a copy.
+    A is factored by `factor_symmetric` in float32, in its own fill order,
+    in about three quarters of the float64 time and half the memory, and x
+    is then refined REFINE_STEPS times against A in float64,
+    x += LU32^-1 (b - A x) (mixed-precision iterative refinement: Buttari,
+    Dongarra, Kurzak, Luszczek & Tomov 2008; Carson & Higham 2018).  Each
+    refinement cuts the error by a factor of about kappa(A) * u32, down to
+    the error of a float64 solve.  The factors live only for this call.
     Raises RuntimeError when a pivot is exactly zero."""
     lu = factor_symmetric(sp.csc_matrix((A.data.astype(np.float32), A.indices, A.indptr),
-                                        shape=A.shape), ordered=ordered)
+                                        shape=A.shape))
     x = lu.solve(b.astype(np.float32)).astype(float)
     for _ in range(REFINE_STEPS):
         x += lu.solve((b - A @ x).astype(np.float32))
-    return x, lu.perm_c.copy()
+    return x
 
 
 def harmonic_capacity(mesh: TriMesh, loop0, loop1):
@@ -596,7 +594,7 @@ def harmonic_capacity(mesh: TriMesh, loop0, loop1):
 
     rhs = -laplacian_times(phi)[free]
     try:
-        sol, _ = refined_solve(A, rhs)
+        sol = refined_solve(A, rhs)
     except RuntimeError as exc:  # exactly singular: disconnected mesh etc.
         raise MeshError(f"harmonic solve failed: {exc}") from exc
     if not np.all(np.isfinite(sol)):

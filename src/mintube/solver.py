@@ -65,18 +65,15 @@ into a CSC pattern built on its first iteration, and solves
 (H + mu kron(L, I3)) s = -g with `mesh.refined_solve`: a float32
 factorization by `mesh.factor_symmetric` (SuperLU, symmetric mode, diagonal
 pivots), about three quarters of the float64 time and half the memory,
-refined twice against the float64 system.  Its minimum-degree ordering
-depends on the pattern only: the pattern keeps the order of its first
-factorization, is laid out in it before the next iteration assembles its
-system, and later factorizations keep the
-natural order.  The model prediction uses the float64 H.  Against a float64
-factorization, on the full-stage iterates of the offset-0.3 annulus, the
-step's error is at most 2e-3 unrefined, 1.3e-5 after one refinement and
-6e-8 after two at 96x48, and 5e-3, 1e-4 and 2.3e-6 at 128x64 (the last at
-mu 6e-6); the iteration counts are those of float64 factors.  An exactly
-singular system is handled like a rejected step: mu grows and the step is
-retried.  `mesh.harmonic_capacity` solves its system through the same
-routine.
+refined twice against the float64 system.  Each factorization picks its own
+minimum-degree order on the pattern.  The model prediction uses the float64
+H.  Against a float64 factorization, on the full-stage iterates of the
+offset-0.3 annulus, the step's error is at most 2e-3 unrefined, 1.3e-5
+after one refinement and 6e-8 after two at 96x48, and 5e-3, 1e-4 and
+2.3e-6 at 128x64 (the last at mu 6e-6); the iteration counts are those of
+float64 factors.  An exactly singular system is handled like a rejected
+step: mu grows and the step is retried.  `mesh.harmonic_capacity` solves
+its system through the same routine.
 """
 
 from __future__ import annotations
@@ -229,9 +226,8 @@ class _HessianPattern:
     increasing order.  `slots` maps each entry of the `_area_hessian`
     blocks to its slot, and `diag_slots` the (i, j, a, a) entries, which
     carry kron(L, I3); entries touching other vertices go to a spill slot
-    past the end.  Coordinate k sits at position `perm[k]` of the matrix.
-    `fill_order` keeps the order of a factorization in the natural order
-    until `reorder` applies it.
+    past the end.  The matrix is in coordinate order; each factorization
+    picks its own fill-reducing order.
     """
 
     def __init__(self, tris: np.ndarray, dof_mask: np.ndarray):
@@ -265,25 +261,6 @@ class _HessianPattern:
         self.slots = slots.ravel()
         self.diag_slots = slots[..., a, a].ravel()
         self.shape = (3 * n_verts, 3 * n_verts)
-        self.perm = self.order = np.arange(3 * n_verts)
-        self.ordered = False
-        self.fill_order = None
-
-    def reorder(self, perm: np.ndarray) -> None:
-        """Move coordinate k to position perm[k] of the matrix, keeping every
-        column's rows sorted: the fill-reducing order of a first
-        factorization, in which later ones run in their natural order."""
-        perm = np.array(perm)       # SuperLU's perm_c keeps its factors alive
-        order, counts = np.argsort(perm), np.diff(self.indptr)
-        col, row = perm[np.repeat(np.arange(len(perm)), counts)], perm[self.indices]
-        moved = np.argsort(col.astype(np.int64) * len(perm) + row)  # new -> old slot
-        where = np.empty(self.nnz + 1, dtype=np.int32)               # old -> new slot
-        where[moved] = np.arange(self.nnz, dtype=np.int32)
-        where[self.nnz] = self.nnz
-        self.slots, self.diag_slots = where[self.slots], where[self.diag_slots]
-        self.indices = row[moved]
-        self.indptr = np.append(0, np.cumsum(counts[order])).astype(np.int32)
-        self.perm, self.order, self.ordered, self.fill_order = perm, order, True, None
 
     def values(self, blocks: np.ndarray) -> np.ndarray:
         """CSC data array of the summed blocks."""
@@ -471,26 +448,20 @@ class _Descent:
         return False
 
     def _factored_solve(self):
-        """`solve(mu)` for the full stage: H + mu kron(L, I3), in the
-        pattern's order (built on the first call, and laid out in its first
-        factorization's fill order on the next), solved by `refined_solve`
-        (float32 factors refined against the float64 system)."""
+        """`solve(mu)` for the full stage: H + mu kron(L, I3), on the pattern
+        built on the first call, solved by `refined_solve` (float32 factors
+        refined against the float64 system)."""
         if self.pattern is None:
             self.pattern = _HessianPattern(self.cur.triangles, self.interior)
         pattern = self.pattern
-        if pattern.fill_order is not None:
-            pattern.reorder(pattern.fill_order)
-        g = self.grad.ravel()[pattern.order]          # in matrix order
+        g = self.grad.ravel()
         hess = pattern.values(_area_hessian(self.geo.stiffness, self.geo.normals))
         lap = pattern.stiffness_values(self.geo.stiffness)
         H = pattern.matrix(hess)
 
         def solve(mu):
-            x, perm_c = refined_solve(pattern.matrix(hess + mu * lap), -g,
-                                      ordered=pattern.ordered)
-            if not pattern.ordered:
-                pattern.fill_order = perm_c
-            return x[pattern.perm].reshape(-1, 3), -(g @ x + 0.5 * x @ (H @ x))
+            x = refined_solve(pattern.matrix(hess + mu * lap), -g)
+            return x.reshape(-1, 3), -(g @ x + 0.5 * x @ (H @ x))
         return solve
 
     def _stack_solve(self, basis: _StackBasis):

@@ -90,6 +90,7 @@ def test_ncatenoid_large_n(tmp_path, capsys, n):
     (["solve-annulus", "--res", "32x16"], (solver, "solve_annulus")),
     (["solve-annulus", "--res", "32x16"], (solver, "slice_mesh")),
     (["catenoid", "--res", "64x32"], (mintube.mesh.spla, "splu")),
+    (["analyze", "x.obj"], (mintube.mesh, "read_obj")),
 ])
 def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch, argv, target):
     def exhausted(*args, **kwargs):
@@ -100,6 +101,8 @@ def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch, argv, target):
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory") and err.count("\n") == 1
     assert "Traceback" not in err
+    # the hint names --res only to a command that takes it
+    assert ("--res" in err) == ("--res" in argv)
 
 
 @pytest.mark.parametrize("margins, code", [

@@ -318,39 +318,9 @@ def test_hessian_pattern_matches_coo_assembly():
     pattern = solver._HessianPattern(tris, interior)
     S = cot_stiffness(perturbed)
 
-    def assembled():
-        return pattern.matrix(pattern.values(blocks) + mu * pattern.stiffness_values(S))
-
-    got = assembled()
+    got = pattern.matrix(pattern.values(blocks) + mu * pattern.stiffness_values(S))
     assert got.format == "csc" and got.has_sorted_indices
     assert np.abs(got.toarray() - expect).max() <= 1e-13 * np.abs(expect).max()
-    # Laid out in a fill-reducing order: entry (i, j) moves to (perm[i], perm[j]).
-    pattern.reorder(factor_symmetric(got).perm_c)
-    order = np.argsort(pattern.perm)
-    got = assembled()
-    assert got.format == "csc" and got.has_sorted_indices
-    expect = expect[np.ix_(order, order)]
-    assert np.abs(got.toarray() - expect).max() <= 1e-13 * np.abs(expect).max()
-
-
-@pytest.mark.parametrize("mu", [1e-6, 1e-2, 1.0, 30.0])
-def test_reordered_factor_matches_unpermuted_solve(mu):
-    mesh, interior = perturbed_annulus(16, 6, seed=11)
-    S = cot_stiffness(mesh)
-    rhs = np.random.default_rng(2).standard_normal(3 * int(interior.sum()))
-    pattern = solver._HessianPattern(mesh.triangles, interior)
-
-    def system():
-        return pattern.values(area_hessian_blocks(mesh)) + mu * pattern.stiffness_values(S)
-
-    lu = factor_symmetric(pattern.matrix(system()))
-    want = lu.solve(rhs)
-    pattern.reorder(lu.perm_c)
-    ordered = factor_symmetric(pattern.matrix(system()), ordered=True)
-    assert np.array_equal(ordered.perm_c, np.arange(len(rhs)))
-    assert ordered.L.nnz + ordered.U.nnz == lu.L.nnz + lu.U.nnz
-    got = ordered.solve(rhs[pattern.order])[pattern.perm]
-    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 # Relative error of the full-stage step (float32 factors, two float64
@@ -382,16 +352,23 @@ def test_refined_float32_step_matches_float64_solve(nu, nv, mu):
 
 
 def test_every_factorization_is_float32(monkeypatch):
+    # and orders itself: no factorization reuses an earlier one's order
     splu = meshmod.spla.splu
-    dtypes = []
-    monkeypatch.setattr(meshmod.spla, "splu",
-                        lambda A, **k: dtypes.append(A.dtype) or splu(A, **k))
+    dtypes, specs = [], []
+
+    def recorded_splu(A, **kwargs):
+        dtypes.append(A.dtype)
+        specs.append(kwargs["permc_spec"])
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(meshmod.spla, "splu", recorded_splu)
     mesh, report = solver.solve_annulus(unit_circles(1.0, 0.3, 48, 16))
     assert report.iterations > 0 and len(dtypes) >= report.iterations
     n_solver = len(dtypes)
     meshmod.harmonic_capacity(mesh, *mesh.boundary_loops())
     assert len(dtypes) == n_solver + 1
     assert set(dtypes) == {np.dtype(np.float32)}
+    assert set(specs) == {"MMD_AT_PLUS_A"}
 
 
 def test_safety_slice_interpolates_the_cached_vertex_normals(monkeypatch):
@@ -415,13 +392,15 @@ def test_unreferenced_vertex_is_rejected():
         solver.minimize_area(mesh)
 
 
-def test_singular_factor_escalates_damping(monkeypatch):
+@pytest.mark.parametrize("failing", [1, 2])
+def test_singular_factor_escalates_damping(monkeypatch, failing):
+    # the first factorization of the solve, or a later one, is singular once
     splu = meshmod.spla.splu
     shifts = []
 
     def splu_singular_once(A, **kwargs):
         shifts.append(A.diagonal())
-        if len(shifts) == 1:
+        if len(shifts) == failing:
             raise RuntimeError("Factor is exactly singular")
         return splu(A, **kwargs)
 
@@ -432,33 +411,8 @@ def test_singular_factor_escalates_damping(monkeypatch):
     assert report.converged
     assert report.residual_history[-1] <= solver.TOLERANCE
     # the retry factors the same Hessian with a larger diagonal shift
-    assert len(shifts) > 2
-    assert np.all(shifts[1] > shifts[0])
-
-
-def test_singular_ordered_factor_escalates_damping(monkeypatch):
-    splu = meshmod.spla.splu
-    specs, shifts = [], []
-
-    def splu_singular_once_ordered(A, **kwargs):
-        specs.append(kwargs["permc_spec"])
-        if kwargs["permc_spec"] == "NATURAL":
-            shifts.append(A.diagonal())
-            if len(shifts) == 1:
-                raise RuntimeError("Factor is exactly singular")
-        return splu(A, **kwargs)
-
-    monkeypatch.setattr(meshmod.spla, "splu", splu_singular_once_ordered)
-    prob = solver.AnnulusProblem(solver.Circle((0, 0, 0.0), 1.0),
-                                 solver.Circle((0.3, 0, 1.0), 1.0), nu=48, nv=16)
-    mesh, report = solver.solve_annulus(prob)
-    assert report.converged
-    assert report.residual_history[-1] <= solver.TOLERANCE
-    # the ordering came from the first factorization; every later one,
-    # the failed one and its retry included, keeps it
-    assert specs[0] == "MMD_AT_PLUS_A" and set(specs[1:]) == {"NATURAL"}
-    # the retry factors the same Hessian with a larger diagonal shift
-    assert np.all(shifts[1] > shifts[0])
+    assert len(shifts) > failing + 1
+    assert np.all(shifts[failing] > shifts[failing - 1])
 
 
 def unit_circles(h, d, nu, nv):
