@@ -135,9 +135,7 @@ def cmd_ncatenoid(args) -> int:
         if n == 3:
             rows.append(f"3,{args.f0:.17g},infinite")
             for cap in (1e3, 1e6):
-                # only the endpoint is read, and linspace sets it exactly
-                prof = surfaces.ncatenoid_profile(3, args.f0, f_cap=cap * args.f0,
-                                                  samples=2)
+                prof = surfaces.ncatenoid_profile(3, args.f0, f_cap=cap * args.f0)
                 growth.append((cap, 2.0 * float(prof.t[-1])))
         else:
             lt = surfaces.ncatenoid_lifetime(n, args.f0)

@@ -237,6 +237,11 @@ class TubeReport:
 
     def to_json(self) -> str:
         doc = asdict(self)
+        # JSON has no NaN: a slice without a closed cycle writes null for
+        # its Gauss length and curvature margin
+        for s in doc["slices"]:
+            s.update((k, None) for k, v in s.items()
+                     if isinstance(v, float) and math.isnan(v))
         doc.update(schema=SCHEMA_VERSION, angle_unit="radians",
                    lifetime_bound=self.lifetime_bound.to_json_value(),
                    lifetime_flat_contradiction=self.lifetime_bound.flat_contradiction)

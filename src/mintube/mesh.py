@@ -395,10 +395,10 @@ def slice_mesh(mesh: TriMesh, t: float, normals: np.ndarray | None = None) -> li
 def gauss_image_diameter(normals) -> float:
     """Spherical diameter of a set of unit normals (exact pairwise scan)."""
     nrm = np.asarray(normals, dtype=float)
-    if nrm.ndim == 1:
+    if nrm.shape == (3,):
         nrm = nrm[None, :]
-    if len(nrm) == 0:
-        raise ValueError("need at least one normal")
+    if nrm.ndim != 2 or nrm.shape[1] != 3 or len(nrm) == 0:
+        raise ValueError(f"need at least one normal in a (k, 3) array, got {nrm.shape}")
     dots = np.clip(nrm @ nrm.T, -1.0, 1.0)
     return float(np.arccos(dots.min()))
 

@@ -4,7 +4,8 @@ The 2-D catenoid in R^3 is the main ground-truth surface: its flow vector,
 slice circumferences, Gauss image and total curvature are all closed-form.
 Rotational hypersurfaces of revolution in R^n (n >= 4) supply the
 finite-life-time examples via their profile ODE first integral
-f^(n-2) / sqrt(1 + f'^2) = f0^(n-2).
+f^(n-2) / sqrt(1 + f'^2) = f0^(n-2): in closed form, the life-time is a Beta
+function and the axial distance an incomplete Beta integral.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ import numpy as np
 
 from .mesh import TriMesh
 
-# scipy.integrate and scipy.optimize are imported inside the n-catenoid
-# functions, their only users, so that importing the CLI does not load them.
+# scipy.special is imported where used, so importing the CLI does not load it.
 
-QUAD_TOL = 1e-9
+PROFILE_SAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -168,37 +168,28 @@ class ProfileCurve:
             )
 
 
-def _arclength_integrand(m: int):
-    # t(s) = integral of ds/sqrt(s^(2m) - 1); substituting s = 1 + w^2
-    # removes the inverse-square-root singularity at the neck.  With
-    # L = log(s), the integrand 2w/sqrt(e^(2mL) - 1) is written in negative
-    # powers, 2w e^(-mL)/sqrt(1 - e^(-2mL)), so that it cannot overflow for
-    # large m; expm1/log1p keep 1 - e^(-2mL) accurate where w^2 is below
-    # double rounding.
-    def g(w: float) -> float:
-        if w == 0.0:
-            return 2.0 / math.sqrt(2.0 * m)
-        L = math.log1p(w * w)
-        return 2.0 * w * math.exp(-m * L) / math.sqrt(-math.expm1(-2.0 * m * L))
-
-    return g
+def _half_lifetime(m: int) -> float:
+    a = 0.5 - 0.5 / m
+    return math.gamma(a) * math.sqrt(math.pi) / math.gamma(a + 0.5) / (2 * m)
 
 
-def _axial_distance(m: int, s: float) -> float:
-    """t/f0 as a function of s = f/f0 >= 1."""
-    from scipy.integrate import quad
+def _axial_distance(m: int, s: np.ndarray) -> np.ndarray:
+    """t/f0 = integral_1^s ds/sqrt(s^(2m) - 1) at each s = f/f0 >= 1: acosh(s)
+    for m = 1, else the half life-time times I_x(1/2, a), x = 1 - s^(-2m)
+    (DLMF 8.17), taken past x = 1/2 as 1 - I_u(a, 1/2), u = s^(-2m), so that
+    neither end cancels its digits."""
+    if m == 1:
+        return np.arccosh(s)
+    from scipy.special import betainc
 
-    if s < 1.0:
-        raise ValueError("s must be >= 1")
-    if s == 1.0:
-        return 0.0
-    val, _ = quad(_arclength_integrand(m), 0.0, math.sqrt(s - 1.0),
-                  epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
-    return val
+    a, log_u = 0.5 - 0.5 / m, -2.0 * m * np.log(s)
+    x = -np.expm1(log_u)
+    return _half_lifetime(m) * np.where(x < 0.5, betainc(0.5, a, x),
+                                        1.0 - betainc(a, 0.5, np.exp(log_u)))
 
 
 def ncatenoid_profile(n: int, f0: float, f_cap: float | None = None,
-                      t_span: float | None = None, samples: int = 200) -> ProfileCurve:
+                      t_span: float | None = None) -> ProfileCurve:
     """Profile of the (n-1)-dimensional catenoid from the neck outward.
 
     Exactly one of f_cap (radius cap) or t_span (axial cap) must be given.
@@ -214,28 +205,31 @@ def ncatenoid_profile(n: int, f0: float, f_cap: float | None = None,
         if f_cap <= f0:
             raise ValueError("f_cap must exceed the neck radius")
         s_cap = f_cap / f0
+    elif t_span <= 0:
+        raise ValueError("t_span must be positive")
+    elif m == 1:
+        with np.errstate(over="ignore"):
+            s_cap = float(np.cosh(t_span / f0))
+    elif t_span >= f0 * _half_lifetime(m):
+        raise ValueError("t_span exceeds the life-time of this catenoid")
     else:
-        if t_span <= 0:
-            raise ValueError("t_span must be positive")
-        target = t_span / f0
-        if n >= 4 and t_span >= 0.5 * ncatenoid_lifetime(n, f0):
-            raise ValueError("t_span exceeds the life-time of this catenoid")
-        from scipy.optimize import brentq
+        from scipy.special import betainc, betaincinv
 
-        hi = 2.0
-        while _axial_distance(m, hi) < target:
-            hi *= 2.0
-            if hi > 1e15:
-                raise ValueError("failed to bracket the requested t_span")
-        s_cap = brentq(lambda s: _axial_distance(m, s) - target, 1.0 + 1e-14, hi)
+        # invert _axial_distance on the side of x = 1/2 it evaluates on; u is
+        # 0 only for a t_span within rounding of the half life-time
+        a, p = 0.5 - 0.5 / m, t_span / f0 / _half_lifetime(m)
+        with np.errstate(divide="ignore"):
+            log_u = (np.log1p(-betaincinv(0.5, a, p)) if p < betainc(0.5, a, 0.5)
+                     else np.log(betaincinv(a, 0.5, max(1.0 - p, 0.0))))
+        s_cap = math.exp(-log_u / (2 * m))
     if m * math.log(s_cap) >= math.log(sys.float_info.max):
         raise ValueError(f"the profile slope (f/f0)^{m} overflows at "
                          f"f/f0 = {s_cap:.6g}; ask for a smaller cap")
     # Uniform grid in w = sqrt(s - 1) clusters samples at the neck where the
     # profile turns fastest.
-    w = np.linspace(0.0, math.sqrt(s_cap - 1.0), samples)
+    w = np.linspace(0.0, math.sqrt(s_cap - 1.0), PROFILE_SAMPLES)
     s = 1.0 + w * w
-    t = f0 * np.array([_axial_distance(m, si) for si in s])
+    t = f0 * _axial_distance(m, s)
     f = f0 * s
     # f' = sqrt(s^(2m) - 1) = s^m sqrt(1 - s^(-2m)), accurate at the neck
     log_s = np.log(s)
@@ -244,20 +238,13 @@ def ncatenoid_profile(n: int, f0: float, f_cap: float | None = None,
 
 
 def ncatenoid_lifetime(n: int, f0: float) -> float:
-    """Life-time 2*f0*integral_1^inf ds/sqrt(s^(2(n-2)) - 1); finite for n >= 4."""
-    from scipy.integrate import quad
-
+    """Life-time 2*f0*integral_1^inf ds/sqrt(s^(2m) - 1), m = n - 2, finite for
+    n >= 4; u = s^(-2m) makes it the Beta value 2*f0*B(1/2 - 1/(2m), 1/2)/(2m)."""
     if n < 4:
         raise ValueError("life-time is infinite for n = 3; need n >= 4")
     if f0 <= 0:
         raise ValueError("f0 must be positive")
-    m = n - 2
-    near, _ = quad(_arclength_integrand(m), 0.0, 1.0,
-                   epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
-    # 1/sqrt(s^(2m) - 1) in negative powers of s, which cannot overflow
-    far, _ = quad(lambda s: s ** -m / math.sqrt(1.0 - s ** (-2 * m)), 2.0, np.inf,
-                  epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
-    return 2.0 * f0 * (near + far)
+    return 2.0 * f0 * _half_lifetime(n - 2)
 
 
 def flat_annulus_mesh(r_inner: float, r_outer: float, nu: int, nr: int) -> TriMesh:

@@ -8,12 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import rotated_catenoid
 
 import mintube
 from mintube import cli, flux, solver, surfaces
-from mintube.mesh import write_obj
+from mintube.mesh import TriMesh, write_obj
 
 
 def run(argv):
@@ -69,9 +70,9 @@ def test_ncatenoid_command(tmp_path, capsys):
     assert "3,1,infinite" in out
     doc = json.loads((tmp_path / "ncatenoid_report.json").read_text())
     assert len(doc["n3_growth_samples"]) == 2
-    # the two-sample profiles end where the default 200-sample ones do
+    # twice the axial distance acosh(s) at the profile's last sample
     assert [s["partial_lifetime"] for s in doc["n3_growth_samples"]] == [
-        2.0 * float(surfaces.ncatenoid_profile(3, 1.0, f_cap=cap).t[-1])
+        2.0 * math.acosh(surfaces.ncatenoid_profile(3, 1.0, f_cap=cap).f[-1])
         for cap in (1e3, 1e6)]
     rows = (tmp_path / "ncatenoid_lifetimes.csv").read_text().splitlines()
     assert rows[0] == "n,f0,lifetime"
@@ -379,6 +380,32 @@ def test_analyze_tilted_band(tmp_path):
     assert doc["capacity"] is None
 
 
+def test_analyze_open_strip_writes_strict_json(tmp_path):
+    # the triangles of a catenoid band with every corner at x > -0.2 form an
+    # open strip: no slice has a closed cycle, so a slice's Gauss length and
+    # curvature margin are null in the JSON (which has no NaN) and nan in
+    # the CSV
+    band = surfaces.catenoid_mesh(surfaces.CatenoidSpec(1.0, -1.0, 1.0, 32, 8))
+    keep = np.all(band.vertices[band.triangles, 0] > -0.2, axis=1)
+    used, tris = np.unique(band.triangles[keep], return_inverse=True)
+    obj = tmp_path / "strip.obj"
+    write_obj(TriMesh(band.vertices[used], tris.reshape(-1, 3)), obj)
+    # an open strip's flow is not level-invariant, so the check fails
+    assert run(["analyze", str(obj), "--levels", "5", "--outdir", str(tmp_path)]) == 1
+
+    def no_constants(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads((tmp_path / "strip_report.json").read_text(),
+                     parse_constant=no_constants)
+    assert len(doc["slices"]) == 5
+    for s in doc["slices"]:
+        assert s["gauss_length"] is None and s["curvature_margin"] is None
+        assert isinstance(s["diameter_margin"], float)
+    rows = (tmp_path / "strip_slices.csv").read_text().splitlines()[1:]
+    assert all(",nan," in row for row in rows)
+
+
 def test_analyze_missing_file(tmp_path):
     assert run(["analyze", str(tmp_path / "nope.obj")]) == 2
 
@@ -397,15 +424,28 @@ def test_outdir_environment_fallback(tmp_path, monkeypatch):
     assert (tmp_path / "catenoid.obj").exists()
 
 
-def test_cli_import_leaves_out_quadrature_and_root_finding():
-    # only the n-catenoid needs scipy.integrate and scipy.optimize, so the
-    # other commands start without loading them
-    code = ("import sys, mintube.cli; "
-            "print(sorted({'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))")
+def loaded_special_modules(code):
+    """Which of scipy.integrate, optimize and special a fresh interpreter has
+    loaded after running `code` (printed to stderr, apart from the CLI's
+    stdout)."""
+    code += ("; print(sorted({'scipy.integrate', 'scipy.optimize', 'scipy.special'}"
+             " & set(sys.modules)), file=sys.stderr)")
     env = dict(os.environ, PYTHONPATH=str(Path(mintube.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out == "[]\n"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stderr
+
+
+def test_cli_import_leaves_out_quadrature_and_root_finding():
+    # only the n-catenoid profile needs scipy.special, so the other commands
+    # start without loading it; nothing needs scipy.integrate or optimize
+    assert loaded_special_modules("import sys, mintube.cli") == "[]\n"
+
+
+def test_ncatenoid_lifetimes_load_no_special_functions(tmp_path):
+    # for n >= 4 the life-time is a ratio of math.gamma values
+    code = (f"import sys, mintube.cli; "
+            f"mintube.cli.main(['ncatenoid', '--n', '4..7', '--outdir', {str(tmp_path)!r}])")
+    assert loaded_special_modules(code) == "[]\n"
 
 
 def test_help_exits_zero():

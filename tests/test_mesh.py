@@ -303,6 +303,13 @@ def test_gauss_image_diameter_antipodal():
     normals = np.array([[0, 0, 1.0], [0, 0, -1.0], [1, 0, 0]])
     assert gauss_image_diameter(normals) == pytest.approx(math.pi)
     assert gauss_image_diameter([[1.0, 0, 0]]) == 0.0
+    assert gauss_image_diameter([0, 0, 1.0]) == 0.0
+
+
+@pytest.mark.parametrize("normals", [[], np.empty((0, 3)), [[1.0, 0.0]], np.ones((2, 2, 3))])
+def test_gauss_image_diameter_needs_a_k_by_3_array(normals):
+    with pytest.raises(ValueError, match="at least one normal"):
+        gauss_image_diameter(normals)
 
 
 def test_gauss_image_length_matches_latitude():

@@ -151,7 +151,7 @@ def test_profile_overflow_and_nan_rejected():
     # suite turns warnings into errors) and no NaN slipping past the check
     with pytest.raises(ValueError, match="overflows"):
         surfaces.ncatenoid_profile(200, 1.0, f_cap=100.0)
-    prof = surfaces.ncatenoid_profile(150, 1.0, f_cap=100.0, samples=20)
+    prof = surfaces.ncatenoid_profile(150, 1.0, f_cap=100.0)
     assert np.all(np.isfinite(prof.fp)) and prof.fp[-1] > 1e295
     for bad in (np.nan, np.inf):
         fp = prof.fp.copy()
@@ -182,8 +182,72 @@ def test_profile_t_span_beyond_lifetime_rejected():
         surfaces.ncatenoid_profile(4, 1.0, t_span=half_life * 1.01)
 
 
+def quadrature_axial_distance(m, s):
+    """integral_1^s ds/sqrt(s^(2m) - 1) by adaptive quadrature to 1e-9, the
+    reference for the closed form.  Near the neck it substitutes s = 1 + w^2, which
+    removes the inverse-square-root singularity, and writes the integrand
+    2w/sqrt(e^(2mL) - 1), L = log(s), in negative powers of e^L so that it
+    cannot overflow.  For m >= 2 past s = 2 it adds the life-time's far
+    integrand s^-m/sqrt(1 - s^(-2m)) over [2, inf) and takes away its tail
+    over [s, inf), written with sigma = s y so that quad integrates at unit
+    scale."""
+    from scipy.integrate import quad
+
+    def near(w):
+        if w == 0.0:
+            return 2.0 / math.sqrt(2.0 * m)
+        L = math.log1p(w * w)
+        return 2.0 * w * math.exp(-m * L) / math.sqrt(-math.expm1(-2.0 * m * L))
+
+    def far(sigma, scale=1.0):
+        return sigma ** -m / math.sqrt(1.0 - (scale * sigma) ** (-2 * m))
+
+    tol = dict(epsabs=1e-9, epsrel=1e-9, limit=200)
+    if m == 1 or s <= 2.0:
+        return quad(near, 0.0, math.sqrt(s - 1.0), **tol)[0]
+    tail = math.exp((1 - m) * math.log(s)) * quad(far, 1.0, np.inf, args=(s,), **tol)[0]
+    return quad(near, 0.0, 1.0, **tol)[0] + quad(far, 2.0, np.inf, **tol)[0] - tail
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 10, 66, 148, 500])
+def test_axial_distance_matches_quadrature(m):
+    # from just past the neck to far out; the quadrature's own error
+    # reaches 1.2e-12 for m = 1 (at s = 1e6)
+    s = np.array([1 + 1e-15, 1 + 1e-12, 1 + 1e-8, 1 + 1e-4, 1.01, 1.1, 1.5, 2.0,
+                  3.0, 10.0, 1e3, 1e6, 1e15, 1e50, 1e100])
+    s = s[m * np.log(s) < 700]
+    expect = [quadrature_axial_distance(m, si) for si in s]
+    got = surfaces._axial_distance(m, s)
+    assert np.allclose(got, expect, rtol=5e-12 if m == 1 else 1e-12, atol=0.0)
+    assert surfaces._axial_distance(m, np.array([1.0]))[0] == 0.0
+
+
+@pytest.mark.parametrize("n", [4, 5, 7, 12])
+def test_profile_t_span_round_trip(n):
+    half_life = 0.5 * surfaces.ncatenoid_lifetime(n, 1.0)
+    for frac in np.linspace(0.01, 0.9999, 25):
+        prof = surfaces.ncatenoid_profile(n, 1.0, t_span=frac * half_life)
+        assert prof.t[-1] == pytest.approx(frac * half_life, rel=1e-11)
+
+
+def test_profile_t_span_at_the_float_limits_rejected():
+    # cosh(1000) is past the float range
+    with pytest.raises(ValueError, match="overflows"):
+        surfaces.ncatenoid_profile(3, 1.0, t_span=1000.0)
+    # a t_span just below the half life-time whose ratio to it rounds to 1
+    f0 = 2.75
+    t_span = np.nextafter(f0 * surfaces._half_lifetime(2), 0.0)
+    assert t_span / f0 / surfaces._half_lifetime(2) == 1.0
+    with pytest.raises(ValueError, match="overflows"):
+        surfaces.ncatenoid_profile(4, f0, t_span=t_span)
+
+
 def test_lifetime_oracle_and_monotonicity():
-    assert surfaces.ncatenoid_lifetime(4, 1.0) == pytest.approx(2.62206, rel=1e-4)
+    # the Beta values 2 B(1/2 - 1/(2m), 1/2)/(2m), m = n - 2, from 50 digits
+    exact = {4: 2.6220575542921196, 5: 1.4021821053254542,
+             6: 0.9639516481503774, 7: 0.7358187960811762}
+    for n, value in exact.items():
+        assert surfaces.ncatenoid_lifetime(n, 1.0) == pytest.approx(value, rel=1e-15)
     values = [surfaces.ncatenoid_lifetime(n, 1.0) for n in range(4, 8)]
     assert all(a > b for a, b in zip(values, values[1:]))
     with pytest.raises(ValueError):
@@ -191,8 +255,8 @@ def test_lifetime_oracle_and_monotonicity():
 
 
 def test_lifetime_large_n_is_finite_and_decreasing():
-    # the integrands are written in negative powers of s, so that s^(2m)
-    # cannot overflow; 68 is the first n that overflowed in positive powers
+    # 68 is the first n whose life-time quadrature overflowed, when its
+    # integrand was written in positive powers of s
     values = [surfaces.ncatenoid_lifetime(n, 1.0) for n in range(66, 71)]
     assert all(math.isfinite(v) and v > 0 for v in values)
     assert all(a > b for a, b in zip(values, values[1:]))
