@@ -11,16 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
 from . import flux, mesh as meshmod, solver, surfaces
 
-OUTDIR_ENV = "MINTUBE_OUTDIR"
-
-DEFAULT_MARGIN_TOL = 0.05          # slack for inequality margins, radians
-DEFAULT_INVARIANCE_TOL = 1e-2      # flow deviation relative to ||J||
+# the checks' slack, recorded in every report
+MARGIN_TOL = 0.05          # for the inequality margins, radians
+INVARIANCE_TOL = 1e-2      # for the flow deviation, relative to ||J||
 
 # exit code of each solver failure, for `main` and for a failed sweep row
 SOLVER_EXIT_CODES = {solver.NoAnnulusError: 2, solver.ConvergenceError: 3}
@@ -34,7 +32,7 @@ def _outdir(args) -> Path:
     """The output directory, created if missing.  Each command calls this
     only once its results are computed, so a failed run leaves no empty
     directory behind."""
-    d = Path(args.outdir or os.environ.get(OUTDIR_ENV, "."))
+    d = Path(args.outdir)
     d.mkdir(parents=True, exist_ok=True)
     return d
 
@@ -54,13 +52,6 @@ def positive_int(text: str) -> int:
     return value
 
 
-def nonnegative_float(text: str) -> float:
-    value = float(text)
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text}")
-    return value
-
-
 def _parse_n_range(text: str):
     if ".." in text:
         lo, hi = text.split("..")
@@ -76,8 +67,7 @@ def _write(path: Path, text: str) -> None:
 def _analyze(args, m: meshmod.TriMesh, **solver_tols) -> flux.TubeReport:
     """Analyze m, recording the check tolerances (and any solver tolerance)
     in the report."""
-    tols = {"margin_tol": args.margin_tol, "invariance_tol": args.invariance_tol,
-            **solver_tols}
+    tols = {"margin_tol": MARGIN_TOL, "invariance_tol": INVARIANCE_TOL, **solver_tols}
     return flux.analyze_tube(m, n_levels=args.levels, tolerances=tols)
 
 
@@ -87,23 +77,22 @@ def _write_report(report: flux.TubeReport, outdir: Path, stem: str) -> None:
     _write(outdir / f"{stem}_slices.csv", report.slices_csv())
 
 
-def _verify_report(report: flux.TubeReport, args) -> int:
+def _verify_report(report: flux.TubeReport) -> int:
     """Run the standard verification set on a TubeReport, print each
     failure to stderr and return the exit status: 1 if any check failed."""
-    margin_tol, invariance_tol = args.margin_tol, args.invariance_tol
     failures = []
-    if report.flow_level_deviation > invariance_tol * report.flow_norm:
+    if report.flow_level_deviation > INVARIANCE_TOL * report.flow_norm:
         failures.append(
             f"flow deviation {report.flow_level_deviation:.3e} exceeds "
-            f"{invariance_tol:.1e} * ||J||")
-    if report.min_diameter_margin() < -margin_tol:
+            f"{INVARIANCE_TOL:.1e} * ||J||")
+    if report.min_diameter_margin() < -MARGIN_TOL:
         failures.append(
             f"diameter-bound margin {report.min_diameter_margin():.3e} below "
-            f"-{margin_tol}")
-    if report.min_curvature_margin() < -margin_tol:       # False when NaN
+            f"-{MARGIN_TOL}")
+    if report.min_curvature_margin() < -MARGIN_TOL:       # False when NaN
         failures.append(
             f"slice curvature margin {report.min_curvature_margin():.3e} below "
-            f"-{margin_tol}")
+            f"-{MARGIN_TOL}")
     for f in failures:
         print(f"FAIL: {f}", file=sys.stderr)
     return 1 if failures else 0
@@ -118,15 +107,16 @@ def cmd_catenoid(args) -> int:
     outdir = _outdir(args)
     meshmod.write_obj(m, outdir / "catenoid.obj")
     _write_report(report, outdir, "catenoid")
-    return _verify_report(report, args)
+    return _verify_report(report)
 
 
 def cmd_ncatenoid(args) -> int:
     ns = _parse_n_range(args.n)
     if not ns:
         raise CliError(f"--n range {args.n!r} is empty")
-    if not 0 < args.f0 < math.inf:
-        raise CliError("--f0 must be finite and positive")
+    if not sys.float_info.min <= args.f0 < math.inf:
+        raise CliError(f"--f0 must be finite and at least {sys.float_info.min!r}, "
+                       f"the smallest normal float")
     rows = ["n,f0,lifetime"]
     growth = []
     for n in ns:
@@ -134,9 +124,13 @@ def cmd_ncatenoid(args) -> int:
             raise CliError("--n values must be >= 3")
         if n == 3:
             rows.append(f"3,{args.f0:.17g},infinite")
+            # twice the axial distance f0 acosh(f/f0) at f/f0 = cap
             for cap in (1e3, 1e6):
-                prof = surfaces.ncatenoid_profile(3, args.f0, f_cap=cap * args.f0)
-                growth.append((cap, 2.0 * float(prof.t[-1])))
+                t = args.f0 * (2.0 * math.acosh(cap))
+                if t == math.inf:
+                    raise CliError(f"the n = 3 partial life-time at f/f0 = {cap:g} "
+                                   f"overflows at f0 = {args.f0:.6g}; ask for a smaller --f0")
+                growth.append((cap, t))
         else:
             lt = surfaces.ncatenoid_lifetime(n, args.f0)
             rows.append(f"{n},{args.f0:.17g},{lt:.17g}")
@@ -174,7 +168,7 @@ def cmd_solve_annulus(args) -> int:
     meshmod.write_obj(m, outdir / "annulus.obj")
     _write(outdir / "annulus_convergence.json", conv.to_json())
     _write_report(report, outdir, "annulus")
-    return _verify_report(report, args)
+    return _verify_report(report)
 
 
 def cmd_analyze(args) -> int:
@@ -182,7 +176,7 @@ def cmd_analyze(args) -> int:
     m.validate()
     report = _analyze(args, m)
     _write_report(report, _outdir(args), Path(args.obj).stem)
-    return _verify_report(report, args)
+    return _verify_report(report)
 
 
 def cmd_sweep(args) -> int:
@@ -216,19 +210,14 @@ def cmd_sweep(args) -> int:
 
 
 def _add_outdir(p):
-    p.add_argument("--outdir", default=None,
-                   help=f"output directory (default: ${OUTDIR_ENV} or '.')")
+    p.add_argument("--outdir", default=".", help="output directory (default: '.')")
 
 
-def _add_analysis_args(p, levels_default=10, tolerances=True):
-    """--outdir and --levels, plus the check tolerances of the verified
-    commands."""
+def _add_analysis_args(p, levels_default=10):
+    """--outdir and --levels."""
     _add_outdir(p)
     p.add_argument("--levels", type=positive_int, default=levels_default,
                    help="number of interior slice levels")
-    if tolerances:
-        p.add_argument("--margin-tol", type=nonnegative_float, default=DEFAULT_MARGIN_TOL)
-        p.add_argument("--invariance-tol", type=nonnegative_float, default=DEFAULT_INVARIANCE_TOL)
 
 
 def _add_solver_args(p):
@@ -275,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "class, one row per solve")
     _add_solver_args(p)
     p.add_argument("--offsets", type=float, nargs="+", required=True)
-    _add_analysis_args(p, levels_default=5, tolerances=False)
+    _add_analysis_args(p, levels_default=5)
     p.set_defaults(func=cmd_sweep)
     return ap
 

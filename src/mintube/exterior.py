@@ -153,10 +153,6 @@ class Multivector:
         return cls(n, c)
 
     # -- structure --------------------------------------------------------
-    def grade(self, k: int) -> "Multivector":
-        mask = _grades(self.dim) == k
-        return Multivector(self.dim, np.where(mask, self.coeffs, 0.0))
-
     def grades_present(self, tol: float = 0.0):
         g = _grades(self.dim)
         return sorted(set(g[np.abs(self.coeffs) > tol]))

@@ -45,8 +45,8 @@ class TriMesh:
 
     vertices: np.ndarray
     triangles: np.ndarray
-    _boundary_loops: list | None = field(default=None, repr=False, compare=False)
-    _corner_pass: tuple | None = field(default=None, repr=False, compare=False)
+    _boundary_loops: list | None = field(default=None, init=False, repr=False, compare=False)
+    _corner_pass: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=float)

@@ -244,7 +244,10 @@ def ncatenoid_lifetime(n: int, f0: float) -> float:
         raise ValueError("life-time is infinite for n = 3; need n >= 4")
     if f0 <= 0:
         raise ValueError("f0 must be positive")
-    return 2.0 * f0 * _half_lifetime(n - 2)
+    lifetime = f0 * (2.0 * _half_lifetime(n - 2))
+    if lifetime == math.inf:
+        raise ValueError(f"the life-time overflows at f0 = {f0:.6g}; ask for a smaller f0")
+    return lifetime
 
 
 def flat_annulus_mesh(r_inner: float, r_outer: float, nu: int, nr: int) -> TriMesh:

@@ -52,10 +52,23 @@ def test_catenoid_rerun_byte_identical(tmp_path):
     assert read_all_bytes(d1) == read_all_bytes(d2)
 
 
-def test_catenoid_failing_check_exit_code(tmp_path):
-    code = run(["catenoid", "--res", "64x32", "--levels", "3",
-                "--invariance-tol", "1e-12", "--outdir", str(tmp_path)])
-    assert code == 1
+def test_catenoid_failing_check_exit_code(tmp_path, capsys):
+    # at 16x8 the discrete flow vector varies with the level by more than
+    # the invariance tolerance; the artifacts are written all the same
+    assert run(["catenoid", "--res", "16x8", "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("FAIL: flow deviation ")
+    names = {p.name for p in tmp_path.iterdir()}
+    assert names == {"catenoid.obj", "catenoid_report.json", "catenoid_slices.csv"}
+
+
+def test_analyze_cone_frustum_fails_flow_invariance(tmp_path, capsys):
+    # a cone frustum is not minimal: its flow vector depends on the level
+    obj = tmp_path / "cone.obj"
+    cone = surfaces._revolution_mesh(np.linspace(1, 2, 33), np.linspace(0, 1, 33), 64)
+    write_obj(cone, obj)
+    assert run(["analyze", str(obj), "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("FAIL: flow deviation ")
+    assert (tmp_path / "cone_report.json").exists()
 
 
 def test_catenoid_bad_args_exit_code(tmp_path):
@@ -70,13 +83,21 @@ def test_ncatenoid_command(tmp_path, capsys):
     assert "3,1,infinite" in out
     doc = json.loads((tmp_path / "ncatenoid_report.json").read_text())
     assert len(doc["n3_growth_samples"]) == 2
-    # twice the axial distance acosh(s) at the profile's last sample
+    # twice the axial distance f0 acosh(f/f0) at f/f0 = cap, with f0 = 1
     assert [s["partial_lifetime"] for s in doc["n3_growth_samples"]] == [
-        2.0 * math.acosh(surfaces.ncatenoid_profile(3, 1.0, f_cap=cap).f[-1])
-        for cap in (1e3, 1e6)]
+        2 * math.acosh(cap) for cap in (1e3, 1e6)]
     rows = (tmp_path / "ncatenoid_lifetimes.csv").read_text().splitlines()
     assert rows[0] == "n,f0,lifetime"
     assert len(rows) == 4
+
+
+def test_ncatenoid_huge_neck_has_finite_samples(tmp_path):
+    # the samples, at most 29 f0, are floats at f0 = 1e306, though the
+    # radius 1e6 f0 they are taken at is not
+    assert run(["ncatenoid", "--n", "3", "--f0", "1e306", "--outdir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "ncatenoid_report.json").read_text())
+    assert [s["partial_lifetime"] for s in doc["n3_growth_samples"]] == [
+        2 * 1e306 * math.acosh(cap) for cap in (1e3, 1e6)]
 
 
 @pytest.mark.parametrize("n", ["68", "1000"])
@@ -118,8 +139,7 @@ def test_curvature_margin_check_skips_slices_without_a_closed_cycle(capsys, marg
         flow_vector=(0.0, 0.0, 1.0), flow_norm=1.0, alpha=0.0, flow_level_deviation=0.0,
         total_curvature=0.0, clamped_positive_defect=0.0, slices=slices, capacity=None,
         lifetime_bound=flux.lifetime_bound((0.0, 0.0, 1.0), 0.0), slab_height=1.0)
-    args = argparse.Namespace(margin_tol=0.05, invariance_tol=1e-2)
-    assert cli._verify_report(report, args) == code
+    assert cli._verify_report(report) == code
     assert capsys.readouterr().err == (
         "FAIL: slice curvature margin -1.000e+00 below -0.05\n" if code else "")
 
@@ -262,11 +282,16 @@ def test_sweep_row_matches_solve_annulus(tmp_path):
                                   ["sweep", "--offsets", "0.0", "--invariance-tol", "1"],
                                   ["catenoid", "--verify", "none"],
                                   ["solve-annulus", "--verify", "none"],
-                                  ["analyze", "{obj}", "--levels-at", "0.1"]])
+                                  ["analyze", "{obj}", "--levels-at", "0.1"],
+                                  ["catenoid", "--margin-tol", "nan"],
+                                  ["catenoid", "--invariance-tol", "inf"],
+                                  ["catenoid", "--margin-tol", "0.1"],
+                                  ["solve-annulus", "--invariance-tol", "1"],
+                                  ["analyze", "{obj}", "--margin-tol", "0.1"]])
 def test_unused_flags_rejected(tmp_path, capsys, argv):
-    # neither ncatenoid nor sweep checks margins or flow invariance, so
-    # neither takes the tolerances (and ncatenoid slices nothing, so it takes
-    # no --levels); the checking commands always check, at their own levels
+    # no command takes the check tolerances, which are the constants
+    # cli.MARGIN_TOL and cli.INVARIANCE_TOL; the checking commands always
+    # check, at their own levels
     obj = tmp_path / "tube.obj"
     write_obj(surfaces.catenoid_mesh(surfaces.CatenoidSpec(1.0, -1.0, 1.0, 16, 8)), obj)
     out = tmp_path / "out"
@@ -286,11 +311,13 @@ INVALID_NUMBERS = [
     ["ncatenoid", "--f0", "nan"],
     ["ncatenoid", "--f0", "inf"],
     ["ncatenoid", "--n", "7..4"],
+    # a subnormal neck radius, and life-times past the float range
+    ["ncatenoid", "--f0", "5e-324"],
+    ["ncatenoid", "--n", "3", "--f0", "1e308"],
+    ["ncatenoid", "--n", "4", "--f0", "1e308"],
     ["catenoid", "--a", "nan"],
     ["catenoid", "--a", "inf"],
     ["catenoid", "--a", "1e-3"],
-    ["catenoid", "--margin-tol", "nan"],
-    ["catenoid", "--invariance-tol", "inf"],
     ["solve-annulus", "--r", "nan", "1"],
     ["solve-annulus", "--offset", "nan"],
     ["solve-annulus", "--offset", "inf"],
@@ -418,12 +445,6 @@ def test_sweep_command(tmp_path):
     assert rows[0]["lifetime_bound_over_height"] == "inf"
 
 
-def test_outdir_environment_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
-    assert run(["catenoid", "--res", "64x32", "--levels", "2"]) == 0
-    assert (tmp_path / "catenoid.obj").exists()
-
-
 def loaded_special_modules(code):
     """Which of scipy.integrate, optimize and special a fresh interpreter has
     loaded after running `code` (printed to stderr, apart from the CLI's
@@ -446,6 +467,23 @@ def test_ncatenoid_lifetimes_load_no_special_functions(tmp_path):
     code = (f"import sys, mintube.cli; "
             f"mintube.cli.main(['ncatenoid', '--n', '4..7', '--outdir', {str(tmp_path)!r}])")
     assert loaded_special_modules(code) == "[]\n"
+
+
+def test_option_surface():
+    # every option of every command; a new setting has to change this test
+    ap = cli.build_parser()
+    (sub,) = (a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    help_ = {"-h", "--help"}
+    analysis = help_ | {"--outdir", "--levels"}
+    solver_args = {"--r", "--heights", "--res"}
+    assert {name: {s for a in p._actions for s in a.option_strings or [a.dest]}
+            for name, p in sub.choices.items()} == {
+        "catenoid": analysis | {"--a", "--v", "--res"},
+        "ncatenoid": help_ | {"--n", "--f0", "--outdir"},
+        "solve-annulus": analysis | solver_args | {"--offset"},
+        "analyze": analysis | {"obj"},
+        "sweep": analysis | solver_args | {"--offsets"},
+    }
 
 
 def test_help_exits_zero():
