@@ -5,8 +5,10 @@ edge-vector pass that gives the cotangent stiffness to the Dirichlet-energy
 capacity and to the geometry the area solver makes per iterate.  Both
 passes work on coordinate-major (3, M) rows and sum onto the vertices with
 `bincount`.  A mesh caches its corner pass like its boundary loops.  The
-capacity and the solver's full stage solve their sparse symmetric systems
-with one routine, `refined_solve`: float32 factors, refined in float64.
+capacity and the solver's full stage factor their sparse symmetric
+systems with one routine, `factor_float32`, and solve them by `refine`:
+float32 factors, refined in float64.  The full stage factors once and
+solves its later systems by `preconditioned_cg` on those factors.
 """
 
 from __future__ import annotations
@@ -521,24 +523,68 @@ def factor_symmetric(A):
                      options={"SymmetricMode": True})
 
 
-def refined_solve(A, b):
-    """The solution x of A x = b for a float64 CSC matrix A, as
-    `factor_symmetric` takes it.
+def factor_float32(A):
+    """`factor_symmetric` of a float64 CSC matrix A cast to float32: its own
+    fill order, about three quarters of the float64 time and half the
+    memory.  Raises RuntimeError when a pivot is exactly zero."""
+    return factor_symmetric(sp.csc_matrix((A.data.astype(np.float32), A.indices, A.indptr),
+                                          shape=A.shape))
 
-    A is factored by `factor_symmetric` in float32, in its own fill order,
-    in about three quarters of the float64 time and half the memory, and x
-    is then refined REFINE_STEPS times against A in float64,
+
+def refine(lu, A, b):
+    """The solution x of A x = b from the float32 factors `lu` of A:
+    x = LU32^-1 b, refined REFINE_STEPS times against A in float64,
     x += LU32^-1 (b - A x) (mixed-precision iterative refinement: Buttari,
     Dongarra, Kurzak, Luszczek & Tomov 2008; Carson & Higham 2018).  Each
     refinement cuts the error by a factor of about kappa(A) * u32, down to
-    the error of a float64 solve.  The factors live only for this call.
-    Raises RuntimeError when a pivot is exactly zero."""
-    lu = factor_symmetric(sp.csc_matrix((A.data.astype(np.float32), A.indices, A.indptr),
-                                        shape=A.shape))
+    the error of a float64 solve."""
     x = lu.solve(b.astype(np.float32)).astype(float)
     for _ in range(REFINE_STEPS):
         x += lu.solve((b - A @ x).astype(np.float32))
     return x
+
+
+def refined_solve(A, b):
+    """The solution x of A x = b for a float64 CSC matrix A, as
+    `factor_symmetric` takes it: `refine` on `factor_float32(A)`.  The
+    factors live only for this call.  Raises RuntimeError when a pivot is
+    exactly zero."""
+    return refine(factor_float32(A), A, b)
+
+
+def preconditioned_cg(A, b, lu, rtol, maxiter):
+    """(x, iterations): conjugate gradients on the float64 system A x = b,
+    from x = 0, preconditioned by the float32 factors `lu` of a nearby
+    matrix, such as A at an earlier iterate or another damping (an inexact
+    Newton step: Dembo, Eisenstat & Steihaug 1982).
+
+    x is returned once |b - A x| <= rtol |b|, measured on the recurred
+    residual, within `maxiter` iterations; it is None on a miss: the cap
+    reached, p.Ap <= 0 (A is not positive definite along p) or a
+    non-finite value.  `iterations` counts the preconditioned products
+    made, on a miss too."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    bound = rtol * np.linalg.norm(b)
+    p = rz = None
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(maxiter + 1):
+            if np.linalg.norm(r) <= bound:
+                return x, k
+            if k == maxiter:
+                break
+            z = lu.solve(r.astype(np.float32)).astype(float)
+            rz_next = r @ z
+            p = z if p is None else z + (rz_next / rz) * p
+            rz = rz_next
+            Ap = A @ p
+            pAp = p @ Ap
+            if not 0 < pAp < math.inf or not math.isfinite(rz):
+                return None, k + 1
+            alpha = rz / pAp
+            x += alpha * p
+            r -= alpha * Ap
+    return None, maxiter
 
 
 def harmonic_capacity(mesh: TriMesh, loop0, loop1):

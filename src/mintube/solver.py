@@ -61,19 +61,30 @@ k_{i,i+1} = -1/2, k_{i,i+2} = +1/2.  The stack stage sums B^T H B and
 B^T kron(L, I3) B from these blocks in closed form, strip by strip of the
 ring grid (`_StackBasis`), and never forms a matrix of the 3N coordinates.
 The full stage sums the blocks, and S onto their diagonals for kron(L, I3),
-into a CSC pattern built on its first iteration, and solves
-(H + mu kron(L, I3)) s = -g with `mesh.refined_solve`: a float32
-factorization by `mesh.factor_symmetric` (SuperLU, symmetric mode, diagonal
-pivots), about three quarters of the float64 time and half the memory,
-refined twice against the float64 system.  Each factorization picks its own
-minimum-degree order on the pattern.  The model prediction uses the float64
-H.  Against a float64 factorization, on the full-stage iterates of the
-offset-0.3 annulus, the step's error is at most 2e-3 unrefined, 1.3e-5
+into a CSC pattern built on its first iteration.  Its first step solves
+(H + mu kron(L, I3)) s = -g from a float32 factorization,
+`mesh.factor_float32` (SuperLU, symmetric mode, diagonal pivots, its own
+minimum-degree order), about three quarters of the float64 time and half
+the memory, refined twice against the float64 system by `mesh.refine`.
+Against a float64 factorization, on the full-stage iterates of the
+offset-0.3 annulus, that step's error is at most 2e-3 unrefined, 1.3e-5
 after one refinement and 6e-8 after two at 96x48, and 5e-3, 1e-4 and
-2.3e-6 at 128x64 (the last at mu 6e-6); the iteration counts are those of
-float64 factors.  An exactly singular system is handled like a rejected
-step: mu grows and the step is retried.  `mesh.harmonic_capacity` solves
-its system through the same routine.
+2.3e-6 at 128x64 (the last at mu 6e-6).  The factors are kept, and every
+later system, at a later iterate or another damping, is solved by
+`mesh.preconditioned_cg` on them: conjugate gradients on the float64
+system to a relative residual of CG_TOL, an inexact Newton step (Dembo,
+Eisenstat & Steihaug 1982).  When that misses (CG_MAX_ITERATIONS reached,
+a direction of non-positive curvature, a non-finite value), the old
+factors are dropped and the system is factored and refined as the first
+was.  Every step, inexact or not, passes the same ratio test against the
+model, which uses the float64 H, and convergence is judged by the true
+residual, so a loose step can cost iterations but never accept a worse
+surface.  On the offset-0.3 annulus the iteration counts are those of a
+factorization at every step, with one factorization instead of 3, 4 and 5
+at 48x16, 96x48 and 128x64 (6, 18 and 30 conjugate-gradient iterations);
+(h, d) = (0.5, 0.4) at 64x32 makes 7 instead of 22.  An exactly singular
+system is handled like a rejected step: mu grows and the step is retried.
+`mesh.harmonic_capacity` factors and refines its one system the same way.
 """
 
 from __future__ import annotations
@@ -86,11 +97,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import (EdgeGeometry, MeshError, TriMesh, edge_geometry,
-                   refined_solve, slice_mesh)
+                   factor_float32, preconditioned_cg, refine, slice_mesh)
 from .surfaces import RingGrid, _revolution_mesh
 
 TOLERANCE = 1e-6      # normalized residual: max |H| * mean edge length
 MAX_ITERATIONS = 500  # in each stage of `minimize_area`
+CG_TOL = 1e-2         # relative residual at which a full-stage step from
+                      # conjugate gradients is taken
+CG_MAX_ITERATIONS = 20  # conjugate-gradient iterations before the full
+                        # stage factors the system instead
 PINCH_RATIO = 0.02    # mid-slice length below this fraction of the
                       # smaller boundary circumference aborts
 MIN_QUALITY = 1e-4    # min triangle area / mean triangle area
@@ -157,6 +172,8 @@ class ConvergenceReport:
     converged: bool
     area_history: list
     residual_history: list
+    factorizations: int = 0       # full-stage factorizations that succeeded
+    cg_iterations: int = 0        # full-stage conjugate-gradient iterations
     message: str = ""
 
     def to_json(self) -> str:
@@ -391,8 +408,10 @@ class _Descent:
         self.pinch_len = PINCH_RATIO * min(
             float(np.linalg.norm(np.diff(p, axis=0), axis=1).sum()) for p in rims)
         self.pattern = None           # the full stage's, built on its first iteration
+        self.factor = None            # float32 factors of the last full-stage system
         self.mu = 1.0
         self.stack_iterations = self.iterations = 0
+        self.factorizations = self.cg_iterations = 0
         self.message = ""
         self.areas, self.residuals = [], []
         cur = TriMesh(mesh.vertices.copy(), mesh.triangles)
@@ -406,7 +425,8 @@ class _Descent:
 
     def report(self, converged: bool = False) -> ConvergenceReport:
         return ConvergenceReport(self.stack_iterations, self.iterations, converged,
-                                 self.areas, self.residuals, self.message)
+                                 self.areas, self.residuals, self.factorizations,
+                                 self.cg_iterations, self.message)
 
     def _iterate(self, solve, stage_residual) -> bool:
         """One iteration.  `solve(mu)` returns a step of the interior
@@ -449,8 +469,10 @@ class _Descent:
 
     def _factored_solve(self):
         """`solve(mu)` for the full stage: H + mu kron(L, I3), on the pattern
-        built on the first call, solved by `refined_solve` (float32 factors
-        refined against the float64 system)."""
+        built on the first call.  Conjugate gradients preconditioned by the
+        factors of the last system factored solve it to CG_TOL; on a miss,
+        or with no factors yet, the old factors are dropped and this system
+        is factored in float32 and solved by `refine`."""
         if self.pattern is None:
             self.pattern = _HessianPattern(self.cur.triangles, self.interior)
         pattern = self.pattern
@@ -460,7 +482,16 @@ class _Descent:
         H = pattern.matrix(hess)
 
         def solve(mu):
-            x = refined_solve(pattern.matrix(hess + mu * lap), -g)
+            A = pattern.matrix(hess + mu * lap)
+            x = None
+            if self.factor is not None:
+                x, its = preconditioned_cg(A, -g, self.factor, CG_TOL, CG_MAX_ITERATIONS)
+                self.cg_iterations += its
+            if x is None:
+                self.factor = None          # never two sets of factors at once
+                self.factor = factor_float32(A)
+                self.factorizations += 1
+                x = refine(self.factor, A, -g)
             return x.reshape(-1, 3), -(g @ x + 0.5 * x @ (H @ x))
         return solve
 

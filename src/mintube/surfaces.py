@@ -247,6 +247,8 @@ def ncatenoid_lifetime(n: int, f0: float) -> float:
     lifetime = f0 * (2.0 * _half_lifetime(n - 2))
     if lifetime == math.inf:
         raise ValueError(f"the life-time overflows at f0 = {f0:.6g}; ask for a smaller f0")
+    if 0 < lifetime < sys.float_info.min:
+        raise ValueError(f"the life-time underflows at f0 = {f0:.6g}; ask for a larger f0")
     return lifetime
 
 

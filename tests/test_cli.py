@@ -181,7 +181,7 @@ def test_artifact_schema(tmp_path):
     conv = json.loads((tmp_path / "annulus_convergence.json").read_text())
     assert set(conv) == {"stack_iterations", "iterations", "converged", "final_area",
                          "final_residual", "area_history", "residual_history",
-                         "message"}
+                         "factorizations", "cg_iterations", "message"}
     assert run(["sweep", "--res", "24x12", "--offsets", "0.2", "--levels", "2",
                 "--outdir", str(tmp_path / "sweep")]) == 0
     header = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[0]
@@ -315,6 +315,8 @@ INVALID_NUMBERS = [
     ["ncatenoid", "--f0", "5e-324"],
     ["ncatenoid", "--n", "3", "--f0", "1e308"],
     ["ncatenoid", "--n", "4", "--f0", "1e308"],
+    # a life-time below the normal range
+    ["ncatenoid", "--n", "1000000", "--f0", "1e-305"],
     ["catenoid", "--a", "nan"],
     ["catenoid", "--a", "inf"],
     ["catenoid", "--a", "1e-3"],

@@ -228,6 +228,9 @@ def test_offset_annulus_iterations_at_96x48():
     _, report = solver.solve_annulus(unit_circles(1.0, 0.3, 96, 48))
     assert report.converged
     assert (report.stack_iterations, report.iterations) == (7, 4)
+    # the first full-stage step is factored; conjugate gradients on those
+    # factors take the other three
+    assert report.factorizations == 1 and report.cg_iterations > 0
 
 
 @pytest.mark.parametrize("nu, nv", [(32, 16), (128, 64)])
@@ -351,8 +354,68 @@ def test_refined_float32_step_matches_float64_solve(nu, nv, mu):
     assert err <= 10 * REFINED_STEP_ERROR[nu, nv][mu]
 
 
+def full_stage_system(descent, mu):
+    """H + mu kron(L, I3) at the descent's current surface."""
+    pattern = solver._HessianPattern(descent.cur.triangles, descent.interior)
+    geo = descent.geo
+    return pattern.matrix(pattern.values(solver._area_hessian(geo.stiffness, geo.normals))
+                          + mu * pattern.stiffness_values(geo.stiffness))
+
+
+def test_preconditioned_cg_on_the_exact_factors():
+    # the full-stage systems of the stack minimizer, where the solver runs
+    # them: the float32 factors of the system itself leave little to do
+    descent = stack_descent(1.0, 0.3, 96, 48)
+    b = -descent.grad.ravel()
+    for mu in (1e-6, 1e-2, 1.0, 30.0):
+        A = full_stage_system(descent, mu)
+        x, iterations = meshmod.preconditioned_cg(A, b, meshmod.factor_float32(A),
+                                                  solver.CG_TOL, solver.CG_MAX_ITERATIONS)
+        assert x is not None and 1 <= iterations <= 3
+        assert np.linalg.norm(b - A @ x) <= solver.CG_TOL * np.linalg.norm(b)
+
+
+def test_preconditioned_cg_misses():
+    descent = stack_descent(1.0, 0.3, 96, 48)
+    b = -descent.grad.ravel()
+    A = full_stage_system(descent, 30.0)
+    far = meshmod.factor_float32(full_stage_system(descent, 1e-6))
+    cap = solver.CG_MAX_ITERATIONS
+    # the factors of a far damping: the cap is reached
+    assert meshmod.preconditioned_cg(A, b, far, solver.CG_TOL, cap) == (None, cap)
+    # -A is negative definite: the first p.Ap is negative
+    lu = meshmod.factor_float32(A)
+    assert meshmod.preconditioned_cg(-A, b, lu, solver.CG_TOL, cap) == (None, 1)
+    # no iteration allowed
+    assert meshmod.preconditioned_cg(A, b, lu, solver.CG_TOL, 0) == (None, 0)
+
+
+@pytest.mark.parametrize("h, d, nu, nv", [(1.0, 0.3, 96, 48), (0.5, 0.4, 64, 32)])
+def test_conjugate_gradient_steps_match_factored_steps(monkeypatch, h, d, nu, nv):
+    # an inexact step passes the same ratio test against the float64 model:
+    # the iterates are those of a factorization at every step
+    _, report = solver.solve_annulus(unit_circles(h, d, nu, nv))
+    monkeypatch.setattr(solver, "CG_MAX_ITERATIONS", 0)
+    _, factored = solver.solve_annulus(unit_circles(h, d, nu, nv))
+    assert (report.stack_iterations, report.iterations) == (
+        factored.stack_iterations, factored.iterations)
+    assert report.factorizations < factored.factorizations
+    assert report.cg_iterations > 0 and factored.cg_iterations == 0
+    assert report.area_history[-1] == pytest.approx(factored.area_history[-1], rel=1e-12)
+
+
+def test_sheared_degeneration_still_fails():
+    # (h, d) = (0.5, 0.5) degenerates in the full stage with factored steps
+    # too; conjugate-gradient steps do not make it converge
+    with pytest.raises(solver.ConvergenceError, match="^mesh degenerated") as err:
+        solver.solve_annulus(unit_circles(0.5, 0.5, 64, 32))
+    assert err.value.report.factorizations >= 1
+
+
 def test_every_factorization_is_float32(monkeypatch):
-    # and orders itself: no factorization reuses an earlier one's order
+    # and orders itself: no factorization reuses an earlier one's order.
+    # The solver factors its first full-stage system and takes its later
+    # steps by conjugate gradients on those factors.
     splu = meshmod.spla.splu
     dtypes, specs = [], []
 
@@ -363,10 +426,9 @@ def test_every_factorization_is_float32(monkeypatch):
 
     monkeypatch.setattr(meshmod.spla, "splu", recorded_splu)
     mesh, report = solver.solve_annulus(unit_circles(1.0, 0.3, 48, 16))
-    assert report.iterations > 0 and len(dtypes) >= report.iterations
-    n_solver = len(dtypes)
+    assert report.iterations > 1 and len(dtypes) == report.factorizations == 1
     meshmod.harmonic_capacity(mesh, *mesh.boundary_loops())
-    assert len(dtypes) == n_solver + 1
+    assert len(dtypes) == 2
     assert set(dtypes) == {np.dtype(np.float32)}
     assert set(specs) == {"MMD_AT_PLUS_A"}
 
@@ -394,7 +456,11 @@ def test_unreferenced_vertex_is_rejected():
 
 @pytest.mark.parametrize("failing", [1, 2])
 def test_singular_factor_escalates_damping(monkeypatch, failing):
-    # the first factorization of the solve, or a later one, is singular once
+    # the first factorization of the solve, or a later one, is singular
+    # once.  Later steps run conjugate gradients on the first factors;
+    # with none allowed, every step is factored.
+    if failing > 1:
+        monkeypatch.setattr(solver, "CG_MAX_ITERATIONS", 0)
     splu = meshmod.spla.splu
     shifts = []
 
@@ -411,7 +477,7 @@ def test_singular_factor_escalates_damping(monkeypatch, failing):
     assert report.converged
     assert report.residual_history[-1] <= solver.TOLERANCE
     # the retry factors the same Hessian with a larger diagonal shift
-    assert len(shifts) > failing + 1
+    assert len(shifts) > failing + 1 if failing > 1 else len(shifts) >= 2
     assert np.all(shifts[failing] > shifts[failing - 1])
 
 

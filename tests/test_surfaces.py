@@ -1,6 +1,7 @@
 """Analytic catenoids, rotational profile curves, control surfaces."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -289,3 +290,11 @@ def test_flat_annulus_mesh():
     assert len(mesh.boundary_loops()) == 2
     with pytest.raises(ValueError):
         surfaces.flat_annulus_mesh(3.0, 1.0, 64, 16)
+
+
+def test_lifetime_below_the_normal_range_rejected():
+    # pi f0 (1 + O(1/n)) for large n: 3.14e-311 here, a subnormal with
+    # digits lost
+    with pytest.raises(ValueError, match="underflows"):
+        surfaces.ncatenoid_lifetime(10**6, 1e-305)
+    assert surfaces.ncatenoid_lifetime(10**6, 1e-300) >= sys.float_info.min
