@@ -377,6 +377,15 @@ def test_analyze_rejects_unreferenced_vertex(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_analyze_rejects_face_index_beyond_int64(tmp_path, capsys):
+    obj = tmp_path / "tube.obj"
+    obj.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n")
+    assert run(["analyze", str(obj), "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {obj}:4: face index out of range\n"
+    assert "Traceback" not in err
+
+
 def test_analyze_roundtrip(tmp_path):
     assert run(["catenoid", "--res", "64x32", "--outdir", str(tmp_path)]) == 0
     code = run(["analyze", str(tmp_path / "catenoid.obj"), "--levels", "3",

@@ -1,6 +1,7 @@
 """Mesh structure, slicing, curvature, capacity and file round-trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -604,7 +605,7 @@ def loop_write_obj(mesh, path):
 def loop_read_obj(path):
     """Reference reader: one line at a time, Python number parsing."""
     verts, tris = [], []
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -680,6 +681,10 @@ OBJ_ACCEPTED = {
     "no_final_newline": OBJ_TRIANGLE + "f 1 2 3",
     "python_number_spellings": "v 1_0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
     "exponents_and_specials": "v 1e-300 -0.0 +5\nv 1E3 .5 1.\nv 0 1 -0\nf 1 2 3\n",
+    "byte_order_mark": "\ufeff" + OBJ_TRIANGLE + "v 1 1 0\nf 1 2 3\nf 2 4 3\n",
+    "cr_line_ends": OBJ_TRIANGLE.replace("\n", "\r") + "f 1 2 3\r",
+    # a lone CR inside the write_obj layout ends a line, as in text mode
+    "mixed_line_ends": "v 0 0 0\r\nv 1 0 0\rv 0 1 0\nf 1 2 3\n",
 }
 
 OBJ_REJECTED = {
@@ -693,6 +698,9 @@ OBJ_REJECTED = {
     "slash_first_face": OBJ_TRIANGLE + "f 1 2 /3\n",
     "index_out_of_range": OBJ_TRIANGLE + "f 1 2 4\n",
     "index_zero": OBJ_TRIANGLE + "f 0 1 2\n",
+    "index_beyond_int64": OBJ_TRIANGLE + "f 1 2 99999999999999999999\n",
+    # np.loadtxt reads this index, and subtracting 1 wraps it to int64's top
+    "index_int64_min": OBJ_TRIANGLE + "f 1 2 -9223372036854775808\n",
     # loadtxt fails on "1_0", so the per-record parse reads this file
     "index_out_of_range_record_parse": "v 1_0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 3 2 4\n",
     "no_records": "# nothing\n\n",
@@ -703,6 +711,9 @@ OBJ_REJECTED = {
     "bare_v": "v 0 0 0\nv\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
     "bare_f": OBJ_TRIANGLE + "f 1 2 3\nf\n",
     "bare_f_with_spaces": OBJ_TRIANGLE + "f 1 2 3\nf   \n",
+    # every row of a type empty: np.loadtxt would warn of no data
+    "only_bare_v": "v\nf 1 2 3\n",
+    "only_bare_f": OBJ_TRIANGLE + "f\n",
 }
 
 
@@ -735,9 +746,80 @@ def test_read_obj_matches_line_reader_on_random_files(tmp_path):
     assert len(outcomes) == 7
 
 
-def test_obj_roundtrip_256x128_matches_line_reader(tmp_path):
+def test_read_obj_matches_line_reader_on_write_obj_layout(tmp_path):
+    # Files in write_obj's layout, the one the bulk parse takes: CRLF line
+    # ends, "/" suffixes, no final newline, and one bad line now and then,
+    # the first and the last line included.
+    rng = np.random.default_rng(5)
+    bad = ["v 1 2", "v 1 2 3 4", "v a 0 0", "v 1_0 0 0", "v", "v 1 2 3\rv 4 5 6",
+           "f 1 2", "f 1 2 3 4", "f 1 2 x", "f 1 2 3.0", "f 1 2 /3", "f 3 1 99", "f",
+           "f 1 2 99999999999999999999", "f 1 2 -9223372036854775808", "# c", "",
+           "vn 0 0 1", "vn 1 1 1", " f 1 2 3"]
+    bad_at = set()
+    for k in range(300):
+        n_v, n_f = rng.integers(1, 8), rng.integers(1, 8)
+        coords = rng.choice([0.0, -0.0, 1.5, -2.25, 1e-300, 1e17], size=(n_v, 3))
+        coords[:, 0] += rng.standard_normal(n_v)
+        idx = rng.integers(1, n_v + 1, size=(n_f, 3))
+        suffix = "/1/1" if rng.random() < 0.2 else ""
+        lines = ["v %.17g %.17g %.17g" % tuple(v) for v in coords]
+        lines += [f"f {a}{suffix} {b} {c}{suffix}" for a, b, c in idx]
+        if rng.random() < 0.5:
+            at = rng.choice([0, len(lines) - 1, rng.integers(len(lines))])
+            lines[at] = rng.choice(bad)
+            bad_at.add("first" if at == 0 else "last" if at == len(lines) - 1 else "inner")
+        text = "\n".join(lines) + ("\n" if rng.random() < 0.8 else "")
+        if rng.random() < 0.3:
+            text = text.replace("\n", "\r\n")
+        path = tmp_path / f"w{k}.obj"
+        path.write_bytes(text.encode())
+        assert_same_outcome(path)
+    assert bad_at == {"first", "inner", "last"}
+
+
+def test_read_obj_rejects_invalid_utf8(tmp_path):
+    # 0xa0 is no UTF-8 start byte, though Latin-1 reads it as a space
+    path = tmp_path / "latin1.obj"
+    path.write_bytes(b"v 0 0 0\nv 1\xa00 0\nv 0 1 0\nf 1 2 3\n")
+    for reader in (read_obj, loop_read_obj):
+        with pytest.raises(UnicodeDecodeError):
+            reader(path)
+
+
+@pytest.fixture(scope="module")
+def catenoid_256x128_obj(tmp_path_factory):
+    """(mesh, path) of the 256x128 catenoid band written by write_obj."""
     mesh = surfaces.catenoid_mesh(surfaces.CatenoidSpec(1.0, -1.0, 1.0, 256, 128))
-    path = tmp_path / "band.obj"
+    path = tmp_path_factory.mktemp("obj") / "band.obj"
     write_obj(mesh, path)
+    return mesh, path
+
+
+def test_obj_roundtrip_256x128_matches_line_reader(catenoid_256x128_obj):
+    mesh, path = catenoid_256x128_obj
     assert_same_outcome(path)
     assert np.array_equal(read_obj(path).vertices, mesh.vertices)
+
+
+def test_read_obj_parses_write_obj_files_in_bulk(catenoid_256x128_obj, monkeypatch):
+    def line_scan(*args):
+        raise AssertionError("read_obj fell back to the line scan")
+
+    monkeypatch.setattr(meshmod, "_parse_obj_records", line_scan)
+    mesh, path = catenoid_256x128_obj
+    back = read_obj(path)
+    assert np.array_equal(back.vertices.view(np.int64), mesh.vertices.view(np.int64))
+    assert np.array_equal(back.triangles, mesh.triangles)
+
+
+def test_read_obj_memory_peak(catenoid_256x128_obj):
+    # tracemalloc sees numpy's buffers as well as Python objects, and
+    # unlike the resident set it does not depend on heap layout.
+    _, path = catenoid_256x128_obj
+    tracemalloc.start()
+    try:
+        read_obj(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * path.stat().st_size
