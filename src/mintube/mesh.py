@@ -9,16 +9,16 @@ capacity and the solver's full stage factor their sparse symmetric
 systems with one routine, `factor_float32`, and solve them by `refine`:
 float32 factors, refined in float64.  The full stage factors once and
 solves its later systems by `preconditioned_cg` on those factors.
-`read_obj` parses a file laid out as `write_obj` writes it with one
-`np.loadtxt` per record type and no Python object per line; any other
-file, and any error, takes a line scan that names the first bad line.
+`read_obj` reads a file by one of two paths: one `np.loadtxt` per record
+type, with no Python object per line, for the layout `write_obj` writes,
+and a line-by-line parse for any other file and any error, which names
+the file and the first bad line.
 """
 
 from __future__ import annotations
 
 import io
 import math
-import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -32,7 +32,6 @@ DEGENERATE_AREA_FACTOR = 1e-14
 SNAP_REL_TOL = 1e-9
 FRAME_TOL = 1e-8  # conormal orthogonality allowed by `check_invariants`
 NUDGE_REL = 1e-7
-_OBJ_SLASH_SUFFIX = re.compile(r"(?<=\S)/\S*")
 _OBJ_VERTEX_ROW = np.dtype([("tag", "S1"), ("xyz", float, (3,))])
 _OBJ_FACE_ROW = np.dtype([("tag", "S1"), ("idx", np.int64, (3,))])
 
@@ -701,89 +700,59 @@ def _parse_obj_blocks(data: bytes):
     return verts["xyz"], tris["idx"] - 1
 
 
-def _parse_obj_records(path, records):
-    """Parse (line number, tag, text after the tag) OBJ records, in line
-    order, into vertices and 0-based triangles; raise the MeshError of the
-    first bad record.  The records of each type are parsed in one
-    `np.loadtxt` pass.  If a pass fails, the records are parsed again one
-    at a time, which raises the error of the first bad line (or accepts the
-    few spellings, such as "1_000", that Python's own number parsing takes
-    and numpy's does not)."""
-    vrows = [text for _, tag, text in records if tag == "v"]
-    frows = [text for _, tag, text in records if tag == "f"]
-    if any("/" in row for row in frows):
-        # Cut each index at its first "/"; a token that starts with "/"
-        # stays whole and fails the integer parse.
-        frows = [_OBJ_SLASH_SUFFIX.sub("", row) for row in frows]
-    # np.loadtxt skips an empty row (a bare "v" or "f" tag) and warns when
-    # it finds no rows, so empty rows are left to the one-at-a-time parse.
-    if vrows and frows and "" not in vrows and "" not in frows:
-        try:
-            verts = np.loadtxt(vrows, comments=None, ndmin=2)
-            tris = np.loadtxt(frows, dtype=np.int64, comments=None, ndmin=2) - 1
-            if verts.shape == (len(vrows), 3) and tris.shape == (len(frows), 3):
-                return verts, tris
-        except ValueError:
-            pass
-    verts, tris = [], []
-    for lineno, tag, text in records:
-        parts = text.split()
-        if tag == "v":
-            if len(parts) != 3:
+def _parse_obj_lines(path, data: bytes):
+    """Parse OBJ bytes line by line into vertices and 0-based triangles;
+    raise the MeshError of the first bad line.  The bytes are decoded as
+    UTF-8, with or without a byte-order mark, a byte that is not UTF-8
+    becoming U+FFFD, and split into lines as text-mode reading splits them.
+    Each line is classified by its first whitespace-separated token;
+    comments, blank lines and other record types are skipped, and the
+    "/vt/vn" suffixes of face indices are dropped.  A face index is checked
+    against the number of vertices in the whole file, after every record
+    has parsed."""
+    text = data.decode("utf-8-sig", errors="replace")
+    if "\r" in text:   # line ends as text-mode reading translates them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    verts, tris, flines = [], [], []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        parts = line.split()
+        if not parts or parts[0] not in ("v", "f"):
+            continue
+        if parts[0] == "v":
+            if len(parts) != 4:
                 raise MeshError(f"{path}:{lineno}: malformed vertex record")
             try:
-                verts.append([float(x) for x in parts])
+                verts.append([float(x) for x in parts[1:]])
             except ValueError as exc:
                 raise MeshError(f"{path}:{lineno}: bad vertex coordinate") from exc
         else:
-            if len(parts) != 3:
+            if len(parts) != 4:
                 raise MeshError(f"{path}:{lineno}: only triangular faces supported")
             try:
-                idx = [int(p.split("/")[0]) - 1 for p in parts]
+                tris.append([int(p.split("/")[0]) - 1 for p in parts[1:]])
             except ValueError as exc:
                 raise MeshError(f"{path}:{lineno}: bad face index") from exc
-            # an index beyond int64 becomes -1: out of range all the same
-            tris.append([i if abs(i) < 2**63 else -1 for i in idx])
+            flines.append(lineno)
+    if not verts or not tris:
+        raise MeshError(f"{path}: no v/f records found")
+    for lineno, idx in zip(flines, tris):
+        if not 0 <= min(idx) <= max(idx) < len(verts):
+            raise MeshError(f"{path}:{lineno}: face index out of range")
     return np.array(verts), np.array(tris, dtype=np.int64)
 
 
-def _indices_in_range(verts, tris) -> bool:
-    return tris.min() >= 0 and tris.max() < len(verts)
-
-
 def read_obj(path) -> TriMesh:
-    """Read the v and f records of an OBJ file in UTF-8, with or without a
-    byte-order mark.  Each line is classified by its first
-    whitespace-separated token; comments, blank lines and other record
-    types are skipped, and the "/vt/vn" suffixes of face indices are
-    dropped.  Errors name the file and the 1-based line; a face index is
-    checked against the number of vertices in the whole file, after every
-    record has parsed.
-
-    A file laid out as `write_obj` writes it is parsed in bulk by
-    `_parse_obj_blocks`, with no Python object per line.  Any other file,
-    a bulk parse that fails, and a face index out of range take the line
-    scan: every line is classified, as text-mode reading splits them, and
-    the records go to `_parse_obj_records`, the source of every error.
+    """Read the v and f records of an OBJ file.  A file laid out as
+    `write_obj` writes it, with every face index in range, is parsed in
+    bulk by `_parse_obj_blocks`, with no Python object per line.  Any other
+    file takes `_parse_obj_lines`, the source of every error; each error
+    names the file, and the 1-based line where there is one.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     parsed = _parse_obj_blocks(data)
-    if parsed is not None and _indices_in_range(*parsed):
-        return TriMesh(*parsed)
-    text = data.decode("utf-8-sig")
-    if "\r" in text:   # line ends as text-mode reading translates them
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    records = []        # (line number, tag, text after the tag)
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        parts = line.split(None, 1)
-        if parts and parts[0] in ("v", "f"):
-            records.append((lineno, parts[0], parts[1] if len(parts) == 2 else ""))
-    verts, tris = _parse_obj_records(path, records)
-    if not len(verts) or not len(tris):
-        raise MeshError(f"{path}: no v/f records found")
-    if not _indices_in_range(verts, tris):
-        bad = np.flatnonzero(((tris < 0) | (tris >= len(verts))).any(axis=1))[0]
-        flines = [lineno for lineno, tag, _ in records if tag == "f"]
-        raise MeshError(f"{path}:{flines[bad]}: face index out of range")
-    return TriMesh(verts, tris)
+    if parsed is not None:
+        verts, tris = parsed
+        if tris.min() >= 0 and tris.max() < len(verts):
+            return TriMesh(verts, tris)
+    return TriMesh(*_parse_obj_lines(path, data))

@@ -79,12 +79,9 @@ factors are dropped and the system is factored and refined as the first
 was.  Every step, inexact or not, passes the same ratio test against the
 model, which uses the float64 H, and convergence is judged by the true
 residual, so a loose step can cost iterations but never accept a worse
-surface.  On the offset-0.3 annulus the iteration counts are those of a
-factorization at every step, with one factorization instead of 3, 4 and 5
-at 48x16, 96x48 and 128x64 (6, 18 and 30 conjugate-gradient iterations);
-(h, d) = (0.5, 0.4) at 64x32 makes 7 instead of 22.  An exactly singular
-system is handled like a rejected step: mu grows and the step is retried.
-`mesh.harmonic_capacity` factors and refines its one system the same way.
+surface.  An exactly singular system is handled like a rejected step: mu
+grows and the step is retried.  `mesh.harmonic_capacity` factors and
+refines its one system the same way.
 """
 
 from __future__ import annotations

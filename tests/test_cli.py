@@ -377,12 +377,18 @@ def test_analyze_rejects_unreferenced_vertex(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_analyze_rejects_face_index_beyond_int64(tmp_path, capsys):
+@pytest.mark.parametrize("data, error", [
+    (b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n",
+     "4: face index out of range"),
+    # 0xa0 is no UTF-8 start byte, though Latin-1 reads it as a space
+    (b"v 0 0 0\nv 1\xa00 0\nv 0 1 0\nf 1 2 3\n", "2: malformed vertex record"),
+], ids=["index_beyond_int64", "latin1_vertex"])
+def test_analyze_rejects_face_index_beyond_int64(tmp_path, capsys, data, error):
     obj = tmp_path / "tube.obj"
-    obj.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n")
+    obj.write_bytes(data)
     assert run(["analyze", str(obj), "--outdir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: {obj}:4: face index out of range\n"
+    assert err == f"error: {obj}:{error}\n"
     assert "Traceback" not in err
 
 

@@ -605,7 +605,7 @@ def loop_write_obj(mesh, path):
 def loop_read_obj(path):
     """Reference reader: one line at a time, Python number parsing."""
     verts, tris = [], []
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8-sig", errors="replace") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -685,6 +685,8 @@ OBJ_ACCEPTED = {
     "cr_line_ends": OBJ_TRIANGLE.replace("\n", "\r") + "f 1 2 3\r",
     # a lone CR inside the write_obj layout ends a line, as in text mode
     "mixed_line_ends": "v 0 0 0\r\nv 1 0 0\rv 0 1 0\nf 1 2 3\n",
+    # "\udce9" is written as the lone byte 0xe9, Latin-1 "é" and no UTF-8
+    "latin1_comment": "# caf\udce9\n" + OBJ_TRIANGLE + "f 1 2 3\n",
 }
 
 OBJ_REJECTED = {
@@ -701,7 +703,7 @@ OBJ_REJECTED = {
     "index_beyond_int64": OBJ_TRIANGLE + "f 1 2 99999999999999999999\n",
     # np.loadtxt reads this index, and subtracting 1 wraps it to int64's top
     "index_int64_min": OBJ_TRIANGLE + "f 1 2 -9223372036854775808\n",
-    # loadtxt fails on "1_0", so the per-record parse reads this file
+    # the bulk parse fails on "1_0", so the line parse reads this file
     "index_out_of_range_record_parse": "v 1_0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 3 2 4\n",
     "no_records": "# nothing\n\n",
     "no_faces": OBJ_TRIANGLE,
@@ -711,7 +713,7 @@ OBJ_REJECTED = {
     "bare_v": "v 0 0 0\nv\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
     "bare_f": OBJ_TRIANGLE + "f 1 2 3\nf\n",
     "bare_f_with_spaces": OBJ_TRIANGLE + "f 1 2 3\nf   \n",
-    # every row of a type empty: np.loadtxt would warn of no data
+    # every record of a type is a bare tag
     "only_bare_v": "v\nf 1 2 3\n",
     "only_bare_f": OBJ_TRIANGLE + "f\n",
 }
@@ -720,7 +722,8 @@ OBJ_REJECTED = {
 @pytest.mark.parametrize("name", sorted(OBJ_ACCEPTED) + sorted(OBJ_REJECTED))
 def test_read_obj_matches_line_reader(tmp_path, name):
     path = tmp_path / "case.obj"
-    path.write_bytes(OBJ_ACCEPTED.get(name, OBJ_REJECTED.get(name)).encode())
+    text = OBJ_ACCEPTED.get(name, OBJ_REJECTED.get(name))
+    path.write_bytes(text.encode(errors="surrogateescape"))
     assert isinstance(obj_outcome(loop_read_obj, path), str) == (name in OBJ_REJECTED)
     assert_same_outcome(path)
 
@@ -782,8 +785,9 @@ def test_read_obj_rejects_invalid_utf8(tmp_path):
     path = tmp_path / "latin1.obj"
     path.write_bytes(b"v 0 0 0\nv 1\xa00 0\nv 0 1 0\nf 1 2 3\n")
     for reader in (read_obj, loop_read_obj):
-        with pytest.raises(UnicodeDecodeError):
+        with pytest.raises(MeshError) as exc:
             reader(path)
+        assert str(exc.value) == f"{path}:2: malformed vertex record"
 
 
 @pytest.fixture(scope="module")
@@ -805,9 +809,24 @@ def test_read_obj_parses_write_obj_files_in_bulk(catenoid_256x128_obj, monkeypat
     def line_scan(*args):
         raise AssertionError("read_obj fell back to the line scan")
 
-    monkeypatch.setattr(meshmod, "_parse_obj_records", line_scan)
+    monkeypatch.setattr(meshmod, "_parse_obj_lines", line_scan)
     mesh, path = catenoid_256x128_obj
     back = read_obj(path)
+    assert np.array_equal(back.vertices.view(np.int64), mesh.vertices.view(np.int64))
+    assert np.array_equal(back.triangles, mesh.triangles)
+
+
+def test_read_obj_parses_other_large_files_line_by_line(catenoid_256x128_obj, tmp_path):
+    # A header line and "//" suffixes take the file out of write_obj's
+    # layout, so the whole file goes through the line parse.
+    mesh, path = catenoid_256x128_obj
+    lines = path.read_text().splitlines()
+    nv = mesh.n_vertices
+    faces = ["f " + " ".join(f"{i}//1" for i in line.split()[1:]) for line in lines[nv:]]
+    other = tmp_path / "other.obj"
+    other.write_text("\n".join(["# header"] + lines[:nv] + faces) + "\n")
+    assert meshmod._parse_obj_blocks(other.read_bytes()) is None
+    back = read_obj(other)
     assert np.array_equal(back.vertices.view(np.int64), mesh.vertices.view(np.int64))
     assert np.array_equal(back.triangles, mesh.triangles)
 
