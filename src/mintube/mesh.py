@@ -166,17 +166,6 @@ class TriMesh:
         return mask
 
 
-def _vertex_sums(mesh: TriMesh, corner_values: np.ndarray) -> np.ndarray:
-    """Sum (M, 3, ...) per-corner values onto the vertices.  The scatter
-    runs corner-major (corner 0 of every triangle, then corner 1, then 2),
-    so each vertex accumulates its terms in a fixed order."""
-    vals = np.moveaxis(corner_values, 1, 0).reshape(3 * len(mesh.triangles), -1)
-    d = vals.shape[1]
-    idx = mesh.triangles.T.reshape(-1, 1) * d + np.arange(d)
-    out = np.bincount(idx.ravel(), weights=vals.ravel(), minlength=mesh.n_vertices * d)
-    return out.reshape((mesh.n_vertices,) + corner_values.shape[2:])
-
-
 def corner_sums(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     """(normals, angle_sums): the angle-weighted unit vertex normals
     (Thuermer & Wuethrich 1998) and the sum of the interior angles at each
@@ -187,7 +176,9 @@ def corner_sums(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     normal n / |n|, n = d_2 x d_0 = (p_1 - p_0) x (p_2 - p_0).  As in
     `edge_geometry` the arrays are coordinate-major, (3, M) per corner; each
     coordinate of the weighted normals, and the angles, are summed onto the
-    vertices by one `bincount` in the corner-major order of `_vertex_sums`.
+    vertices by one `bincount` that runs corner-major (corner 0 of every
+    triangle, then corner 1, then 2), so each vertex accumulates its terms
+    in a fixed order.
     The dot product adds (x x + z z) + y y, as `np.einsum` adds three terms,
     and the lengths add (x x + y y) + z z, as `np.linalg.norm` does, so the
     results equal bit for bit those of the per-corner (M, 3, 3) form.
@@ -489,7 +480,8 @@ def edge_geometry(mesh: TriMesh) -> EdgeGeometry:
     which is S_{i,i+2} e_{i+1} - S_{i,i+1} e_{i+2}: the cotangent Laplacian
     of the positions (Pinkall & Polthier 1993), summed from edges rather
     than positions.  The gradient and the vertex areas are summed onto the
-    vertices by one scatter, corner-major as in `_vertex_sums`.
+    vertices by one scatter, corner-major: corner 0 of every triangle, then
+    corner 1, then 2.
 
     The arrays are computed coordinate-major, (3, 3, M) and so on, so that
     every product is an array operation on contiguous rows; the per-triangle
@@ -549,14 +541,6 @@ def refine(lu, A, b):
     return x
 
 
-def refined_solve(A, b):
-    """The solution x of A x = b for a float64 CSC matrix A, as
-    `factor_symmetric` takes it: `refine` on `factor_float32(A)`.  The
-    factors live only for this call.  Raises RuntimeError when a pivot is
-    exactly zero."""
-    return refine(factor_float32(A), A, b)
-
-
 def preconditioned_cg(A, b, lu, rtol, maxiter):
     """(x, iterations): conjugate gradients on the float64 system A x = b,
     from x = 0, preconditioned by the float32 factors `lu` of a nearby
@@ -601,10 +585,11 @@ def harmonic_capacity(mesh: TriMesh, loop0, loop1):
     curves connecting the two boundary components.
 
     The free block of the cotangent Laplacian is summed from the stiffness
-    S of `_stiffness_pass` and solved by `refined_solve`: factored in
-    float32 and refined in float64, which leaves phi within about 1e-13 of
-    a float64 factorization's on the 256x128 catenoid, and the energy
-    within about 1e-14 relative.  Warns when phi leaves [0, 1] by more than
+    S of `_stiffness_pass`, factored in float32 by `factor_float32` and
+    refined against itself in float64 by `refine`; the factors live only
+    for this call.  That leaves phi within about 1e-13 of a float64
+    factorization's on the 256x128 catenoid, and the energy within about
+    1e-14 relative.  Warns when phi leaves [0, 1] by more than
     1e-9, which the discrete maximum principle forbids on a mesh whose
     cotangent weights are all positive.
     """
@@ -645,7 +630,7 @@ def harmonic_capacity(mesh: TriMesh, loop0, loop1):
 
     rhs = -laplacian_times(phi)[free]
     try:
-        sol = refined_solve(A, rhs)
+        sol = refine(factor_float32(A), A, rhs)
     except RuntimeError as exc:  # exactly singular: disconnected mesh etc.
         raise MeshError(f"harmonic solve failed: {exc}") from exc
     if not np.all(np.isfinite(sol)):

@@ -60,16 +60,17 @@ coupling corners i and j is S_ij nh nh^T + k_ij [nh]x, with k_ii = 0,
 k_{i,i+1} = -1/2, k_{i,i+2} = +1/2.  The stack stage sums B^T H B and
 B^T kron(L, I3) B from these blocks in closed form, strip by strip of the
 ring grid (`_StackBasis`), and never forms a matrix of the 3N coordinates.
-The full stage sums the blocks, and S onto their diagonals for kron(L, I3),
-into a CSC pattern built on its first iteration.  Its first step solves
-(H + mu kron(L, I3)) s = -g from a float32 factorization,
-`mesh.factor_float32` (SuperLU, symmetric mode, diagonal pivots, its own
-minimum-degree order), about three quarters of the float64 time and half
-the memory, refined twice against the float64 system by `mesh.refine`.
-Against a float64 factorization, on the full-stage iterates of the
-offset-0.3 annulus, that step's error is at most 2e-3 unrefined, 1.3e-5
-after one refinement and 6e-8 after two at 96x48, and 5e-3, 1e-4 and
-2.3e-6 at 128x64 (the last at mu 6e-6).  The factors are kept, and every
+The full stage sums the blocks into one 3x3 block per vertex pair, and S
+into one scalar per pair, on the diagonal of its block, for kron(L, I3):
+a BSR pattern built on its first iteration, handed to SuperLU in CSC form.
+Its first step solves (H + mu kron(L, I3)) s = -g from a float32
+factorization, `mesh.factor_float32` (SuperLU, symmetric mode, diagonal
+pivots, its own minimum-degree order), about three quarters of the float64
+time and half the memory, refined twice against the float64 system by
+`mesh.refine`.  Against a float64 factorization, on the full-stage iterates
+of the offset-0.3 annulus, that step's error is at most 2e-3 unrefined,
+1.3e-5 after one refinement and 6e-8 after two at 96x48, and 5e-3, 1e-4
+and 2.3e-6 at 128x64 (the last at mu 6e-6).  The factors are kept, and every
 later system, at a later iterate or another damping, is solved by
 `mesh.preconditioned_cg` on them: conjugate gradients on the float64
 system to a relative residual of CG_TOL, an inexact Newton step (Dembo,
@@ -214,7 +215,9 @@ def _curvature_residual(norms: np.ndarray, areas: np.ndarray,
 def _area_hessian(S: np.ndarray, nh: np.ndarray) -> np.ndarray:
     """Exact second derivative of total triangle area, as per-triangle
     blocks: out[m, i, j] is the 3x3 block coupling corner i to corner j of
-    triangle m.  `_HessianPattern` sums them into a sparse matrix.
+    triangle m.  `_HessianPattern` sums them into one block per vertex pair.
+    Block (j, i) is the transpose of block (i, j) bit for bit, since S is
+    symmetric and [nh]x antisymmetric.
 
     From the cotangent stiffness S and the unit normals nh, the block is
     S_ij nh nh^T + k_ij [nh]x with k_ii = 0, k_{i,i+1} = -1/2 and
@@ -231,17 +234,20 @@ def _area_hessian(S: np.ndarray, nh: np.ndarray) -> np.ndarray:
 
 
 class _HessianPattern:
-    """Fixed CSC sparsity pattern of the area Hessian, and of kron(L, I3),
+    """Fixed sparsity pattern of the area Hessian, and of kron(L, I3),
     restricted to the coordinates of the vertices in `dof_mask` (3 per
     vertex, in vertex order), built once per triangulation.
 
-    Vertex pairs sharing a triangle are sorted column-major once; each pair
-    owns a dense 3x3 block of slots, so every column lists its rows in
-    increasing order.  `slots` maps each entry of the `_area_hessian`
-    blocks to its slot, and `diag_slots` the (i, j, a, a) entries, which
-    carry kron(L, I3); entries touching other vertices go to a spill slot
-    past the end.  The matrix is in coordinate order; each factorization
-    picks its own fill-reducing order.
+    Each vertex pair sharing a triangle owns a 3x3 block of a BSR matrix,
+    and the pairs are sorted row-major once.  `slots` maps entry (a, b) of
+    each `_area_hessian` block (i, j) to slot 9 p + 3 a + b of its pair p,
+    and `pair_of` each corner pair (i, j) to p; entries touching other
+    vertices go to a spill block past the end.  kron(L, I3) is one scalar
+    of L per pair, on the diagonal of its block.  The blocks of pairs
+    (i, j) and (j, i) sum transposed terms in the same triangle order, so
+    the summed matrix is symmetric bit for bit, and the transpose of its
+    CSR form is its CSC form, with the same arrays.  The matrix is in
+    coordinate order; each factorization picks its own fill-reducing order.
     """
 
     def __init__(self, tris: np.ndarray, dof_mask: np.ndarray):
@@ -251,46 +257,35 @@ class _HessianPattern:
         row = vmap[tris][:, :, None]                  # corner i of block (i, j)
         col = vmap[tris][:, None, :]                  # corner j
         valid = (row >= 0) & (col >= 0)
-        key = (col.astype(np.int64) * n_verts + row)[valid]
-        pairs, pair_of = np.unique(key, return_inverse=True)
-        pcol, prow = np.divmod(pairs, n_verts)
-        vptr = np.zeros(n_verts + 1, dtype=np.int64)
-        np.cumsum(np.bincount(pcol, minlength=n_verts), out=vptr[1:])
-        deg = np.diff(vptr)
-        rank = np.arange(len(pairs)) - vptr[pcol]
-        a = np.arange(3)
-        # Column 3j+b starts at 9 vptr[j] + 3 b deg[j]; the rows of pair
-        # (i, j) sit at 3 rank + a within it.
-        self.indptr = np.append(9 * vptr[:-1, None] + 3 * deg[:, None] * a,
-                                9 * vptr[-1]).astype(np.int32)
-        pair_slots = ((9 * vptr[pcol] + 3 * rank)[:, None, None] + a[:, None]
-                      + 3 * deg[pcol][:, None, None] * a).astype(np.int32)
-        self.nnz = 9 * len(pairs)
-        self.indices = np.empty(self.nnz, dtype=np.int32)
-        self.indices[pair_slots] = (3 * prow)[:, None, None] + a[:, None]
-        entry_pair = np.full(valid.shape, len(pairs), dtype=np.int64)
-        entry_pair[valid] = pair_of
-        spill = np.full((1, 3, 3), self.nnz, dtype=np.int32)
-        slots = np.concatenate([pair_slots, spill])[entry_pair]
-        self.slots = slots.ravel()
-        self.diag_slots = slots[..., a, a].ravel()
+        pairs, pair_of = np.unique((row.astype(np.int64) * n_verts + col)[valid],
+                                   return_inverse=True)
+        prow, pcol = np.divmod(pairs, n_verts)
+        self.n_pairs = len(pairs)
+        self.block_cols = pcol.astype(np.int32)
+        self.block_ptr = np.searchsorted(prow, np.arange(n_verts + 1)).astype(np.int32)
+        self.pair_of = np.full(valid.shape, self.n_pairs, dtype=np.int32)
+        self.pair_of[valid] = pair_of
+        self.slots = (9 * self.pair_of[..., None] + np.arange(9, dtype=np.int32)).ravel()
         self.shape = (3 * n_verts, 3 * n_verts)
 
     def values(self, blocks: np.ndarray) -> np.ndarray:
-        """CSC data array of the summed blocks."""
+        """Block data of the summed blocks, 9 per pair."""
         return np.bincount(self.slots, weights=blocks.ravel(),
-                           minlength=self.nnz + 1)[:self.nnz]
+                           minlength=9 * self.n_pairs + 9)[:9 * self.n_pairs]
 
     def stiffness_values(self, S: np.ndarray) -> np.ndarray:
-        """CSC data array of kron(L, I3), with L summed from the
-        per-triangle stiffness S."""
-        return np.bincount(self.diag_slots, weights=np.repeat(S.ravel(), 3),
-                           minlength=self.nnz + 1)[:self.nnz]
+        """Block data of kron(L, I3), with L summed from the per-triangle
+        stiffness S; the entries off each block's diagonal are exact zeros."""
+        out = np.zeros((self.n_pairs, 9))
+        out[:, ::4] = np.bincount(self.pair_of.ravel(), weights=S.ravel(),
+                                  minlength=self.n_pairs + 1)[:self.n_pairs, None]
+        return out.ravel()
 
     def matrix(self, values: np.ndarray) -> sp.csc_matrix:
-        """The matrix with CSC data `values`."""
-        return sp.csc_matrix((values, self.indices, self.indptr),
-                             shape=self.shape)
+        """The CSC matrix with block data `values`: the transpose of its CSR
+        form, which holds the same arrays since the matrix is symmetric."""
+        return sp.bsr_matrix((values.reshape(-1, 3, 3), self.block_cols, self.block_ptr),
+                             shape=self.shape).tocsr().T
 
 
 class _StackBasis:

@@ -1,8 +1,8 @@
 """Shared fixtures: analytic catenoid bands at the acceptance resolutions,
 a rotated band whose ends are not level, and solver-produced offset annuli
 at two refinement levels; and the reference cotangent stiffness and
-Laplacian and per-corner angle sums the tests check the stiffness-based
-operators and the corner pass against.
+Laplacian, per-corner angle sums and corner-major vertex sums the tests
+check the stiffness-based operators and the corner pass against.
 
 Solves are session-scoped because the two annulus solves take about 1.9 s
 together on a 2-core x86 machine, 0.5 s of it the 256x128 one; every test
@@ -16,7 +16,7 @@ import pytest
 import scipy.sparse as sp
 
 from mintube import solver, surfaces
-from mintube.mesh import TriMesh, _vertex_sums
+from mintube.mesh import TriMesh
 
 
 def cot_stiffness(mesh):
@@ -30,6 +30,18 @@ def cot_stiffness(mesh):
     e = np.roll(p, -1, axis=1) - np.roll(p, -2, axis=1)
     nn = np.linalg.norm(np.cross(e[:, 0], e[:, 1]), axis=1)
     return (e @ e.transpose(0, 2, 1)) * (0.5 / np.maximum(nn, 1e-300))[:, None, None]
+
+
+def vertex_sums(mesh, corner_values):
+    """Sum (M, 3, ...) per-corner values onto the vertices.  The scatter
+    runs corner-major (corner 0 of every triangle, then corner 1, then 2),
+    so each vertex accumulates its terms in a fixed order, as the scatters
+    of `mesh.corner_sums` and `mesh.edge_geometry` do."""
+    vals = np.moveaxis(corner_values, 1, 0).reshape(3 * len(mesh.triangles), -1)
+    d = vals.shape[1]
+    idx = mesh.triangles.T.reshape(-1, 1) * d + np.arange(d)
+    out = np.bincount(idx.ravel(), weights=vals.ravel(), minlength=mesh.n_vertices * d)
+    return out.reshape((mesh.n_vertices,) + corner_values.shape[2:])
 
 
 def cot_laplacian(mesh, S=None):
@@ -46,7 +58,7 @@ def cot_laplacian(mesh, S=None):
                      np.broadcast_to(t[:, None, :], S.shape).ravel())),
         shape=(nv, nv),
     )
-    mass = _vertex_sums(mesh, np.repeat(mesh.triangle_areas()[:, None] / 3.0, 3, axis=1))
+    mass = vertex_sums(mesh, np.repeat(mesh.triangle_areas()[:, None] / 3.0, 3, axis=1))
     return L, mass
 
 
@@ -66,8 +78,8 @@ def corner_sums(mesh):
     """Reference for `mesh.corner_sums`: the angle-weighted unit vertex
     normals and the per-vertex angle sums, from `corner_angles`."""
     angles = corner_angles(mesh)
-    normals = _vertex_sums(mesh, angles[:, :, None] * mesh.triangle_normals()[:, None, :])
-    return normals / np.linalg.norm(normals, axis=1)[:, None], _vertex_sums(mesh, angles)
+    normals = vertex_sums(mesh, angles[:, :, None] * mesh.triangle_normals()[:, None, :])
+    return normals / np.linalg.norm(normals, axis=1)[:, None], vertex_sums(mesh, angles)
 
 
 def catenoid(a, v_min, v_max, nu, nv):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from conftest import catenoid, corner_angles, cot_laplacian
+from conftest import catenoid, corner_angles, cot_laplacian, vertex_sums
 from conftest import corner_sums as oracle_corner_sums
 
 from mintube import mesh as meshmod
@@ -370,7 +370,7 @@ def test_corner_angles_and_vertex_sums_match_add_at_loop(nu, nv):
         assert np.all(got[0] == expect) and np.all(got[1] == angle_sum)
     # the barycentric vertex areas, summed as the solver's residual sums them
     thirds = np.repeat(mesh.triangle_areas()[:, None] / 3.0, 3, axis=1)
-    assert np.all(meshmod._vertex_sums(mesh, thirds) == mass)
+    assert np.all(vertex_sums(mesh, thirds) == mass)
 
 
 @pytest.mark.parametrize("tris, message", [
@@ -488,13 +488,13 @@ def test_harmonic_capacity_free_block_matches_reference(name, monkeypatch):
     mesh = capacity_case(name)
     lp0, lp1 = mesh.boundary_loops()
     systems = []
-    refined_solve = meshmod.refined_solve
+    factor_float32 = meshmod.factor_float32
 
-    def capture(A, b):
+    def capture(A):
         systems.append(A)
-        return refined_solve(A, b)
+        return factor_float32(A)
 
-    monkeypatch.setattr(meshmod, "refined_solve", capture)
+    monkeypatch.setattr(meshmod, "factor_float32", capture)
     harmonic_capacity(mesh, lp0, lp1)
     (A,) = systems
     # Summed from the solver's stiffness, so that only the assembly is

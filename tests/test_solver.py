@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import cot_laplacian, cot_stiffness
+from conftest import cot_laplacian, cot_stiffness, vertex_sums
 from scipy.optimize import brentq
 
 from mintube import mesh as meshmod
@@ -265,8 +265,8 @@ def test_edge_geometry_matches_formulas(nu, nv):
     p = mesh.vertices[mesh.triangles]
     thirds = np.repeat(mesh.triangle_areas()[:, None] / 3.0, 3, axis=1)
     pairs = [(geo.stiffness, S),
-             (geo.gradient, meshmod._vertex_sums(mesh, S @ p)),
-             (geo.vertex_areas, meshmod._vertex_sums(mesh, thirds)),
+             (geo.gradient, vertex_sums(mesh, S @ p)),
+             (geo.vertex_areas, vertex_sums(mesh, thirds)),
              (geo.normals, mesh.triangle_normals()),
              (geo.double_areas, 2.0 * mesh.triangle_areas()),
              (geo.area, mesh.area()),
@@ -309,21 +309,32 @@ def test_hessian_pattern_matches_coo_assembly():
                     cols.append(3 * tris[:, j] + b)
                     vals.append(blocks[:, i, j, a, b])
     n = 3 * len(verts)
-    H = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n)).tocsr()
-    idx = np.flatnonzero(interior)
-    dofs = (3 * idx[:, None] + np.arange(3)).ravel()
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    H = sp.coo_matrix((np.concatenate(vals), (rows, cols)), shape=(n, n)).tocsr()
+    # every 3x3 block of a vertex pair that shares a triangle, summed from
+    # ones so that no entry cancels
+    blocks_of_pairs = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
     L, _ = cot_laplacian(perturbed)
-    mu = 0.37
-    expect = (H[dofs][:, dofs]
-              + mu * sp.kron(L[idx][:, idx], sp.identity(3))).toarray()
-    pattern = solver._HessianPattern(tris, interior)
     S = cot_stiffness(perturbed)
+    mu = 0.37
+    # the solver's interior dofs, and every vertex a dof as in
+    # `test_area_hessian_matches_finite_differences`
+    for dof_mask in (interior, np.ones(len(verts), bool)):
+        idx = np.flatnonzero(dof_mask)
+        dofs = (3 * idx[:, None] + np.arange(3)).ravel()
+        expect = (H[dofs][:, dofs]
+                  + mu * sp.kron(L[idx][:, idx], sp.identity(3))).toarray()
+        want = blocks_of_pairs[dofs][:, dofs].tocsc()
+        pattern = solver._HessianPattern(tris, dof_mask)
 
-    got = pattern.matrix(pattern.values(blocks) + mu * pattern.stiffness_values(S))
-    assert got.format == "csc" and got.has_sorted_indices
-    assert np.abs(got.toarray() - expect).max() <= 1e-13 * np.abs(expect).max()
+        got = pattern.matrix(pattern.values(blocks) + mu * pattern.stiffness_values(S))
+        assert got.format == "csc" and got.has_sorted_indices
+        assert got.indptr.dtype == got.indices.dtype == np.int32
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        # symmetric bit for bit: the CSR arrays are the CSC arrays
+        assert np.array_equal(got.data, got.T.tocsc().data)
+        assert np.abs(got.toarray() - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 # Relative error of the full-stage step (float32 factors, two float64
@@ -417,11 +428,12 @@ def test_every_factorization_is_float32(monkeypatch):
     # The solver factors its first full-stage system and takes its later
     # steps by conjugate gradients on those factors.
     splu = meshmod.spla.splu
-    dtypes, specs = [], []
+    dtypes, specs, layouts = [], [], []
 
     def recorded_splu(A, **kwargs):
         dtypes.append(A.dtype)
         specs.append(kwargs["permc_spec"])
+        layouts.append((A.format, A.indptr.dtype, A.indices.dtype))
         return splu(A, **kwargs)
 
     monkeypatch.setattr(meshmod.spla, "splu", recorded_splu)
@@ -431,6 +443,8 @@ def test_every_factorization_is_float32(monkeypatch):
     assert len(dtypes) == 2
     assert set(dtypes) == {np.dtype(np.float32)}
     assert set(specs) == {"MMD_AT_PLUS_A"}
+    # the solver's block layout and the capacity's COO assembly alike
+    assert set(layouts) == {("csc", np.dtype(np.int32), np.dtype(np.int32))}
 
 
 def test_safety_slice_interpolates_the_cached_vertex_normals(monkeypatch):
