@@ -62,7 +62,8 @@ B^T kron(L, I3) B from these blocks in closed form, strip by strip of the
 ring grid (`_StackBasis`), and never forms a matrix of the 3N coordinates.
 The full stage sums the blocks into one 3x3 block per vertex pair, and S
 into one scalar per pair, on the diagonal of its block, for kron(L, I3):
-a BSR pattern built on its first iteration, handed to SuperLU in CSC form.
+a BSR pattern built on its first iteration, with the CSC layout SuperLU
+takes and the place of each CSC entry in the block data.
 Its first step solves (H + mu kron(L, I3)) s = -g from a float32
 factorization, `mesh.factor_float32` (SuperLU, symmetric mode, diagonal
 pivots, its own minimum-degree order), about three quarters of the float64
@@ -81,8 +82,10 @@ was.  Every step, inexact or not, passes the same ratio test against the
 model, which uses the float64 H, and convergence is judged by the true
 residual, so a loose step can cost iterations but never accept a worse
 surface.  An exactly singular system is handled like a rejected step: mu
-grows and the step is retried.  `mesh.harmonic_capacity` factors and
-refines its one system the same way.
+grows and the step is retried.  `mesh.harmonic_capacity` shares these
+routines: on the ring grids this solver makes it runs the same conjugate
+gradients with a ring-averaged preconditioner, and on any other mesh it
+factors and refines its one system as the first step here is.
 """
 
 from __future__ import annotations
@@ -94,9 +97,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import (EdgeGeometry, MeshError, TriMesh, edge_geometry,
+from .mesh import (EdgeGeometry, MeshError, RingGrid, TriMesh, edge_geometry,
                    factor_float32, preconditioned_cg, refine, slice_mesh)
-from .surfaces import RingGrid, _revolution_mesh
+from .surfaces import _revolution_mesh
 
 TOLERANCE = 1e-6      # normalized residual: max |H| * mean edge length
 MAX_ITERATIONS = 500  # in each stage of `minimize_area`
@@ -239,14 +242,16 @@ class _HessianPattern:
     vertex, in vertex order), built once per triangulation.
 
     Each vertex pair sharing a triangle owns a 3x3 block of a BSR matrix,
-    and the pairs are sorted row-major once.  `slots` maps entry (a, b) of
-    each `_area_hessian` block (i, j) to slot 9 p + 3 a + b of its pair p,
-    and `pair_of` each corner pair (i, j) to p; entries touching other
-    vertices go to a spill block past the end.  kron(L, I3) is one scalar
-    of L per pair, on the diagonal of its block.  The blocks of pairs
-    (i, j) and (j, i) sum transposed terms in the same triangle order, so
-    the summed matrix is symmetric bit for bit, and the transpose of its
-    CSR form is its CSC form, with the same arrays.  The matrix is in
+    and the pairs are sorted row-major once; `pair_of` maps each corner
+    pair (i, j) to its pair p.  The blocks of pairs (i, j) and (j, i) sum
+    transposed terms in the same triangle order, so the summed matrix is
+    symmetric bit for bit, and the transpose of its CSR form is its CSC
+    form, with the same arrays.  That layout is built once, from a BSR
+    matrix whose data numbers its entries 9 p + 3 a + b, and `slots` maps
+    entry (a, b) of each `_area_hessian` block (i, j) to its place in it;
+    entries touching other vertices go to a spill block past the end.  So
+    the summed data is CSC data as it comes.  kron(L, I3) is one scalar of
+    L per pair, on the `diagonal` of its block.  The matrix is in
     coordinate order; each factorization picks its own fill-reducing order.
     """
 
@@ -260,32 +265,37 @@ class _HessianPattern:
         pairs, pair_of = np.unique((row.astype(np.int64) * n_verts + col)[valid],
                                    return_inverse=True)
         prow, pcol = np.divmod(pairs, n_verts)
-        self.n_pairs = len(pairs)
-        self.block_cols = pcol.astype(np.int32)
-        self.block_ptr = np.searchsorted(prow, np.arange(n_verts + 1)).astype(np.int32)
-        self.pair_of = np.full(valid.shape, self.n_pairs, dtype=np.int32)
+        self.n_pairs = n = len(pairs)
+        self.pair_of = np.full(valid.shape, n, dtype=np.int32)
         self.pair_of[valid] = pair_of
-        self.slots = (9 * self.pair_of[..., None] + np.arange(9, dtype=np.int32)).ravel()
         self.shape = (3 * n_verts, 3 * n_verts)
+        numbered = sp.bsr_matrix(
+            (np.arange(9 * n, dtype=np.int32).reshape(-1, 3, 3), pcol.astype(np.int32),
+             np.searchsorted(prow, np.arange(n_verts + 1)).astype(np.int32)),
+            shape=self.shape).tocsr()
+        self.indptr, self.indices = numbered.indptr, numbered.indices
+        place = np.arange(9 * n + 9, dtype=np.int32)  # the spill block stays put
+        place[numbered.data] = np.arange(9 * n, dtype=np.int32)
+        place = place.reshape(-1, 9)
+        self.slots = place[self.pair_of].ravel()
+        self.diagonal = place[:n, ::4].copy()
 
     def values(self, blocks: np.ndarray) -> np.ndarray:
-        """Block data of the summed blocks, 9 per pair."""
+        """CSC data of the summed blocks."""
         return np.bincount(self.slots, weights=blocks.ravel(),
                            minlength=9 * self.n_pairs + 9)[:9 * self.n_pairs]
 
     def stiffness_values(self, S: np.ndarray) -> np.ndarray:
-        """Block data of kron(L, I3), with L summed from the per-triangle
+        """CSC data of kron(L, I3), with L summed from the per-triangle
         stiffness S; the entries off each block's diagonal are exact zeros."""
-        out = np.zeros((self.n_pairs, 9))
-        out[:, ::4] = np.bincount(self.pair_of.ravel(), weights=S.ravel(),
-                                  minlength=self.n_pairs + 1)[:self.n_pairs, None]
-        return out.ravel()
+        out = np.zeros(9 * self.n_pairs)
+        out[self.diagonal] = np.bincount(self.pair_of.ravel(), weights=S.ravel(),
+                                         minlength=self.n_pairs + 1)[:self.n_pairs, None]
+        return out
 
     def matrix(self, values: np.ndarray) -> sp.csc_matrix:
-        """The CSC matrix with block data `values`: the transpose of its CSR
-        form, which holds the same arrays since the matrix is symmetric."""
-        return sp.bsr_matrix((values.reshape(-1, 3, 3), self.block_cols, self.block_ptr),
-                             shape=self.shape).tocsr().T
+        """The CSC matrix with data `values`, on the layout built once."""
+        return sp.csc_matrix((values, self.indices, self.indptr), shape=self.shape)
 
 
 class _StackBasis:

@@ -10,14 +10,13 @@ function and the axial distance an incomplete Beta integral.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import TriMesh
+from .mesh import RingGrid, TriMesh
 
 # scipy.special is imported where used, so importing the CLI does not load it.
 
@@ -48,48 +47,6 @@ class CatenoidSpec:
             if not np.all(np.isfinite(a * np.cosh(ends / a))):
                 raise ValueError(f"the radius a cosh(v/a) overflows on [{self.v_min:.6g}, "
                                  f"{self.v_max:.6g}]; ask for a larger a or a shorter band")
-
-
-@dataclass(frozen=True)
-class RingGrid:
-    """The layout of every surface of revolution and solver annulus: rings
-    j = 0 .. nv, vertex i of ring j at index j * nu + i and angle
-    u_i = 2 pi i / nu.  Quad diagonals alternate with the parity of i + j,
-    for isotropy, and normals point toward the axis at a neck (as
-    gamma = (-cos u, -sin u, sinh v)/cosh v on the catenoid).  Triangle rows
-    2 nu j .. 2 nu (j + 1), strip j, lie between rings j and j + 1."""
-
-    nu: int
-    nv: int
-
-    @property
-    def directions(self) -> np.ndarray:
-        """(nu, 3): the unit vectors (cos u_i, sin u_i, 0)."""
-        u = np.arange(self.nu) * (2.0 * math.pi / self.nu)
-        return np.stack([np.cos(u), np.sin(u), np.zeros(self.nu)], axis=1)
-
-    @property
-    @functools.lru_cache(maxsize=4)     # equal grids share one read-only array
-    def triangles(self) -> np.ndarray:
-        nu = self.nu
-        j, i = np.indices((self.nv, nu))
-        v00, v10 = j * nu + i, j * nu + (i + 1) % nu
-        quad = np.stack([v00, v10, v00 + nu, v10 + nu], axis=-1)  # v00 v10 v01 v11
-        # Two triangles per quad as corners of `quad`, by the parity of i + j.
-        split = np.array([[0, 3, 1, 0, 2, 3], [0, 2, 1, 1, 2, 3]])
-        tris = np.take_along_axis(quad, split[(i + j) % 2], axis=2).reshape(-1, 3)
-        tris.setflags(write=False)
-        return tris
-
-    @classmethod
-    def of(cls, mesh: TriMesh) -> RingGrid | None:
-        """The grid whose triangles `mesh` has, nu being the length of its
-        first boundary loop; None for any other mesh."""
-        loops = mesh.boundary_loops()
-        if not loops or mesh.n_vertices % len(loops[0]):
-            return None
-        grid = cls(len(loops[0]), mesh.n_vertices // len(loops[0]) - 1)
-        return grid if np.array_equal(mesh.triangles, grid.triangles) else None
 
 
 def _revolution_mesh(radii: np.ndarray, heights: np.ndarray, nu: int,

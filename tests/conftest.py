@@ -2,7 +2,8 @@
 a rotated band whose ends are not level, and solver-produced offset annuli
 at two refinement levels; and the reference cotangent stiffness and
 Laplacian, per-corner angle sums and corner-major vertex sums the tests
-check the stiffness-based operators and the corner pass against.
+check the stiffness-based operators and the corner pass against; and a
+vertex relabelling that takes a mesh off its ring grid.
 
 Solves are session-scoped because the two annulus solves take about 1.9 s
 together on a 2-core x86 machine, 0.5 s of it the 256x128 one; every test
@@ -80,6 +81,13 @@ def corner_sums(mesh):
     angles = corner_angles(mesh)
     normals = vertex_sums(mesh, angles[:, :, None] * mesh.triangle_normals()[:, None, :])
     return normals / np.linalg.norm(normals, axis=1)[:, None], vertex_sums(mesh, angles)
+
+
+def relabelled(mesh, seed=0):
+    """`mesh` with its vertices renumbered by a random permutation: the same
+    surface, no longer laid out as a `RingGrid`."""
+    perm = np.random.default_rng(seed).permutation(mesh.n_vertices)
+    return TriMesh(mesh.vertices[perm], np.argsort(perm)[mesh.triangles])
 
 
 def catenoid(a, v_min, v_max, nu, nv):

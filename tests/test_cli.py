@@ -111,7 +111,7 @@ def test_ncatenoid_large_n(tmp_path, capsys, n):
     (["catenoid", "--res", "64x32"], (surfaces, "catenoid_mesh")),
     (["solve-annulus", "--res", "32x16"], (solver, "solve_annulus")),
     (["solve-annulus", "--res", "32x16"], (solver, "slice_mesh")),
-    (["catenoid", "--res", "64x32"], (mintube.mesh.spla, "splu")),
+    (["catenoid", "--res", "64x32"], (mintube.mesh.lapack, "zpttrf")),
     (["analyze", "x.obj"], (mintube.mesh, "read_obj")),
 ])
 def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch, argv, target):

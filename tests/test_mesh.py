@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from conftest import catenoid, corner_angles, cot_laplacian, vertex_sums
+from conftest import catenoid, corner_angles, cot_laplacian, relabelled, vertex_sums
 from conftest import corner_sums as oracle_corner_sums
 
 from mintube import mesh as meshmod
-from mintube import surfaces
+from mintube import solver, surfaces
 from mintube.mesh import (
     MeshError,
     SliceError,
@@ -484,17 +484,18 @@ def test_harmonic_capacity_matches_spsolve(name):
 @pytest.mark.parametrize("name", ["flat_annulus_256x64", "catenoid_128x64",
                                   "perturbed_annulus_96x24"])
 def test_harmonic_capacity_free_block_matches_reference(name, monkeypatch):
-    # The float64 block the float32 factors are refined against.
+    # The float64 block the conjugate gradients run on: every case is a
+    # ring grid.
     mesh = capacity_case(name)
     lp0, lp1 = mesh.boundary_loops()
     systems = []
-    factor_float32 = meshmod.factor_float32
+    preconditioned_cg = meshmod.preconditioned_cg
 
-    def capture(A):
+    def capture(A, *args):
         systems.append(A)
-        return factor_float32(A)
+        return preconditioned_cg(A, *args)
 
-    monkeypatch.setattr(meshmod, "factor_float32", capture)
+    monkeypatch.setattr(meshmod, "preconditioned_cg", capture)
     harmonic_capacity(mesh, lp0, lp1)
     (A,) = systems
     # Summed from the solver's stiffness, so that only the assembly is
@@ -529,7 +530,9 @@ def test_harmonic_capacity_warns_outside_the_maximum_principle(monkeypatch):
     # Interior vertex 16 of the 16x2 annulus 1 <= r <= 2, folded over the
     # outer circle to (2.5, 0, 0): some of its edges get negative cotangent
     # weights (positive off-diagonal entries of L), and phi rises to 1.14
-    # there, as the general LU solve of the same system confirms.
+    # there, as the general LU solve of the same system confirms.  The
+    # folded ring grid takes conjugate gradients, and its relabelled copy
+    # one float32 factorization.
     mesh = surfaces.flat_annulus_mesh(1.0, 2.0, 16, 2)
     verts = mesh.vertices.copy()
     verts[16] = [2.5, 0.0, 0.0]
@@ -537,22 +540,25 @@ def test_harmonic_capacity_warns_outside_the_maximum_principle(monkeypatch):
     folded.validate()
     L, _ = cot_laplacian(folded)
     assert (L - sp.diags(L.diagonal())).max() > 0
-    lp0, lp1 = folded.boundary_loops()
     splu = meshmod.spla.splu
     dtypes = []
     monkeypatch.setattr(meshmod.spla, "splu",
                         lambda A, **k: dtypes.append(A.dtype) or splu(A, **k))
     message = (r"^discrete maximum principle violated \(range \[0\.000e\+00, "
                r"1\.140e\+00\]\); mesh has negative cotangent weights$")
-    with pytest.warns(UserWarning, match=message):
-        _, phi = harmonic_capacity(folded, lp0, lp1)
-    assert dtypes == [np.dtype(np.float32)]
-    _, want_phi = spsolve_capacity(folded, lp0, lp1)
-    assert np.max(np.abs(phi - want_phi)) <= 1e-12
+    for surface, factored in ((folded, []), (relabelled(folded), [np.dtype(np.float32)])):
+        dtypes.clear()
+        lp0, lp1 = surface.boundary_loops()
+        with pytest.warns(UserWarning, match=message):
+            _, phi = harmonic_capacity(surface, lp0, lp1)
+        assert dtypes == factored
+        _, want_phi = spsolve_capacity(surface, lp0, lp1)
+        assert np.max(np.abs(phi - want_phi)) <= 1e-12
 
 
 def test_harmonic_capacity_factorization_failure(monkeypatch):
-    mesh = surfaces.flat_annulus_mesh(1.0, 3.0, 32, 8)
+    # off a ring grid the capacity factors its system
+    mesh = relabelled(surfaces.flat_annulus_mesh(1.0, 3.0, 32, 8))
     lp0, lp1 = mesh.boundary_loops()
 
     def singular(A, **kwargs):
@@ -561,6 +567,134 @@ def test_harmonic_capacity_factorization_failure(monkeypatch):
     monkeypatch.setattr(meshmod.spla, "splu", singular)
     with pytest.raises(MeshError, match="^harmonic solve failed: Factor is exactly singular$"):
         harmonic_capacity(mesh, lp0, lp1)
+
+
+def ring_average(A, nu):
+    """The ring average of A over the rings of its ring-major unknowns, by
+    plain loops: entry ((j, i), (j', i + delta)) is the mean over i0 of
+    A[(j, i0), (j', i0 + delta)]."""
+    A = A.toarray()
+    n = len(A) // nu
+    out = np.zeros_like(A)
+    for j in range(n):
+        for jj in range(n):
+            for delta in range(nu):
+                c = sum(A[j * nu + i, jj * nu + (i + delta) % nu] for i in range(nu)) / nu
+                for i in range(nu):
+                    out[j * nu + i, jj * nu + (i + delta) % nu] = c
+    return out
+
+
+def wavy_ring_grid(nu, nv, seed):
+    """A flat annulus on `RingGrid(nu, nv)`, each vertex lifted at random:
+    the coefficients of its Laplacian change from vertex to vertex."""
+    mesh = surfaces.flat_annulus_mesh(1.0, 3.0, nu, nv)
+    z = np.random.default_rng(seed).normal(scale=0.1, size=mesh.n_vertices)
+    return TriMesh(mesh.vertices + np.outer(z, [0.0, 0.0, 1.0]), mesh.triangles)
+
+
+@pytest.mark.parametrize("nu, nv", [(8, 2), (9, 2), (15, 6), (33, 17)])
+def test_ring_preconditioner_solves_the_ring_average(nu, nv):
+    # the random lift, and at odd nu the unequal count of the two diagonal
+    # directions round a strip, make the off-diagonal symbols complex
+    mesh = wavy_ring_grid(nu, nv, seed=nu)
+    L, _ = cot_laplacian(mesh)
+    free = ~mesh.boundary_vertex_mask()
+    A = L[free][:, free].tocsc()
+    b = np.random.default_rng(1).normal(size=A.shape[0])
+    want = np.linalg.solve(ring_average(A, nu), b)
+    got = meshmod.RingPreconditioner(A, nu).solve(b)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def count_cg_and_factorizations(monkeypatch):
+    """Lists that fill with the iterations of each conjugate-gradient solve
+    and the dtype of each factorization made from here on."""
+    iterations, dtypes = [], []
+    preconditioned_cg, splu = meshmod.preconditioned_cg, meshmod.spla.splu
+
+    def counted_cg(*args):
+        x, its = preconditioned_cg(*args)
+        iterations.append(its)
+        return x, its
+
+    monkeypatch.setattr(meshmod, "preconditioned_cg", counted_cg)
+    monkeypatch.setattr(meshmod.spla, "splu",
+                        lambda A, **k: dtypes.append(A.dtype) or splu(A, **k))
+    return iterations, dtypes
+
+
+def test_ring_preconditioner_is_nearly_exact_on_the_catenoid(catenoid_fine, monkeypatch):
+    # a surface of revolution: both diagonals of a quad have the same
+    # cotangent weight, so the free block is its own ring average up to
+    # rounding and no factorization is made
+    iterations, dtypes = count_cg_and_factorizations(monkeypatch)
+    harmonic_capacity(catenoid_fine, *catenoid_fine.boundary_loops())
+    assert len(iterations) == 1 and iterations[0] <= 3
+    assert dtypes == []
+
+
+@pytest.mark.parametrize("offset", [0.3, 0.5])
+def test_ring_preconditioner_on_solver_annuli(offset, monkeypatch):
+    # 14 and 19 iterations on x86-64; the test allows 30
+    problem = solver.AnnulusProblem(solver.Circle((0, 0, 0.0), 1.0),
+                                    solver.Circle((offset, 0, 1.0), 1.0), nu=96, nv=48)
+    mesh, _ = solver.solve_annulus(problem)
+    lp0, lp1 = mesh.boundary_loops()
+    iterations, dtypes = count_cg_and_factorizations(monkeypatch)
+    cap, phi = harmonic_capacity(mesh, lp0, lp1)
+    assert len(iterations) == 1 and iterations[0] <= 30
+    assert dtypes == []
+    want_cap, want_phi = spsolve_capacity(mesh, lp0, lp1)
+    assert abs(cap - want_cap) <= 1e-12 * want_cap
+    assert np.max(np.abs(phi - want_phi)) <= 1e-12
+
+
+@pytest.mark.parametrize("mesh", [relabelled(surfaces.flat_annulus_mesh(1.0, 3.0, 32, 8)),
+                                  surfaces.flat_annulus_mesh(1.0, 3.0, 32, 1)],
+                         ids=["relabelled", "one_strip"])
+def test_harmonic_capacity_factors_off_ring_grids(mesh, monkeypatch):
+    # a mesh off its ring grid, and a ring grid of one strip, are solved as
+    # they were before the ring preconditioner: one float32 factorization
+    # refined in float64, bit for bit
+    iterations, dtypes = count_cg_and_factorizations(monkeypatch)
+    systems = []
+    refine = meshmod.refine
+
+    def capture(factors, A, b):
+        systems.append((A, b))
+        return refine(factors, A, b)
+
+    monkeypatch.setattr(meshmod, "refine", capture)
+    lp0, lp1 = mesh.boundary_loops()
+    cap, phi = harmonic_capacity(mesh, lp0, lp1)
+    assert iterations == [] and dtypes == [np.dtype(np.float32)]
+    (A, b), free = systems[0], ~mesh.boundary_vertex_mask()
+    assert np.array_equal(phi[free], refine(meshmod.factor_float32(A), A, b))
+    if free.any():
+        want_cap, want_phi = spsolve_capacity(mesh, lp0, lp1)
+        assert abs(cap - want_cap) <= 1e-12 * want_cap
+        assert np.max(np.abs(phi - want_phi)) <= 1e-12
+
+
+@pytest.mark.parametrize("miss", ["cap", "zpttrf"])
+def test_harmonic_capacity_falls_back_to_factors(miss, monkeypatch):
+    # conjugate gradients that reach their cap, or a ring average whose
+    # tridiagonal factorization fails, leave the system to the factors
+    mesh = capacity_case("perturbed_annulus_96x24")
+    if miss == "cap":
+        monkeypatch.setattr(meshmod, "RING_CG_MAX_ITERATIONS", 2)
+    else:
+        zpttrf = meshmod.lapack.zpttrf
+        monkeypatch.setattr(meshmod.lapack, "zpttrf", lambda d, e: (*zpttrf(d, e)[:2], 1))
+    iterations, dtypes = count_cg_and_factorizations(monkeypatch)
+    lp0, lp1 = mesh.boundary_loops()
+    cap, phi = harmonic_capacity(mesh, lp0, lp1)
+    assert iterations == ([2] if miss == "cap" else [])
+    assert dtypes == [np.dtype(np.float32)]
+    want_cap, want_phi = spsolve_capacity(mesh, lp0, lp1)
+    assert abs(cap - want_cap) <= 1e-12 * want_cap
+    assert np.max(np.abs(phi - want_phi)) <= 1e-12
 
 
 # -- I/O --------------------------------------------------------------------

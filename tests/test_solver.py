@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import cot_laplacian, cot_stiffness, vertex_sums
+from conftest import cot_laplacian, cot_stiffness, relabelled, vertex_sums
 from scipy.optimize import brentq
 
 from mintube import mesh as meshmod
 from mintube import solver, surfaces
-from mintube.mesh import MeshError, TriMesh, factor_symmetric
+from mintube.mesh import MeshError, RingGrid, TriMesh, factor_symmetric
 
 
 def test_problem_validation():
@@ -329,6 +329,22 @@ def test_hessian_pattern_matches_coo_assembly():
 
         got = pattern.matrix(pattern.values(blocks) + mu * pattern.stiffness_values(S))
         assert got.format == "csc" and got.has_sorted_indices
+        # the arrays, bit for bit, of the BSR -> CSR conversion of the same
+        # sums in block order: block (i, j) of each triangle summed at
+        # 9 p + 3 a + b of its pair p, and L on the diagonal of each block
+        layout = want.tobsr(blocksize=(3, 3))
+        layout.sort_indices()
+        n_pairs = len(layout.indices)
+        block_slots = (9 * pattern.pair_of[..., None] + np.arange(9)).ravel()
+        block_data = np.bincount(block_slots, weights=blocks.ravel(),
+                                 minlength=9 * n_pairs + 9)[:9 * n_pairs].reshape(-1, 3, 3)
+        lap = np.bincount(pattern.pair_of.ravel(), weights=S.ravel(),
+                          minlength=n_pairs + 1)[:n_pairs]
+        block_data = block_data + mu * (lap[:, None, None] * np.eye(3))
+        bsr = sp.bsr_matrix((block_data, layout.indices, layout.indptr),
+                            shape=got.shape).tocsr()
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, field), getattr(bsr, field))
         assert got.indptr.dtype == got.indices.dtype == np.int32
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
@@ -439,7 +455,12 @@ def test_every_factorization_is_float32(monkeypatch):
     monkeypatch.setattr(meshmod.spla, "splu", recorded_splu)
     mesh, report = solver.solve_annulus(unit_circles(1.0, 0.3, 48, 16))
     assert report.iterations > 1 and len(dtypes) == report.factorizations == 1
+    # the capacity factors off its ring grid, and runs conjugate gradients
+    # on it
     meshmod.harmonic_capacity(mesh, *mesh.boundary_loops())
+    assert len(dtypes) == 1
+    off_grid = relabelled(mesh)
+    meshmod.harmonic_capacity(off_grid, *off_grid.boundary_loops())
     assert len(dtypes) == 2
     assert set(dtypes) == {np.dtype(np.float32)}
     assert set(specs) == {"MMD_AT_PLUS_A"}
@@ -612,7 +633,7 @@ def test_problems_at_one_resolution_share_one_triangle_array():
 def squeezed_ring(descent, j, factor):
     """The descent's current surface with interior ring j shrunk about its
     center by `factor`, accepted as its iterate."""
-    grid = surfaces.RingGrid.of(descent.start)
+    grid = RingGrid.of(descent.start)
     verts = descent.cur.vertices.copy().reshape(grid.nv + 1, grid.nu, 3)
     ring = verts[j, :, :2]
     verts[j, :, :2] = ring.mean(axis=0) + factor * (ring - ring.mean(axis=0))

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from mintube import flux, solver, surfaces
-from mintube.mesh import (TriMesh, edge_geometry, slice_mesh, total_curvature,
-                          vertex_normals)
+from mintube.mesh import (RingGrid, TriMesh, edge_geometry, slice_mesh,
+                          total_curvature, vertex_normals)
 
 
 def residual(mesh):
@@ -55,13 +55,13 @@ def test_revolution_mesh_triangles_match_quad_loop(nu):
                 tris += [(v00, v01, v10), (v10, v01, v11)]
     assert mesh.triangles.dtype == np.int64
     assert np.array_equal(mesh.triangles, np.array(tris))
-    assert np.array_equal(surfaces.RingGrid(nu, nv).triangles, np.array(tris))
+    assert np.array_equal(RingGrid(nu, nv).triangles, np.array(tris))
 
 
 @pytest.mark.parametrize("nu", [9, 12])
 def test_ring_grid_strips_repeat_by_parity(nu):
     # the stack stage reads every strip off the first two
-    tris = surfaces.RingGrid(nu, 5).triangles.reshape(5, 2 * nu, 3)
+    tris = RingGrid(nu, 5).triangles.reshape(5, 2 * nu, 3)
     for s, strip in enumerate(tris):
         assert set(np.unique(strip // nu)) == {s, s + 1}
         assert np.array_equal(strip, tris[s % 2] + nu * (s - s % 2))
@@ -73,13 +73,13 @@ def test_ring_grid_of_recognizes_the_grid():
     catenoid = surfaces.catenoid_mesh(surfaces.CatenoidSpec(1.0, -0.5, 0.5, 32, 8))
     flat = surfaces.flat_annulus_mesh(1.0, 3.0, 24, 5)
     for mesh, nu, nv in ((sheared, 16, 6), (catenoid, 32, 8), (flat, 24, 5)):
-        assert surfaces.RingGrid.of(mesh) == surfaces.RingGrid(nu, nv)
+        assert RingGrid.of(mesh) == RingGrid(nu, nv)
     flipped = TriMesh(sheared.vertices, sheared.triangles[:, [0, 2, 1]])
     extra = TriMesh(np.vstack([sheared.vertices, [5.0, 5.0, 5.0]]), sheared.triangles)
     closed = TriMesh(np.eye(4, 3), [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
     assert closed.boundary_loops() == []
     for mesh in (flipped, extra, closed):
-        assert surfaces.RingGrid.of(mesh) is None
+        assert RingGrid.of(mesh) is None
 
 
 def test_catenoid_vertices_on_surface():
