@@ -4,16 +4,21 @@ the angle-weighted vertex normals and the angle-defect curvature, and the
 edge-vector pass that gives the cotangent stiffness to the Dirichlet-energy
 capacity and to the geometry the area solver makes per iterate.  Both
 passes work on coordinate-major (3, M) rows and sum onto the vertices with
-`bincount`.  A mesh caches its corner pass like its boundary loops.
+`bincount`.  A mesh caches its corner pass; its boundary loops, from one
+sort of its directed edges keyed so that an edge and its reverse are
+adjacent; and each triangle's x3 range, from which slicing takes the
+triangles a plane crosses.
 `RingGrid` is the layout of every surface of revolution and solver
 annulus.  The capacity and the solver's full stage share one conjugate
 gradient routine, `preconditioned_cg`, and one factorization,
 `factor_float32`, whose float32 factors `refine` refines in float64.  The
-capacity on a ring grid runs conjugate gradients preconditioned by its
-`RingPreconditioner`, the ring average of its system solved by FFT
-around the rings, and factors only when they miss; on any other mesh it
-factors.  The full stage factors once and solves its later systems by
-conjugate gradients on those factors.
+capacity on a ring grid assembles no matrix: it runs conjugate gradients
+on the per-triangle product of its system, preconditioned by its
+`RingPreconditioner`, the ring average of its system summed from the
+stiffness and solved by FFT around the rings, and assembles and factors
+its system only when they miss; on any other mesh it factors.  The full
+stage factors once and solves its later systems by conjugate gradients
+on those factors.
 `read_obj` reads a file by one of two paths: one `np.loadtxt` per record
 type, with no Python object per line, for the layout `write_obj` writes,
 and a line-by-line parse for any other file and any error, which names
@@ -61,6 +66,8 @@ class TriMesh:
     triangles: np.ndarray
     _boundary_loops: list | None = field(default=None, init=False, repr=False, compare=False)
     _corner_pass: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _triangle_x3_range: tuple | None = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
@@ -89,8 +96,16 @@ class TriMesh:
         return n / np.linalg.norm(n, axis=1)[:, None]
 
     def triangle_areas(self) -> np.ndarray:
-        p0, p1, p2 = self.triangle_corners()
-        return 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=1)
+        """Half the length of (p1 - p0) x (p2 - p0), from coordinate-major
+        (3, M) rows: the cross product by components, and its length added
+        as (x x + y y) + z z, bit for bit what `np.cross` and
+        `np.linalg.norm` give on (M, 3) rows."""
+        t = np.ascontiguousarray(self.triangles.T)
+        p = np.take(np.ascontiguousarray(self.vertices.T), t, axis=1)   # (3 coords, 3, M)
+        (x1, y1, z1), (x2, y2, z2) = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        del p
+        x, y, z = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
+        return 0.5 * np.sqrt(x * x + y * y + z * z)
 
     def area(self) -> float:
         return float(self.triangle_areas().sum())
@@ -101,11 +116,20 @@ class TriMesh:
     def x3_range(self):
         return float(self.vertices[:, 2].min()), float(self.vertices[:, 2].max())
 
-    # -- topology ---------------------------------------------------------
-    def _directed_edges(self) -> np.ndarray:
-        t = self.triangles
-        return np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    def triangle_x3_range(self) -> tuple:
+        """(lo, hi), each (M,) and read-only: the smallest and the largest x3
+        of each triangle's corners; cached.  lo skips a NaN x3 and hi takes
+        it, so lo < t says that some corner is below the level t and hi < t
+        that every corner is, a NaN corner being below no level."""
+        if self._triangle_x3_range is None:
+            z0, z1, z2 = self.vertices[:, 2][self.triangles.T]    # per corner, (M,)
+            self._triangle_x3_range = (np.fmin(np.fmin(z0, z1), z2),
+                                       np.maximum(np.maximum(z0, z1), z2))
+            for a in self._triangle_x3_range:
+                a.setflags(write=False)
+        return self._triangle_x3_range
 
+    # -- topology ---------------------------------------------------------
     def validate(self) -> None:
         """Check finiteness, manifoldness, orientation and non-degeneracy;
         raise MeshError."""
@@ -121,26 +145,42 @@ class TriMesh:
         if np.any(areas <= thresh):
             bad = int(np.argmin(areas))
             raise MeshError(f"degenerate triangle {bad} (area {areas[bad]:.3e})")
-        de = self._directed_edges()
-        keys = de[:, 0] * self.n_vertices + de[:, 1]
-        uniq, counts = np.unique(keys, return_counts=True)
-        if np.any(counts > 1):
-            k = int(uniq[np.argmax(counts > 1)])
+        # directed edge (a, b) as a n + b, sorted: a repeat sits next to itself
+        n, t = self.n_vertices, self.triangles.T
+        keys = np.sort(t.ravel() * n + t[[1, 2, 0]].ravel())
+        repeats = keys[1:][keys[1:] == keys[:-1]]
+        if len(repeats):
+            k = int(repeats[0])
             raise MeshError(
-                f"directed edge ({k // self.n_vertices}, {k % self.n_vertices}) "
+                f"directed edge ({k // n}, {k % n}) "
                 "repeats: mesh is non-manifold or inconsistently oriented"
             )
 
     def boundary_loops(self) -> list:
         """Ordered vertex cycles of the boundary (directed edges without a
         reverse partner), each starting at its smallest vertex and listed by
-        start vertex; cached."""
+        start vertex; cached.
+
+        Each directed edge (a, b) is keyed 2 (min n + max) + (a > b), so an
+        edge and its reverse are the adjacent integers 2 e and 2 e + 1, and
+        one sort finds both the copies of an edge, as one run of equal keys,
+        and its reverse, as the run next to it.  An edge (k, k) of a
+        triangle with a repeated corner is its own reverse."""
         if self._boundary_loops is None:
-            n = self.n_vertices
-            de = self._directed_edges()
-            keys = np.sort(de[:, 0] * n + de[:, 1])
-            rev = de[:, 1] * n + de[:, 0]
-            a, b = de[keys[np.searchsorted(keys, rev) % len(keys)] != rev].T
+            n, t = self.n_vertices, self.triangles.T
+            a, b = t.ravel(), t[[1, 2, 0]].ravel()
+            keys = np.sort(2 * (np.minimum(a, b) * n + np.maximum(a, b)) + (a > b))
+            starts = np.flatnonzero(np.diff(keys, prepend=-1))
+            runs, copies = keys[starts], np.diff(starts, append=len(keys))
+            twins = (runs[:-1] ^ 1) == runs[1:]
+            lone = np.ones(len(runs), dtype=bool)
+            lone[:-1] &= ~twins
+            lone[1:] &= ~twins
+            runs, copies = runs[lone], copies[lone]
+            (lo, hi), flipped = np.divmod(runs >> 1, n), (runs & 1).astype(bool)
+            copies[lo == hi] = 0
+            a = np.repeat(np.where(flipped, hi, lo), copies)
+            b = np.repeat(np.where(flipped, lo, hi), copies)
             out_deg = np.bincount(a, minlength=n)
             bad = np.flatnonzero((out_deg > 1) | (out_deg != np.bincount(b, minlength=n)))
             if len(bad):
@@ -173,6 +213,11 @@ class TriMesh:
         return mask
 
 
+# The two triangles of the quad (v00, v10, v01, v11) of a `RingGrid`, as
+# quad corners 2 r + d (ring step r, angle step d), by the parity of i + j.
+_RING_SPLIT = np.array([[0, 3, 1, 0, 2, 3], [0, 2, 1, 1, 2, 3]])
+
+
 @dataclass(frozen=True)
 class RingGrid:
     """The layout of every surface of revolution and solver annulus: rings
@@ -198,9 +243,7 @@ class RingGrid:
         j, i = np.indices((self.nv, nu))
         v00, v10 = j * nu + i, j * nu + (i + 1) % nu
         quad = np.stack([v00, v10, v00 + nu, v10 + nu], axis=-1)  # v00 v10 v01 v11
-        # Two triangles per quad as corners of `quad`, by the parity of i + j.
-        split = np.array([[0, 3, 1, 0, 2, 3], [0, 2, 1, 1, 2, 3]])
-        tris = np.take_along_axis(quad, split[(i + j) % 2], axis=2).reshape(-1, 3)
+        tris = np.take_along_axis(quad, _RING_SPLIT[(i + j) % 2], axis=2).reshape(-1, 3)
         tris.setflags(write=False)
         return tris
 
@@ -359,13 +402,18 @@ def slice_mesh(mesh: TriMesh, t: float, normals: np.ndarray | None = None) -> li
     normals = vertex_normals(mesh) if normals is None else normals
 
     # Edge k of a triangle runs from corner k to corner k+1; a triangle
-    # crosses the plane on 0 or 2 of its edges.  f lists the crossed edges
-    # triangle by triangle, each by the flat (M, 3) index of its corner k.
-    side = (z < level)[mesh.triangles]
+    # crosses the plane on 0 or 2 of its edges.  The crossing triangles,
+    # those with a corner below the plane and one not below it, are taken
+    # from the cached x3 ranges, in mesh order; f lists their crossed edges
+    # triangle by triangle, each by the flat (crossing, 3) index of its
+    # corner k.
+    zlo, zhi = mesh.triangle_x3_range()
+    crossing = mesh.triangles[(zlo < level) & ~(zhi < level)]
+    side = z[crossing] < level
     f = np.flatnonzero(side != side[:, [1, 2, 0]])
     if not len(f):
         raise SliceError(f"plane x3 = {level} misses the mesh")
-    corners = mesh.triangles.ravel()
+    corners = crossing.ravel()
     lo, hi = np.sort([corners[f], corners[f - f % 3 + (f + 1) % 3]], axis=0)
     keys, seg_nodes = np.unique(lo * mesh.n_vertices + hi, return_inverse=True)
     seg_nodes = seg_nodes.reshape(-1, 2)
@@ -446,8 +494,8 @@ def gauss_image_diameter(normals) -> float:
         nrm = nrm[None, :]
     if nrm.ndim != 2 or nrm.shape[1] != 3 or len(nrm) == 0:
         raise ValueError(f"need at least one normal in a (k, 3) array, got {nrm.shape}")
-    dots = np.clip(nrm @ nrm.T, -1.0, 1.0)
-    return float(np.arccos(dots.min()))
+    # clipping is monotone: only the smallest dot product needs it
+    return float(np.arccos(np.clip((nrm @ nrm.T).min(), -1.0, 1.0)))
 
 
 def gauss_image_length(cycle: CrossSectionCycle) -> float:
@@ -593,18 +641,25 @@ def factor_float32(A) -> Float32Factors:
 
 
 class RingPreconditioner:
-    """The inverse of the ring average of a matrix A over rings 1 .. nv - 1
-    of a `RingGrid`, in ring-major order, such as the free block of the
-    cotangent Laplacian between the two boundary rings.
+    """The inverse of the ring average of the cotangent Laplacian's block
+    over rings 1 .. nv - 1 of a `RingGrid`, in ring-major order: the free
+    block of a capacity whose boundary loops are rings 0 and nv.
 
-    Each coupling of A between rings j and j' and angular offset delta is
-    averaged around the rings, C(j, j', delta) = (1/nu) sum_i
-    A[(j, i), (j', i + delta)]: T. F. Chan's optimal circulant approximation
-    (SIAM J. Sci. Stat. Comput. 9, 1988) of each ring pair's block, the
-    average of A over the rotations of every ring by one angle, so it is
-    symmetric positive definite when A is.  On a ring grid j' - j and delta
-    lie in {-1, 0, 1}.  The DFT around the rings, `np.fft.rfft`, splits it
-    into one Hermitian tridiagonal system over the rings per mode
+    Each coupling A[(j, i), (j', i + delta)] of the block, between rings j
+    and j' at angular offset delta, is averaged around the rings,
+    C(j, j', delta) = (1/nu) sum_i A[(j, i), (j', i + delta)]: T. F. Chan's
+    optimal circulant approximation (SIAM J. Sci. Stat. Comput. 9, 1988) of
+    each ring pair's block, the average of A over the rotations of every
+    ring by one angle, so it is symmetric positive definite when A is.  On
+    a ring grid j' - j and delta lie in {-1, 0, 1}, and C is summed straight
+    from the per-triangle stiffness S (3, 3, M) of the grid's triangles: a
+    triangle's corner pair adds S_ab to C at the pair's ring and its
+    (ring step, angle step), which depend only on the diagonal split of the
+    quad, the triangle in it and the two corners.  So S is first summed
+    over the quads of each strip whose angle index has one parity, by one
+    product with a 0/1 parity matrix, and the sums go to C by a table of
+    those steps.  The DFT around the rings, `np.fft.rfft`, splits C into
+    one Hermitian tridiagonal system over the rings per mode
     k = 0 .. nu // 2, with diagonal sum_delta C(j, j, delta) w^(k delta)
     and superdiagonal sum_delta C(j, j + 1, delta) w^(k delta),
     w = exp(2 pi i / nu).  The modes are stacked into one tridiagonal with
@@ -612,16 +667,22 @@ class RingPreconditioner:
     np.linalg.LinAlgError when that fails, as on an average that is not
     positive definite."""
 
-    def __init__(self, A, nu: int):
+    def __init__(self, grid: RingGrid, S: np.ndarray):
+        nu, strips = grid.nu, grid.nv
         self.nu = nu
-        self.rings = n = A.shape[0] // nu
-        coo = A.tocoo()
-        ring, i = np.divmod(coo.row, nu)
-        ring_to, i_to = np.divmod(coo.col, nu)
-        up = ring_to - ring                           # j' - j
-        keep = up >= 0
-        slot = (3 * (2 * ring + up) + (i_to - i + 1) % nu)[keep]   # delta + 1
-        C = np.bincount(slot, weights=coo.data[keep], minlength=6 * n).reshape(n, 2, 3) / nu
+        self.rings = n = strips - 1
+        # sums[a, b, j, q, i % 2]: S_ab of triangle q of the quads of strip
+        # j, summed over the quads whose angle index i has one parity
+        parity = (np.arange(nu)[:, None] % 2 == np.arange(2)).astype(float)
+        sums = S.reshape(3, 3, strips, nu, 2).transpose(0, 1, 2, 4, 3) @ parity
+        a, b, j, q, odd = np.indices(sums.shape, sparse=True)
+        split = (j + odd) % 2
+        corner_a, corner_b = _RING_SPLIT[split, 3 * q + a], _RING_SPLIT[split, 3 * q + b]
+        ring = j + corner_a // 2 - 1                  # the free ring of corner a
+        up = corner_b // 2 - corner_a // 2            # j' - j
+        keep = (up >= 0) & (ring >= 0) & (ring + up < n)
+        slot = 6 * ring + 3 * up + corner_b % 2 - corner_a % 2 + 1   # delta + 1
+        C = np.bincount(slot[keep], weights=sums[keep], minlength=6 * n).reshape(n, 2, 3) / nu
         w = np.exp(2j * math.pi / nu * np.arange(nu // 2 + 1))
         symbol = C @ np.stack([w.conj(), np.ones_like(w), w])   # (n, 2, modes)
         # Mode-major: zpttrf reads the subdiagonal, the conjugate of the
@@ -658,7 +719,8 @@ def preconditioned_cg(A, b, preconditioner, rtol, maxiter):
     from x = 0, preconditioned by `preconditioner.solve`, which approximates
     A^-1: the `Float32Factors` of a nearby matrix, such as A at an earlier
     iterate or another damping (an inexact Newton step: Dembo, Eisenstat &
-    Steihaug 1982), or a `RingPreconditioner`.
+    Steihaug 1982), or a `RingPreconditioner`.  A is anything with a
+    product `A @ p`: a sparse matrix, or a `LinearOperator`.
 
     x is returned once |b - A x| <= rtol |b|, measured on the recurred
     residual, within `maxiter` iterations; it is None on a miss: the cap
@@ -697,22 +759,24 @@ def harmonic_capacity(mesh: TriMesh, loop0, loop1):
     In two dimensions this energy also equals the module of the family of
     curves connecting the two boundary components.
 
-    The free block of the cotangent Laplacian is summed from the stiffness
-    S of `_stiffness_pass`.  On a `RingGrid` of two strips or more, whose
-    boundary loops are rings 0 and nv, it is solved by `preconditioned_cg`
-    in float64 to a relative residual of RING_CG_TOL, preconditioned by
-    its `RingPreconditioner`: 2 iterations on the 256x128 catenoid, whose
-    block is its own ring average up to rounding, and 14 on the offset-0.3
-    annulus the solver makes at 96x48.  Any other mesh, and a ring grid
-    whose conjugate gradients miss within RING_CG_MAX_ITERATIONS or whose
-    ring average does not factor, is factored in float32 by
-    `factor_float32` and refined against itself in float64 by `refine`;
-    the factors live only for this call.  On the 256x128 catenoid phi is
-    within about 2e-14 of a float64 factorization's, and the energy within
-    about 2e-14 relative; factored and refined, they are within 1e-13 and
-    1e-14.  Warns when phi leaves [0, 1] by more than 1e-9, which the
-    discrete maximum principle forbids on a mesh whose cotangent weights
-    are all positive.
+    The system is the free block of the cotangent Laplacian, from the
+    per-triangle stiffness S of `_stiffness_pass`.  On a `RingGrid` of two
+    strips or more, whose boundary loops are rings 0 and nv, no matrix is
+    assembled: `preconditioned_cg` runs in float64 to a relative residual
+    of RING_CG_TOL on the block's product with a vector, summed per
+    triangle from S, preconditioned by the `RingPreconditioner` summed
+    from S: 2 iterations on the 256x128 catenoid, whose block is its own
+    ring average up to rounding, and 14 on the offset-0.3 annulus the
+    solver makes at 96x48.  Any other mesh, and a ring grid whose
+    conjugate gradients miss within RING_CG_MAX_ITERATIONS or whose ring
+    average does not factor, has the block assembled as a CSC matrix,
+    factored in float32 by `factor_float32` and refined against itself in
+    float64 by `refine`; the factors live only for this call.  On the
+    256x128 catenoid phi is within about 2e-14 of a float64
+    factorization's, and the energy within about 2e-14 relative; factored
+    and refined, they are within 1e-13 and 1e-14.  Warns when phi leaves
+    [0, 1] by more than 1e-9, which the discrete maximum principle forbids
+    on a mesh whose cotangent weights are all positive.
     """
     loop0 = np.asarray(loop0, dtype=np.int64)
     loop1 = np.asarray(loop1, dtype=np.int64)
@@ -724,7 +788,7 @@ def harmonic_capacity(mesh: TriMesh, loop0, loop1):
         raise MeshError("boundary loops overlap")
 
     # Only the corners (3, M) and S (3, 3, M) are kept: the edge arrays
-    # would raise the peak memory of the factorization.
+    # would raise the peak memory of the solve.
     stiffness = _stiffness_pass(mesh)
     t, S = stiffness[0], stiffness[-1]
     del stiffness
@@ -733,20 +797,13 @@ def harmonic_capacity(mesh: TriMesh, loop0, loop1):
     phi[loop1] = 1.0
     free = np.ones(nv, dtype=bool)
     free[loop0] = free[loop1] = False
-    # A = L[free][:, free], with L the cotangent Laplacian: the sum of S
-    # over the corner pairs of triangles whose two corners are both free.
-    # The row numbers are int32, the index type scipy stores; int64 ones
-    # would be copied down only after the full-size index arrays exist.
-    row = (np.cumsum(free, dtype=np.int32) - 1)[t]
-    pair = free[t][:, None, :] & free[t][None, :, :]
     n_free = int(free.sum())
-    A = sp.csc_matrix((S[pair], (np.broadcast_to(row[:, None, :], S.shape)[pair],
-                                 np.broadcast_to(row[None, :, :], S.shape)[pair])),
-                      shape=(n_free, n_free))
 
     def laplacian_times(x):
-        xt = x[t]
-        y = S[:, 0] * xt[0] + S[:, 1] * xt[1] + S[:, 2] * xt[2]   # (3, M)
+        xt = np.take(x, t)
+        y = S[:, 0] * xt[0]                           # (3, M), summed as
+        y += S[:, 1] * xt[1]                          # (S0 x0 + S1 x1) + S2 x2
+        y += S[:, 2] * xt[2]
         return np.bincount(t.ravel(), weights=y.ravel(), minlength=nv)
 
     rhs = -laplacian_times(phi)[free]
@@ -754,12 +811,30 @@ def harmonic_capacity(mesh: TriMesh, loop0, loop1):
     grid = RingGrid.of(mesh)
     if grid is not None and grid.nv > 1:
         try:
-            ring = RingPreconditioner(A, grid.nu)
+            ring = RingPreconditioner(grid, S)
         except np.linalg.LinAlgError:   # the ring average does not factor
             pass
         else:
+            inner = slice(grid.nu, nv - grid.nu)     # the free rings 1 .. nv - 1
+
+            def free_block_times(x):     # x is (n_free,) or (n_free, 1)
+                full = np.zeros(nv)
+                full[inner] = x.ravel()
+                return laplacian_times(full)[inner]
+
+            A = spla.LinearOperator((n_free, n_free), matvec=free_block_times, dtype=float)
             sol, _ = preconditioned_cg(A, rhs, ring, RING_CG_TOL, RING_CG_MAX_ITERATIONS)
     if sol is None:
+        # A = L[free][:, free], with L the cotangent Laplacian: the sum of S
+        # over the corner pairs of triangles whose two corners are both
+        # free.  The row numbers are int32, the index type scipy stores;
+        # int64 ones would be copied down only after the full-size index
+        # arrays exist.
+        row = (np.cumsum(free, dtype=np.int32) - 1)[t]
+        pair = free[t][:, None, :] & free[t][None, :, :]
+        A = sp.csc_matrix((S[pair], (np.broadcast_to(row[:, None, :], S.shape)[pair],
+                                     np.broadcast_to(row[None, :, :], S.shape)[pair])),
+                          shape=(n_free, n_free))
         try:
             sol = refine(factor_float32(A), A, rhs)
         except RuntimeError as exc:  # exactly singular: disconnected mesh etc.

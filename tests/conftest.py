@@ -2,8 +2,10 @@
 a rotated band whose ends are not level, and solver-produced offset annuli
 at two refinement levels; and the reference cotangent stiffness and
 Laplacian, per-corner angle sums and corner-major vertex sums the tests
-check the stiffness-based operators and the corner pass against; and a
-vertex relabelling that takes a mesh off its ring grid.
+check the stiffness-based operators and the corner pass against; the
+directed edges and the searchsorted boundary walk that
+`TriMesh.boundary_loops` is checked against; and a vertex relabelling
+that takes a mesh off its ring grid.
 
 Solves are session-scoped because the two annulus solves take about 1.9 s
 together on a 2-core x86 machine, 0.5 s of it the 256x128 one; every test
@@ -17,7 +19,7 @@ import pytest
 import scipy.sparse as sp
 
 from mintube import solver, surfaces
-from mintube.mesh import TriMesh
+from mintube.mesh import MeshError, TriMesh
 
 
 def cot_stiffness(mesh):
@@ -81,6 +83,40 @@ def corner_sums(mesh):
     angles = corner_angles(mesh)
     normals = vertex_sums(mesh, angles[:, :, None] * mesh.triangle_normals()[:, None, :])
     return normals / np.linalg.norm(normals, axis=1)[:, None], vertex_sums(mesh, angles)
+
+
+def directed_edges(mesh):
+    """(3 M, 2): the directed edges (t0, t1), (t1, t2), (t2, t0) of every
+    triangle, edge-major."""
+    t = mesh.triangles
+    return np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+
+
+def boundary_loops(mesh):
+    """Reference for `TriMesh.boundary_loops`, the form it replaced: the
+    sorted keys a n + b of the directed edges, searched for each edge's
+    reverse b n + a; the edges without one, walked from each smallest
+    start vertex.  Raises the same MeshError where the boundary branches."""
+    n = mesh.n_vertices
+    de = directed_edges(mesh)
+    keys = np.sort(de[:, 0] * n + de[:, 1])
+    rev = de[:, 1] * n + de[:, 0]
+    a, b = de[keys[np.searchsorted(keys, rev) % len(keys)] != rev].T
+    out_deg = np.bincount(a, minlength=n)
+    bad = np.flatnonzero((out_deg > 1) | (out_deg != np.bincount(b, minlength=n)))
+    if len(bad):
+        raise MeshError(f"boundary branches at vertex {int(bad[0])}")
+    nxt = np.zeros(n, dtype=np.int64)
+    nxt[a] = b
+    loops = []
+    for start in np.flatnonzero(out_deg).tolist():
+        if out_deg[start]:
+            loop = [start]
+            while (cur := int(nxt[loop[-1]])) != start:
+                loop.append(cur)
+            loops.append(np.array(loop, dtype=np.int64))
+            out_deg[loops[-1]] = 0
+    return loops
 
 
 def relabelled(mesh, seed=0):

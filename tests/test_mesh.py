@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from conftest import catenoid, corner_angles, cot_laplacian, relabelled, vertex_sums
+from conftest import (
+    boundary_loops,
+    catenoid,
+    corner_angles,
+    cot_laplacian,
+    directed_edges,
+    relabelled,
+    vertex_sums,
+)
 from conftest import corner_sums as oracle_corner_sums
 
 from mintube import mesh as meshmod
@@ -46,6 +54,10 @@ def test_validate_catches_degenerate_and_nonmanifold():
     bad = TriMesh(mesh.vertices, np.array([[0, 1, 2], [0, 1, 3]]))
     with pytest.raises(MeshError, match="repeats"):
         bad.validate()
+    # of two repeated edges, the message names the smaller key a n + b
+    bad = TriMesh(mesh.vertices, np.array([[1, 2, 3], [1, 2, 0], [0, 1, 3], [0, 1, 2]]))
+    with pytest.raises(MeshError, match=r"^directed edge \(0, 1\) repeats: mesh is non-manifold"):
+        bad.validate()
     degen = TriMesh(np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]]),
                     np.array([[0, 1, 2]]))
     with pytest.raises(MeshError, match="degenerate"):
@@ -76,7 +88,7 @@ def test_boundary_loops_contract(which):
         mesh, n_loops = surfaces.flat_annulus_mesh(1.0, 2.0, 17, 5), 2
     else:
         mesh, n_loops = half_tube()[1], 1
-    directed = {tuple(e) for e in mesh._directed_edges().tolist()}
+    directed = {tuple(e) for e in directed_edges(mesh).tolist()}
     boundary = {(a, b) for a, b in directed if (b, a) not in directed}
     loops = mesh.boundary_loops()
     assert len(loops) == n_loops
@@ -86,6 +98,38 @@ def test_boundary_loops_contract(which):
         walked |= set(zip(lp.tolist(), np.roll(lp, -1).tolist()))
     assert walked == boundary
     assert [int(lp[0]) for lp in loops] == sorted(int(lp[0]) for lp in loops)
+
+
+def test_boundary_loops_match_the_searchsorted_walk():
+    # 1555 random triangle soups on up to 9 vertices, repeated corners
+    # included, and 1000 random subsets of small ring grids with some
+    # triangles flipped and the vertices renumbered: the same loops, or the
+    # same error, as the searchsorted walk
+    rng = np.random.default_rng(30)
+    outcomes = {"loops": 0, "error": 0}
+    for k in range(2555):
+        if k < 1555:
+            n = int(rng.integers(1, 10))
+            tris = rng.integers(0, n, size=(int(rng.integers(0, 13)), 3))
+        else:
+            grid = meshmod.RingGrid(int(rng.integers(3, 7)), int(rng.integers(1, 4)))
+            n = grid.nu * (grid.nv + 1)
+            tris = grid.triangles[rng.random(len(grid.triangles)) < rng.uniform(0.3, 1.0)]
+            flip = rng.random(len(tris)) < rng.choice([0.0, 0.1])
+            tris = rng.permutation(n)[np.where(flip[:, None], tris[:, ::-1], tris)]
+        verts = np.zeros((n, 3))
+        try:
+            want = boundary_loops(TriMesh(verts, tris))
+        except MeshError as exc:
+            outcomes["error"] += 1
+            with pytest.raises(MeshError, match=f"^{exc}$"):
+                TriMesh(verts, tris).boundary_loops()
+        else:
+            outcomes["loops"] += 1
+            got = TriMesh(verts, tris).boundary_loops()
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert min(outcomes.values()) > 500
 
 
 def test_boundary_loops_bowtie_branches():
@@ -100,6 +144,13 @@ def test_area_and_edge_length():
     mesh = square_patch()
     assert mesh.area() == pytest.approx(1.0)
     assert mesh.bbox_diagonal() == pytest.approx(math.sqrt(2.0))
+    # bit for bit the (M, 3) cross-product form, on a perturbed catenoid
+    mesh = catenoid(1.0, -1.0, 1.0, 64, 32)
+    mesh = TriMesh(mesh.vertices + np.random.default_rng(3).normal(
+        scale=0.01, size=mesh.vertices.shape), mesh.triangles)
+    p0, p1, p2 = mesh.triangle_corners()
+    assert np.array_equal(mesh.triangle_areas(),
+                          0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=1))
 
 
 # -- slicing ----------------------------------------------------------------
@@ -181,6 +232,48 @@ def test_slice_between_disjoint_patches_raises():
                   np.concatenate([lower.triangles, upper.triangles + 4]))
     with pytest.raises(SliceError, match="misses the mesh"):
         slice_mesh(two, 0.5)
+
+
+def test_slice_reads_the_triangle_x3_range_once_per_mesh():
+    mesh = catenoid(1.0, -1.0, 1.0, 32, 16)
+    slice_mesh(mesh, 0.3)
+    extent = mesh._triangle_x3_range
+    slice_mesh(mesh, -0.4)
+    assert mesh.triangle_x3_range() is extent
+    z = mesh.vertices[mesh.triangles, 2]
+    assert np.array_equal(extent[0], z.min(axis=1)) and np.array_equal(extent[1], z.max(axis=1))
+    assert not extent[0].flags.writeable and not extent[1].flags.writeable
+    # with NaN corners, the range picks the triangles with a corner below
+    # the level and one not below it, a NaN corner being below no level
+    verts = mesh.vertices.copy()
+    verts[[40, 41, 73], 2] = math.nan
+    nan_mesh = TriMesh(verts, mesh.triangles)
+    lo, hi = nan_mesh.triangle_x3_range()
+    for t in (-0.95, -0.4, 0.3):
+        side = verts[mesh.triangles, 2] < t
+        assert np.array_equal((lo < t) & ~(hi < t), side.any(axis=1) & ~side.all(axis=1))
+
+
+@pytest.mark.parametrize("axis", [0, 2])
+def test_slice_with_a_nan_vertex(axis):
+    # a NaN x3 fails the range check; a NaN x1 gives the oracle's NaN points
+    # on the edges at that vertex and leaves the other cycles alone
+    mesh = catenoid(1.0, -1.0, 1.0, 32, 16)
+    normals = vertex_normals(mesh)
+    verts = mesh.vertices.copy()
+    verts[5 * 32 + 7, axis] = math.nan                 # ring 5, at x3 = -0.375
+    nan_mesh = TriMesh(verts, mesh.triangles)
+    if axis == 2:
+        message = r"^level -0.4 outside the mesh x3-range \(nan, nan\)$"
+        with pytest.raises(SliceError, match=message):
+            slice_mesh(nan_mesh, -0.4, normals)
+        return
+    for t in (-0.4, 0.3):
+        (got,), (want,) = slice_mesh(nan_mesh, t, normals), dict_slice_mesh(nan_mesh, t, normals)
+        assert (got.closed, got.level) == (want.closed, want.level)
+        for attr in ("points", "tangents", "normals", "conormals", "ds"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr), equal_nan=True)
+        assert np.isnan(got.points).any() == (t == -0.4)
 
 
 def dict_slice_mesh(mesh, t, normals=None):
@@ -481,28 +574,47 @@ def test_harmonic_capacity_matches_spsolve(name):
     assert np.array_equal(phi[lp0], want_phi[lp0]) and np.array_equal(phi[lp1], want_phi[lp1])
 
 
+def class_probes(nu, n_free):
+    """(n_free, 12): one 0/1 column per class (j % 3, i % 4) of the free
+    vertices (j, i), ring-major, for nu a multiple of 4.  Two vertices of a
+    class are at least 3 rings or 4 angle steps apart, and a row of a ring
+    grid's Laplacian couples vertices at most 2 rings and 2 angle steps
+    apart, so A @ probe holds one entry of A per row: A @ probes reads every
+    entry."""
+    assert nu % 4 == 0
+    j, i = np.divmod(np.arange(n_free), nu)
+    return (4 * (j % 3) + i % 4 == np.arange(12)[:, None]).T.astype(float)
+
+
 @pytest.mark.parametrize("name", ["flat_annulus_256x64", "catenoid_128x64",
                                   "perturbed_annulus_96x24"])
 def test_harmonic_capacity_free_block_matches_reference(name, monkeypatch):
-    # The float64 block the conjugate gradients run on: every case is a
-    # ring grid.
+    # The operator the conjugate gradients run on (every case is a ring
+    # grid), entry by entry, and the float64 block the factors are made
+    # from, assembled for the relabelled copy, which is off its ring grid.
     mesh = capacity_case(name)
-    lp0, lp1 = mesh.boundary_loops()
     systems = []
-    preconditioned_cg = meshmod.preconditioned_cg
+    for target in ("preconditioned_cg", "factor_float32"):
+        def capture(A, *args, solve=getattr(meshmod, target)):
+            systems.append(A)
+            return solve(A, *args)
+        monkeypatch.setattr(meshmod, target, capture)
+    for surface in (mesh, relabelled(mesh)):
+        harmonic_capacity(surface, *surface.boundary_loops())
+    operator, A = systems
 
-    def capture(A, *args):
-        systems.append(A)
-        return preconditioned_cg(A, *args)
+    def reference(surface):
+        # Summed from the solver's stiffness, so that only the assembly is
+        # compared; `test_edge_geometry_matches_formulas` checks that S.
+        L, _ = cot_laplacian(surface, meshmod.edge_geometry(surface).stiffness)
+        free = ~surface.boundary_vertex_mask()
+        return L[free][:, free].tocsc()
 
-    monkeypatch.setattr(meshmod, "preconditioned_cg", capture)
-    harmonic_capacity(mesh, lp0, lp1)
-    (A,) = systems
-    # Summed from the solver's stiffness, so that only the assembly is
-    # compared; `test_edge_geometry_matches_formulas` checks that S.
-    L, _ = cot_laplacian(mesh, meshmod.edge_geometry(mesh).stiffness)
-    free = ~mesh.boundary_vertex_mask()
-    want = L[free][:, free].tocsc()
+    want = reference(mesh)
+    assert operator.shape == want.shape and operator.dtype == np.float64
+    probes = class_probes(meshmod.RingGrid.of(mesh).nu, want.shape[0])
+    assert np.all(np.abs(operator @ probes - want @ probes) <= 1e-15 * (abs(want) @ probes))
+    want = reference(relabelled(mesh))
     assert A.format == "csc" and A.indices.dtype == np.int32
     assert A.dtype == np.float64
     assert np.array_equal(A.indptr, want.indptr)
@@ -603,7 +715,9 @@ def test_ring_preconditioner_solves_the_ring_average(nu, nv):
     A = L[free][:, free].tocsc()
     b = np.random.default_rng(1).normal(size=A.shape[0])
     want = np.linalg.solve(ring_average(A, nu), b)
-    got = meshmod.RingPreconditioner(A, nu).solve(b)
+    grid = meshmod.RingGrid(nu, nv)
+    assert meshmod.RingGrid.of(mesh) == grid
+    got = meshmod.RingPreconditioner(grid, meshmod._stiffness_pass(mesh)[-1]).solve(b)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -627,11 +741,14 @@ def count_cg_and_factorizations(monkeypatch):
 def test_ring_preconditioner_is_nearly_exact_on_the_catenoid(catenoid_fine, monkeypatch):
     # a surface of revolution: both diagonals of a quad have the same
     # cotangent weight, so the free block is its own ring average up to
-    # rounding and no factorization is made
+    # rounding and no factorization is made; nor is any sparse matrix
     iterations, dtypes = count_cg_and_factorizations(monkeypatch)
+    matrices, csc_matrix = [], meshmod.sp.csc_matrix
+    monkeypatch.setattr(meshmod.sp, "csc_matrix",
+                        lambda *a, **k: matrices.append(1) or csc_matrix(*a, **k))
     harmonic_capacity(catenoid_fine, *catenoid_fine.boundary_loops())
     assert len(iterations) == 1 and iterations[0] <= 3
-    assert dtypes == []
+    assert dtypes == [] and matrices == []
 
 
 @pytest.mark.parametrize("offset", [0.3, 0.5])
