@@ -90,11 +90,6 @@ class TriMesh:
         t = self.triangles
         return v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
 
-    def triangle_normals(self) -> np.ndarray:
-        p0, p1, p2 = self.triangle_corners()
-        n = np.cross(p1 - p0, p2 - p0)
-        return n / np.linalg.norm(n, axis=1)[:, None]
-
     def triangle_areas(self) -> np.ndarray:
         """Half the length of (p1 - p0) x (p2 - p0), from coordinate-major
         (3, M) rows: the cross product by components, and its length added
@@ -714,6 +709,15 @@ def refine(factors: Float32Factors, A, b):
     return x
 
 
+def fixed_order_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b for 1-D float arrays, summed in an order that does not depend
+    on the BLAS thread count, unlike `a @ b` (BLAS ddot).  The long sums
+    that reach an artifact are taken by it, so that reruns are
+    byte-identical at any thread count (reproducible summation: Demmel &
+    Nguyen 2013)."""
+    return float(np.einsum("i,i", a, b))
+
+
 def preconditioned_cg(A, b, preconditioner, rtol, maxiter):
     """(x, iterations): conjugate gradients on the float64 system A x = b,
     from x = 0, preconditioned by `preconditioner.solve`, which approximates
@@ -729,20 +733,20 @@ def preconditioned_cg(A, b, preconditioner, rtol, maxiter):
     made, on a miss too."""
     x = np.zeros_like(b)
     r = b.copy()
-    bound = rtol * np.linalg.norm(b)
+    bound = rtol * math.sqrt(fixed_order_dot(b, b))
     p = rz = None
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(maxiter + 1):
-            if np.linalg.norm(r) <= bound:
+            if math.sqrt(fixed_order_dot(r, r)) <= bound:
                 return x, k
             if k == maxiter:
                 break
             z = preconditioner.solve(r)
-            rz_next = r @ z
+            rz_next = fixed_order_dot(r, z)
             p = z if p is None else z + (rz_next / rz) * p
             rz = rz_next
             Ap = A @ p
-            pAp = p @ Ap
+            pAp = fixed_order_dot(p, Ap)
             if not 0 < pAp < math.inf or not math.isfinite(rz):
                 return None, k + 1
             alpha = rz / pAp
@@ -849,7 +853,7 @@ def harmonic_capacity(mesh: TriMesh, loop0, loop1):
             "mesh has negative cotangent weights",
             stacklevel=2,
         )
-    return float(phi @ laplacian_times(phi)), phi
+    return fixed_order_dot(phi, laplacian_times(phi)), phi
 
 
 # ---------------------------------------------------------------------------

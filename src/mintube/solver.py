@@ -31,7 +31,7 @@ minimizes area over the stacks on the `RingGrid` of `initial_annulus`:
 interior ring j is c_j + r_j (cos u_i, sin u_i, 0) at its fixed height,
 3 (nv - 1) unknowns in all, and the ruled start is one such stack.  With B
 the linear map from those unknowns to the vertex coordinates, each step
-solves the dense system
+solves the banded system
 
     B^T (H + mu kron(L, I3)) B t = -B^T g
 
@@ -57,14 +57,22 @@ Linear algebra: each trial iterate makes one pass over its edge vectors,
 areas, and the mean edge length.  The acceptance test, the residuals and
 the safety checks read it, and L and H come from S and nh.  The block of H
 coupling corners i and j is S_ij nh nh^T + k_ij [nh]x, with k_ii = 0,
-k_{i,i+1} = -1/2, k_{i,i+2} = +1/2.  The stack stage sums B^T H B and
-B^T kron(L, I3) B from these blocks in closed form, strip by strip of the
-ring grid (`_StackBasis`), and never forms a matrix of the 3N coordinates.
-The full stage sums the blocks into one 3x3 block per vertex pair, and S
-into one scalar per pair, on the diagonal of its block, for kron(L, I3):
-a BSR pattern built on its first iteration, with the CSC layout SuperLU
-takes and the place of each CSC entry in the block data.
-Its first step solves (H + mu kron(L, I3)) s = -g from a float32
+k_{i,i+1} = -1/2, k_{i,i+2} = +1/2 (Pinkall & Polthier 1993), and no
+stage forms it per triangle.  The stack stage sums B^T H B and
+B^T kron(L, I3) B strip by strip of the ring grid (`_StackBasis`): each
+strip's 6x6 block is one product of per-triangle features of S and nh
+with a static table of its strip parity.  It keeps the block tridiagonal
+result in LAPACK band storage, solves it with `scipy.linalg.solve_banded`
+in O(nv), and never forms a matrix of the 3N coordinates.  The full stage
+sums the blocks per vertex pair, sum_t S_ij nh nh^T + [sum_t k_ij nh]x,
+and S into one scalar per pair, on the diagonal of its block, for
+kron(L, I3) (`_HessianPattern`): two sparse products with the per-triangle
+normals, on a BSR pattern built on its first iteration with the CSC layout
+SuperLU takes.  Every long sum that reaches the model value or the
+conjugate gradients is taken in a fixed order, `mesh.fixed_order_dot`,
+and no dense LAPACK solve remains, so the iterates do not depend on the
+BLAS thread count.
+The full stage's first step solves (H + mu kron(L, I3)) s = -g from a float32
 factorization, `mesh.factor_float32` (SuperLU, symmetric mode, diagonal
 pivots, its own minimum-degree order), about three quarters of the float64
 time and half the memory, refined twice against the float64 system by
@@ -96,9 +104,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import solve_banded
 
 from .mesh import (EdgeGeometry, MeshError, RingGrid, TriMesh, edge_geometry,
-                   factor_float32, preconditioned_cg, refine, slice_mesh)
+                   factor_float32, fixed_order_dot, preconditioned_cg, refine,
+                   slice_mesh)
 from .surfaces import _revolution_mesh
 
 TOLERANCE = 1e-6      # normalized residual: max |H| * mean edge length
@@ -215,44 +225,31 @@ def _curvature_residual(norms: np.ndarray, areas: np.ndarray,
     return float((norms / areas).max()) * geo.mean_edge_length
 
 
-def _area_hessian(S: np.ndarray, nh: np.ndarray) -> np.ndarray:
-    """Exact second derivative of total triangle area, as per-triangle
-    blocks: out[m, i, j] is the 3x3 block coupling corner i to corner j of
-    triangle m.  `_HessianPattern` sums them into one block per vertex pair.
-    Block (j, i) is the transpose of block (i, j) bit for bit, since S is
-    symmetric and [nh]x antisymmetric.
-
-    From the cotangent stiffness S and the unit normals nh, the block is
-    S_ij nh nh^T + k_ij [nh]x with k_ii = 0, k_{i,i+1} = -1/2 and
-    k_{i,i+2} = +1/2: along the normal the second variation of area is the
-    Dirichlet energy (Pinkall & Polthier 1993), and its in-plane part
-    cancels.
-    """
-    blocks = S[:, :, :, None, None] * (nh[:, :, None] * nh[:, None, :])[:, None, None]
-    half_nx = 0.5 * np.cross(np.eye(3), nh[:, None, :])     # 0.5 [nh]x
-    for i in range(3):
-        blocks[:, i, (i + 1) % 3] -= half_nx
-        blocks[:, i, (i + 2) % 3] += half_nx
-    return blocks
-
-
 class _HessianPattern:
-    """Fixed sparsity pattern of the area Hessian, and of kron(L, I3),
+    """Fixed sparsity pattern of the area Hessian H, and of kron(L, I3),
     restricted to the coordinates of the vertices in `dof_mask` (3 per
     vertex, in vertex order), built once per triangulation.
 
     Each vertex pair sharing a triangle owns a 3x3 block of a BSR matrix,
-    and the pairs are sorted row-major once; `pair_of` maps each corner
-    pair (i, j) to its pair p.  The blocks of pairs (i, j) and (j, i) sum
-    transposed terms in the same triangle order, so the summed matrix is
-    symmetric bit for bit, and the transpose of its CSR form is its CSC
+    and the pairs are sorted row-major once.  The block of a pair is the
+    Pinkall-Polthier closed form summed over its triangles,
+
+        sum_t S_ij nh nh^T + k_ij [nh]x = sum_t S_ij nh nh^T + [q]x,
+        q = sum_t k_ij nh,
+
+    with (i, j) the pair's corners in triangle t, so it is summed per pair
+    with no per-triangle block: `weights`, pairs x triangles with one entry
+    per corner pair whose data is gathered from S at each call, times the
+    six products nh_a nh_b and a column of ones gives each pair's symmetric
+    part and its entry of L, and the constant `skew`, with the entries
+    k_ij, times nh gives q.  Both sums run over a pair's triangles in
+    triangle order, the pairs (i, j) and (j, i) alike, so the summed matrix
+    is symmetric bit for bit, and the transpose of its CSR form is its CSC
     form, with the same arrays.  That layout is built once, from a BSR
-    matrix whose data numbers its entries 9 p + 3 a + b, and `slots` maps
-    entry (a, b) of each `_area_hessian` block (i, j) to its place in it;
-    entries touching other vertices go to a spill block past the end.  So
-    the summed data is CSC data as it comes.  kron(L, I3) is one scalar of
-    L per pair, on the `diagonal` of its block.  The matrix is in
-    coordinate order; each factorization picks its own fill-reducing order.
+    matrix whose data numbers its entries 9 p + 3 a + b; `order` reads the
+    CSC data out of the pairs' blocks, and `diagonal` places L on the
+    diagonal of each block.  The matrix is in coordinate order; each
+    factorization picks its own fill-reducing order.
     """
 
     def __init__(self, tris: np.ndarray, dof_mask: np.ndarray):
@@ -262,40 +259,73 @@ class _HessianPattern:
         row = vmap[tris][:, :, None]                  # corner i of block (i, j)
         col = vmap[tris][:, None, :]                  # corner j
         valid = (row >= 0) & (col >= 0)
-        pairs, pair_of = np.unique((row.astype(np.int64) * n_verts + col)[valid],
-                                   return_inverse=True)
-        prow, pcol = np.divmod(pairs, n_verts)
-        self.n_pairs = n = len(pairs)
-        self.pair_of = np.full(valid.shape, n, dtype=np.int32)
-        self.pair_of[valid] = pair_of
+        keys = (row.astype(np.int64) * n_verts + col)[valid]
+        # the corner pairs (t, i, j), as 9 t + 3 i + j, by pair, then by triangle
+        by_pair = np.argsort(keys, kind="stable")
+        keys = keys[by_pair]
+        first = np.flatnonzero(np.diff(keys, prepend=-1))
+        prow, pcol = np.divmod(keys[first], n_verts)
+        self.n_pairs = n = len(first)
         self.shape = (3 * n_verts, 3 * n_verts)
+        self.corners = np.flatnonzero(valid.ravel())[by_pair].astype(np.int32)
+        tri = self.corners // 9
+        indptr = np.append(first, len(keys)).astype(np.int32)
+        shape = (n, len(tris))
+        self.weights = sp.csr_matrix((np.zeros(len(tri)), tri, indptr), shape=shape)
+        k = np.array([[0.0, -0.5, 0.5], [0.5, 0.0, -0.5], [-0.5, 0.5, 0.0]])
+        # copies: dropping the zeros of k_ii rewrites the index arrays in place
+        self.skew = sp.csr_matrix((k.ravel()[self.corners % 9], tri.copy(), indptr.copy()),
+                                  shape=shape)
+        self.skew.eliminate_zeros()
         numbered = sp.bsr_matrix(
             (np.arange(9 * n, dtype=np.int32).reshape(-1, 3, 3), pcol.astype(np.int32),
              np.searchsorted(prow, np.arange(n_verts + 1)).astype(np.int32)),
             shape=self.shape).tocsr()
-        self.indptr, self.indices = numbered.indptr, numbered.indices
-        place = np.arange(9 * n + 9, dtype=np.int32)  # the spill block stays put
-        place[numbered.data] = np.arange(9 * n, dtype=np.int32)
-        place = place.reshape(-1, 9)
-        self.slots = place[self.pair_of].ravel()
-        self.diagonal = place[:n, ::4].copy()
+        self.indptr, self.indices, self.order = numbered.indptr, numbered.indices, numbered.data
+        place = np.empty(9 * n, dtype=np.int32)
+        place[self.order] = np.arange(9 * n, dtype=np.int32)
+        self.diagonal = place.reshape(-1, 9)[:, ::4].copy()
 
-    def values(self, blocks: np.ndarray) -> np.ndarray:
-        """CSC data of the summed blocks."""
-        return np.bincount(self.slots, weights=blocks.ravel(),
-                           minlength=9 * self.n_pairs + 9)[:9 * self.n_pairs]
-
-    def stiffness_values(self, S: np.ndarray) -> np.ndarray:
-        """CSC data of kron(L, I3), with L summed from the per-triangle
-        stiffness S; the entries off each block's diagonal are exact zeros."""
-        out = np.zeros(9 * self.n_pairs)
-        out[self.diagonal] = np.bincount(self.pair_of.ravel(), weights=S.ravel(),
-                                         minlength=self.n_pairs + 1)[:self.n_pairs, None]
-        return out
+    def data(self, S: np.ndarray, nh: np.ndarray):
+        """CSC data of H and of kron(L, I3), from the per-triangle stiffness
+        S and unit normals nh; the entries off each block's diagonal in
+        kron(L, I3) are exact zeros."""
+        np.take(S, self.corners, out=self.weights.data)
+        products = np.empty((len(nh), 7))             # xx xy xz yy yz zz, 1
+        products[:, :3] = nh[:, :1] * nh
+        products[:, 3:5] = nh[:, 1:2] * nh[:, 1:]
+        products[:, 5] = nh[:, 2] * nh[:, 2]
+        products[:, 6] = 1.0
+        sym = self.weights @ products
+        q = self.skew @ nh
+        blocks = np.empty((self.n_pairs, 9))
+        blocks[:, ::4] = sym[:, [0, 3, 5]]
+        blocks[:, 1], blocks[:, 3] = sym[:, 1] - q[:, 2], sym[:, 1] + q[:, 2]
+        blocks[:, 2], blocks[:, 6] = sym[:, 2] + q[:, 1], sym[:, 2] - q[:, 1]
+        blocks[:, 5], blocks[:, 7] = sym[:, 4] - q[:, 0], sym[:, 4] + q[:, 0]
+        lap = np.zeros(9 * self.n_pairs)
+        lap[self.diagonal] = sym[:, 6:]
+        return blocks.ravel()[self.order], lap
 
     def matrix(self, values: np.ndarray) -> sp.csc_matrix:
         """The CSC matrix with data `values`, on the layout built once."""
         return sp.csc_matrix((values, self.indices, self.indptr), shape=self.shape)
+
+
+BAND = 5    # half-bandwidth of the stack stage's system: 3x3 ring blocks
+
+
+def _band_times(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for A in LAPACK band storage with BAND diagonals on each side,
+    A[i, j] = band[BAND + i - j, j], summed diagonal by diagonal."""
+    n = len(x)
+    y = np.zeros(n)
+    for d in range(-BAND, BAND + 1):                    # d = i - j
+        if d >= 0:
+            y[d:] += band[BAND + d, :n - d] * x[:n - d]
+        else:
+            y[:n + d] += band[BAND + d, -d:] * x[-d:]
+    return y
 
 
 class _StackBasis:
@@ -306,23 +336,29 @@ class _StackBasis:
     coordinates.
 
     B^T H B and B^T kron(L, I3) B are summed strip by strip, from the blocks
-    of `_area_hessian` in closed form.  Corner i of a triangle of strip s
-    moves with the six unknowns (c, r) of rings s and s+1 through a 3x6
-    Jacobian J_i.  Its third row is zero, since a ring keeps its height,
-    and its first two rows Jh_i are (1, 0, cos u; 0, 1, sin u) in the
-    columns of the corner's ring.  Since each row of S sums to zero,
+    S_ij nh nh^T + k_ij [nh]x of H in closed form.  Corner i of a triangle
+    of strip s moves with the six unknowns (c, r) of rings s and s+1
+    through a 3x6 Jacobian J_i.  Its third row is zero, since a ring keeps
+    its height, and its first two rows Jh_i are (1, 0, cos u; 0, 1, sin u)
+    in the columns of the corner's ring.  Since each row of S sums to zero,
     sum_ij S_ij a_i b_j^T = -sum_p S_p (a_j - a_k)(b_j - b_k)^T over the
     three corner pairs p = (j, k) = (p+1, p+2) of a triangle, with
     S_p = S_jk.  And for horizontal a and b, a.(nh x b) = nh_z (R a).b with
     R (a1, a2) = (a2, -a1).  So a triangle adds
 
-        -sum_p S_p D_p^T nh nh^T D_p + nh_z F,   F = sum_ij k_ij (R Jh_i)^T Jh_j,
+        -sum_p S_p (nx^2 x_p x_p^T + nx ny (x_p y_p^T + y_p x_p^T)
+                    + ny^2 y_p y_p^T) + nh_z F,
+        F = sum_ij k_ij (R Jh_i)^T Jh_j,
 
-    to B^T H B and -sum_p S_p D_p^T D_p to B^T kron(L, I3) B, with
-    D_p = Jh_j - Jh_k.  D and F depend only on the parity of the strip,
-    which sets its diagonals.  A strip's 6x6 sum is one product of
-    (pairs x 6) matrices, or of its nh_z and F; the columns of a boundary
-    ring are summed too, and dropped.
+    to B^T H B and -sum_p S_p (x_p x_p^T + y_p y_p^T) to B^T kron(L, I3) B,
+    with x_p and y_p the rows of D_p = Jh_j - Jh_k, as column 6-vectors.
+    D and F depend only on the parity of the strip, which sets its
+    diagonals, so these are static tables, `tables`: a strip's 21 distinct
+    entries of each symmetric 6x6 sum are one product of its features
+    -S_p (nx^2, nx ny, ny^2), nh_z, and -S_p, with the table of its parity.
+    The reduced system is block tridiagonal in the rings, 3x3 blocks summed
+    from the strips' 6x6 blocks (the columns of a boundary ring dropped),
+    and is kept in LAPACK band storage with BAND diagonals on each side.
     """
 
     def __init__(self, grid: RingGrid):
@@ -342,39 +378,57 @@ class _StackBasis:
         D = jac[:, :, [1, 2, 0]] - jac[:, :, [2, 0, 1]]             # D_p
         # sum_j k_ij Jh_j = -D_i / 2, and R Jh_i has rows (Jh_i[1], -Jh_i[0]).
         turned = np.stack([jac[..., 1, :], -jac[..., 0, :]], axis=-2)
-        self.skew = -0.5 * np.einsum("stirk,stirl->stkl", turned, D).reshape(2, 2 * nu, 36)
-        self.pair_jac = np.moveaxis(D, 3, 0)[:, np.arange(nv) % 2].reshape(2, -1, 3, 6)
+        F = -0.5 * np.einsum("stirk,stirl->stkl", turned, D)
+        X, Y = (D[..., r, :, None] * D[..., r, None, :] for r in range(2))  # x x^T, y y^T
+        XY = D[..., 0, :, None] * D[..., 1, None, :]                        # x y^T
+        per_feature = np.concatenate([X, XY + XY.swapaxes(-1, -2), Y, F[:, :, None]], axis=2)
+        upper6 = np.triu_indices(6)
+        self.tables = (per_feature[..., upper6[0], upper6[1]].reshape(2, -1, 21),
+                       (X + Y)[..., upper6[0], upper6[1]].reshape(2, -1, 21))
+        # the 6x6 of a strip from its 21 entries; the band places of the
+        # diagonal ring blocks, and of the blocks above and below it
+        square = np.zeros((6, 6), dtype=np.intp)
+        square[upper6] = square.T[upper6] = np.arange(21)
+        self.square = square
+        a, b = np.arange(3)[:, None], np.arange(3)
+        n = 3 * (nv - 1)
+        ring_col = 3 * np.arange(nv - 1)[:, None, None]
+        self.band_at = ((BAND + a - b) * n + ring_col + b,
+                        (BAND - 3 + a - b) * n + ring_col[1:] + b,
+                        (BAND + 3 + a - b) * n + ring_col[:-1] + b)
 
     def reduced(self, geo: EdgeGeometry):
-        """(B^T H B, B^T kron(L, I3) B) at the surface of `geo`, dense."""
-        nv, D = self.nv, self.pair_jac
+        """(B^T H B, B^T kron(L, I3) B) at the surface of `geo`, in LAPACK
+        band storage with BAND diagonals on each side."""
+        nv = self.nv
         nh = geo.normals
-        neg_s = -geo.stiffness[:, [1, 2, 0], [2, 0, 1]][:, :, None]   # -S_p
-        dw = nh[:, 0, None, None] * D[0] + nh[:, 1, None, None] * D[1]  # D_p^T nh
-        skew = np.empty((nv, 36))
-        nh_z = nh[:, 2].reshape(nv, -1)
-        for q in range(2):
-            skew[q::2] = nh_z[q::2] @ self.skew[q]
-        H = self._strip_products(neg_s * dw, dw) + skew.reshape(nv, 6, 6)
-        L = sum(self._strip_products(neg_s * D[a], D[a]) for a in range(2))
-        return self._tridiagonal(H), self._tridiagonal(L)
+        neg_s = -geo.stiffness[:, [1, 2, 0], [2, 0, 1]]   # -S_p
+        features = np.empty((len(nh), 10))
+        features[:, 0:3] = neg_s * (nh[:, :1] * nh[:, :1])
+        features[:, 3:6] = neg_s * (nh[:, :1] * nh[:, 1:2])
+        features[:, 6:9] = neg_s * (nh[:, 1:2] * nh[:, 1:2])
+        features[:, 9] = nh[:, 2]
+        out = []
+        for per_strip, table in zip((features, neg_s), self.tables):
+            per_strip = per_strip.reshape(nv, -1)
+            strips = np.empty((nv, 21))
+            for q in range(2):
+                strips[q::2] = per_strip[q::2] @ table[q]
+            out.append(self._band(strips))
+        return tuple(out)
 
-    def _strip_products(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """left^T right over the corner pairs of each strip, (nv, 6, 6), from
-        (M, 3, 6) arrays."""
-        n = self.nv
-        return left.reshape(n, -1, 6).transpose(0, 2, 1) @ right.reshape(n, -1, 6)
-
-    def _tridiagonal(self, blocks: np.ndarray) -> np.ndarray:
-        """The strips' 6x6 blocks summed over the unknowns of every ring,
-        restricted to the interior rings."""
-        n = self.nv
-        out = np.zeros((n + 1, 3, n + 1, 3))
-        s = np.arange(n)
-        for a in range(2):
-            for b in range(2):
-                out[s + a, :, s + b, :] += blocks[:, 3 * a:3 * a + 3, 3 * b:3 * b + 3]
-        return out[1:n, :, 1:n, :].reshape(3 * (n - 1), 3 * (n - 1))
+    def _band(self, strips: np.ndarray) -> np.ndarray:
+        """The strips' symmetric 6x6 blocks, from their 21 entries, summed
+        over the unknowns of every ring and restricted to the interior
+        rings, in band storage."""
+        full = strips[:, self.square]
+        band = np.zeros((2 * BAND + 1, 3 * (self.nv - 1)))
+        flat = band.reshape(-1)
+        at_diagonal, at_above, at_below = self.band_at
+        flat[at_diagonal] = full[:-1, 3:, 3:] + full[1:, :3, :3]
+        flat[at_above] = full[1:-1, :3, 3:]
+        flat[at_below] = full[1:-1, 3:, :3]
+        return band
 
     def residual(self, geo: EdgeGeometry, interior: np.ndarray) -> float:
         """Largest ring-averaged mean curvature: the norm of ring j's block
@@ -479,8 +533,7 @@ class _Descent:
             self.pattern = _HessianPattern(self.cur.triangles, self.interior)
         pattern = self.pattern
         g = self.grad.ravel()
-        hess = pattern.values(_area_hessian(self.geo.stiffness, self.geo.normals))
-        lap = pattern.stiffness_values(self.geo.stiffness)
+        hess, lap = pattern.data(self.geo.stiffness, self.geo.normals)
         H = pattern.matrix(hess)
 
         def solve(mu):
@@ -494,18 +547,21 @@ class _Descent:
                 self.factor = factor_float32(A)
                 self.factorizations += 1
                 x = refine(self.factor, A, -g)
-            return x.reshape(-1, 3), -(g @ x + 0.5 * x @ (H @ x))
+            return (x.reshape(-1, 3),
+                    -(fixed_order_dot(g, x) + 0.5 * fixed_order_dot(x, H @ x)))
         return solve
 
     def _stack_solve(self, basis: _StackBasis):
-        """`solve(mu)` for the stack stage: the step B t from the dense
+        """`solve(mu)` for the stack stage: the step B t from the banded
         reduced system B^T (H + mu kron(L, I3)) B t = -B^T g."""
         Hr, Lr = basis.reduced(self.geo)
         gr = basis.matrix.T @ self.grad.ravel()
 
         def solve(mu):
-            t = np.linalg.solve(Hr + mu * Lr, -gr)
-            return (basis.matrix @ t).reshape(-1, 3), -(gr @ t + 0.5 * t @ (Hr @ t))
+            t = solve_banded((BAND, BAND), Hr + mu * Lr, -gr, overwrite_ab=True,
+                             check_finite=False)
+            return ((basis.matrix @ t).reshape(-1, 3),
+                    -(fixed_order_dot(gr, t) + 0.5 * fixed_order_dot(t, _band_times(Hr, t))))
         return solve
 
     def _safety_failure(self) -> str | None:

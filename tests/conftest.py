@@ -1,9 +1,10 @@
 """Shared fixtures: analytic catenoid bands at the acceptance resolutions,
 a rotated band whose ends are not level, and solver-produced offset annuli
 at two refinement levels; and the reference cotangent stiffness and
-Laplacian, per-corner angle sums and corner-major vertex sums the tests
-check the stiffness-based operators and the corner pass against; the
-directed edges and the searchsorted boundary walk that
+Laplacian, unit triangle normals, per-triangle area Hessian blocks,
+per-corner angle sums and corner-major vertex sums the tests check the
+stiffness-based operators, the solver's pair sums and the corner pass
+against; the directed edges and the searchsorted boundary walk that
 `TriMesh.boundary_loops` is checked against; and a vertex relabelling
 that takes a mesh off its ring grid.
 
@@ -33,6 +34,34 @@ def cot_stiffness(mesh):
     e = np.roll(p, -1, axis=1) - np.roll(p, -2, axis=1)
     nn = np.linalg.norm(np.cross(e[:, 0], e[:, 1]), axis=1)
     return (e @ e.transpose(0, 2, 1)) * (0.5 / np.maximum(nn, 1e-300))[:, None, None]
+
+
+def triangle_normals(mesh):
+    """(M, 3) unit normals of the triangles, (p1 - p0) x (p2 - p0)
+    normalized."""
+    p0, p1, p2 = mesh.triangle_corners()
+    n = np.cross(p1 - p0, p2 - p0)
+    return n / np.linalg.norm(n, axis=1)[:, None]
+
+
+def area_hessian_blocks(S, nh):
+    """Exact second derivative of total triangle area, as per-triangle
+    blocks, from the stiffness S and unit normals nh: out[m, i, j] is the
+    3x3 block coupling corner i to corner j of triangle m, the per-triangle
+    form that the solver's per-pair sums replaced.  Block (j, i) is the
+    transpose of block (i, j) bit for bit, since S is symmetric and [nh]x
+    antisymmetric.
+
+    The block is S_ij nh nh^T + k_ij [nh]x with k_ii = 0, k_{i,i+1} = -1/2
+    and k_{i,i+2} = +1/2: along the normal the second variation of area is
+    the Dirichlet energy (Pinkall & Polthier 1993), and its in-plane part
+    cancels."""
+    blocks = S[:, :, :, None, None] * (nh[:, :, None] * nh[:, None, :])[:, None, None]
+    half_nx = 0.5 * np.cross(np.eye(3), nh[:, None, :])     # 0.5 [nh]x
+    for i in range(3):
+        blocks[:, i, (i + 1) % 3] -= half_nx
+        blocks[:, i, (i + 2) % 3] += half_nx
+    return blocks
 
 
 def vertex_sums(mesh, corner_values):
@@ -81,7 +110,7 @@ def corner_sums(mesh):
     """Reference for `mesh.corner_sums`: the angle-weighted unit vertex
     normals and the per-vertex angle sums, from `corner_angles`."""
     angles = corner_angles(mesh)
-    normals = vertex_sums(mesh, angles[:, :, None] * mesh.triangle_normals()[:, None, :])
+    normals = vertex_sums(mesh, angles[:, :, None] * triangle_normals(mesh)[:, None, :])
     return normals / np.linalg.norm(normals, axis=1)[:, None], vertex_sums(mesh, angles)
 
 

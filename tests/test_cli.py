@@ -507,3 +507,23 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["--help"])
     assert run(["--help"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["catenoid", "--res", "256x128"],
+    ["solve-annulus", "--offset", "0.3", "--res", "96x48"],
+])
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
+    # every long sum that reaches an artifact has a fixed order: no BLAS
+    # dot product or dense solve, whose order follows the thread count
+    env = dict(os.environ, PYTHONPATH=str(Path(mintube.__file__).parents[1]))
+    outputs = []
+    for threads in ("1", "2"):
+        outdir = tmp_path / threads
+        args = argv + ["--outdir", str(outdir)]
+        code = f"import sys, mintube.cli; sys.exit(mintube.cli.main({args!r}))"
+        subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                       env=dict(env, OPENBLAS_NUM_THREADS=threads))
+        outputs.append(read_all_bytes(outdir))
+    assert len(outputs[0]) >= 3
+    assert outputs[0] == outputs[1]

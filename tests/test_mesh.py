@@ -14,6 +14,7 @@ from conftest import (
     cot_laplacian,
     directed_edges,
     relabelled,
+    triangle_normals,
     vertex_sums,
 )
 from conftest import corner_sums as oracle_corner_sums
@@ -443,7 +444,7 @@ def test_corner_angles_and_vertex_sums_match_add_at_loop(nu, nv):
     assert np.max(np.abs(angles.sum(axis=1) - math.pi)) < 1e-12
     # Reference: one corner at a time, summed by np.add.at.
     p = mesh.triangle_corners()
-    fn = mesh.triangle_normals()
+    fn = triangle_normals(mesh)
     normals = np.zeros((mesh.n_vertices, 3))
     angle_sum = np.zeros(mesh.n_vertices)
     mass = np.zeros(mesh.n_vertices)

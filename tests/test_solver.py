@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import cot_laplacian, cot_stiffness, relabelled, vertex_sums
+from conftest import (area_hessian_blocks, cot_laplacian, cot_stiffness, relabelled,
+                      triangle_normals, vertex_sums)
 from scipy.optimize import brentq
 
 from mintube import mesh as meshmod
@@ -152,8 +153,37 @@ def perturbed_annulus(nu, nv, seed):
     return TriMesh(verts, mesh.triangles), interior
 
 
-def area_hessian_blocks(mesh):
-    return solver._area_hessian(cot_stiffness(mesh), mesh.triangle_normals())
+def mesh_hessian_blocks(mesh):
+    return area_hessian_blocks(cot_stiffness(mesh), triangle_normals(mesh))
+
+
+def coo_matrices(mesh, blocks, S, dof_mask):
+    """Reference H and kron(L, I3) on the coordinates of the vertices in
+    `dof_mask`: every entry of the per-triangle blocks, and S on the
+    diagonal of each corner pair's block, summed by a COO -> CSR
+    conversion, as CSR matrices."""
+    tris = mesh.triangles
+    rows = 3 * tris[:, :, None, None, None] + np.arange(3)[:, None]
+    cols = 3 * tris[:, None, :, None, None] + np.arange(3)
+    rows, cols = np.broadcast_to(rows, blocks.shape), np.broadcast_to(cols, blocks.shape)
+    n = 3 * mesh.n_vertices
+    H = sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
+    lap = S[:, :, :, None, None] * np.eye(3)
+    L = sp.coo_matrix((lap.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
+    idx = np.flatnonzero(dof_mask)
+    dofs = (3 * idx[:, None] + np.arange(3)).ravel()
+    return H[dofs][:, dofs], L[dofs][:, dofs]
+
+
+def band_to_dense(band):
+    """The square matrix of LAPACK band storage with `solver.BAND`
+    diagonals on each side: A[i, j] = band[BAND + i - j, j]."""
+    n = band.shape[1]
+    i, j = np.indices((n, n))
+    inside = np.abs(i - j) <= solver.BAND
+    A = np.zeros((n, n))
+    A[inside] = band[(solver.BAND + i - j)[inside], j[inside]]
+    return A
 
 
 def cross_matrices(v):
@@ -190,7 +220,7 @@ def batched_area_hessian(verts, tris):
 @pytest.mark.parametrize("nu, nv", [(16, 6), (96, 48)])
 def test_area_hessian_closed_form_matches_batched_oracle(nu, nv):
     mesh, _ = perturbed_annulus(nu, nv, seed=7)
-    got = area_hessian_blocks(mesh)
+    got = mesh_hessian_blocks(mesh)
     want = batched_area_hessian(mesh.vertices, mesh.triangles)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -204,9 +234,10 @@ def test_area_hessian_matches_finite_differences():
         L, _ = cot_laplacian(TriMesh(v, mesh.triangles))
         return L @ v
 
-    # every vertex a dof: the full (3N, 3N) Hessian
+    # every vertex a dof: the full (3N, 3N) Hessian, summed per vertex pair
     full = solver._HessianPattern(mesh.triangles, np.ones(len(verts), bool))
-    H = full.matrix(full.values(area_hessian_blocks(mesh)))
+    geo = meshmod.edge_geometry(mesh)
+    H = full.matrix(full.data(geo.stiffness, geo.normals)[0])
     assert H.shape == (3 * len(verts), 3 * len(verts))
     d = rng.standard_normal(verts.shape) * 1e-6
     fd = grad(verts + d) - grad(verts - d)
@@ -267,7 +298,7 @@ def test_edge_geometry_matches_formulas(nu, nv):
     pairs = [(geo.stiffness, S),
              (geo.gradient, vertex_sums(mesh, S @ p)),
              (geo.vertex_areas, vertex_sums(mesh, thirds)),
-             (geo.normals, mesh.triangle_normals()),
+             (geo.normals, triangle_normals(mesh)),
              (geo.double_areas, 2.0 * mesh.triangle_areas()),
              (geo.area, mesh.area()),
              (geo.mean_edge_length, mean_edge_length(mesh))]
@@ -282,13 +313,51 @@ def test_stack_reduced_matrices_match_sparse_products(nu, nv):
     basis = solver._stack_basis(ruled)
     mesh, interior = perturbed_annulus(nu, nv, seed=9)
     geo = meshmod.edge_geometry(mesh)
-    pattern = solver._HessianPattern(mesh.triangles, interior)
-    H = pattern.matrix(pattern.values(area_hessian_blocks(mesh)))
-    L = pattern.matrix(pattern.stiffness_values(geo.stiffness))
+    S = cot_stiffness(mesh)
     B = basis.matrix
-    for got, M in zip(basis.reduced(geo), (H, L)):
+    for got, M in zip(basis.reduced(geo),
+                      coo_matrices(mesh, mesh_hessian_blocks(mesh), S, interior)):
+        assert got.shape == (2 * solver.BAND + 1, 3 * (nv - 1))
         want = (B.T @ M @ B).toarray()
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.abs(band_to_dense(got) - want).max() <= 1e-13 * np.abs(want).max()
+        # the band's corners outside the matrix are zeros
+        k, j = np.indices(got.shape)
+        i = j + k - solver.BAND
+        assert not got[(i < 0) | (i >= got.shape[1])].any()
+
+
+@pytest.mark.parametrize("nu, nv", [(16, 6), (96, 48)])
+@pytest.mark.parametrize("mu", [1e-6, 1e-2, 1.0, 30.0])
+def test_banded_stack_step_matches_dense_solve(nu, nv, mu):
+    # on a stack of circles with random radii and centers, where B^T H B
+    # is indefinite, so small mu leaves the system indefinite too
+    start = unit_circles(1.0, 0.2, nu, nv).start
+    rng = np.random.default_rng(13)
+    rings = start.vertices.reshape(nv + 1, nu, 3).copy()
+    scale = 1.0 + 0.3 * rng.uniform(-1.0, 1.0, (nv - 1, 1, 1))
+    shift = 0.3 * rng.uniform(-1.0, 1.0, (nv - 1, 1, 2))
+    rings[1:-1, :, :2] = scale * rings[1:-1, :, :2] + shift
+    mesh = TriMesh(rings.reshape(-1, 3), start.triangles)
+    basis = solver._stack_basis(mesh)
+    descent = solver._Descent(mesh)
+    step, predicted = descent._stack_solve(basis)(mu)
+    Hr, Lr = (band_to_dense(m) for m in basis.reduced(descent.geo))
+    assert np.linalg.eigvalsh(Hr).min() < 0 < np.linalg.eigvalsh(Hr).max()
+    gr = basis.matrix.T @ descent.grad.ravel()
+    A = Hr + mu * Lr
+    t = np.linalg.solve(A, -gr)
+    want = (basis.matrix @ t).reshape(-1, 3)
+    # Two backward-stable solves agree to about cond(A) u.  At 96x48 and
+    # mu = 1e-6, cond(A) is 2e6 and they differ by 4.8e-12; every other
+    # system here has cond(A) below 2e5 and agrees within 6.4e-13.
+    bound = max(1e-12, 1e-16 * np.linalg.cond(A))
+    assert np.abs(step - want).max() <= bound * np.abs(want).max()
+    # the banded step solves the dense system to rounding: its backward error
+    B = basis.matrix
+    banded = np.linalg.solve((B.T @ B).toarray(), B.T @ step.ravel())
+    assert (np.abs(A @ banded + gr).max()
+            <= 1e-14 * np.abs(A).sum(axis=1).max() * np.abs(banded).max())
+    assert predicted == pytest.approx(-(gr @ t + 0.5 * t @ (Hr @ t)), rel=1e-12)
 
 
 def test_hessian_pattern_matches_coo_assembly():
@@ -299,58 +368,48 @@ def test_hessian_pattern_matches_coo_assembly():
     verts[interior] += 0.02 * rng.standard_normal(verts[interior].shape)
     tris = mesh.triangles
     perturbed = TriMesh(verts, tris)
-    blocks = area_hessian_blocks(perturbed)
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            for a in range(3):
-                for b in range(3):
-                    rows.append(3 * tris[:, i] + a)
-                    cols.append(3 * tris[:, j] + b)
-                    vals.append(blocks[:, i, j, a, b])
-    n = 3 * len(verts)
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    H = sp.coo_matrix((np.concatenate(vals), (rows, cols)), shape=(n, n)).tocsr()
-    # every 3x3 block of a vertex pair that shares a triangle, summed from
-    # ones so that no entry cancels
-    blocks_of_pairs = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
-    L, _ = cot_laplacian(perturbed)
-    S = cot_stiffness(perturbed)
-    mu = 0.37
+    geo = meshmod.edge_geometry(perturbed)
+    S, nh = geo.stiffness, geo.normals
+    L, _ = cot_laplacian(perturbed, S)
     # the solver's interior dofs, and every vertex a dof as in
     # `test_area_hessian_matches_finite_differences`
     for dof_mask in (interior, np.ones(len(verts), bool)):
-        idx = np.flatnonzero(dof_mask)
-        dofs = (3 * idx[:, None] + np.arange(3)).ravel()
-        expect = (H[dofs][:, dofs]
-                  + mu * sp.kron(L[idx][:, idx], sp.identity(3))).toarray()
-        want = blocks_of_pairs[dofs][:, dofs].tocsc()
+        H, _ = coo_matrices(perturbed, area_hessian_blocks(S, nh), S, dof_mask)
+        H = H.toarray()
+        # every 3x3 block of a vertex pair that shares a triangle, summed
+        # from ones so that no entry cancels
+        ones, _ = coo_matrices(perturbed, np.ones((len(tris), 3, 3, 3, 3)), S, dof_mask)
+        want = ones.tocsc()
         pattern = solver._HessianPattern(tris, dof_mask)
-
-        got = pattern.matrix(pattern.values(blocks) + mu * pattern.stiffness_values(S))
+        hess, lap = pattern.data(S, nh)
+        got = pattern.matrix(hess)
         assert got.format == "csc" and got.has_sorted_indices
-        # the arrays, bit for bit, of the BSR -> CSR conversion of the same
-        # sums in block order: block (i, j) of each triangle summed at
-        # 9 p + 3 a + b of its pair p, and L on the diagonal of each block
-        layout = want.tobsr(blocksize=(3, 3))
-        layout.sort_indices()
-        n_pairs = len(layout.indices)
-        block_slots = (9 * pattern.pair_of[..., None] + np.arange(9)).ravel()
-        block_data = np.bincount(block_slots, weights=blocks.ravel(),
-                                 minlength=9 * n_pairs + 9)[:9 * n_pairs].reshape(-1, 3, 3)
-        lap = np.bincount(pattern.pair_of.ravel(), weights=S.ravel(),
-                          minlength=n_pairs + 1)[:n_pairs]
-        block_data = block_data + mu * (lap[:, None, None] * np.eye(3))
-        bsr = sp.bsr_matrix((block_data, layout.indices, layout.indptr),
-                            shape=got.shape).tocsr()
-        for field in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, field), getattr(bsr, field))
         assert got.indptr.dtype == got.indices.dtype == np.int32
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
+        # H summed per vertex pair, against the per-triangle blocks' COO sum
+        assert np.abs(got.toarray() - H).max() <= 1e-13 * np.abs(H).max()
         # symmetric bit for bit: the CSR arrays are the CSC arrays
         assert np.array_equal(got.data, got.T.tocsc().data)
-        assert np.abs(got.toarray() - expect).max() <= 1e-13 * np.abs(expect).max()
+        # kron(L, I3) bit for bit: S summed over each pair's triangles in
+        # triangle order, on the diagonal of the pair's block of the BSR
+        # -> CSR conversion
+        layout = want.tobsr(blocksize=(3, 3))
+        layout.sort_indices()
+        n_verts = int(dof_mask.sum())
+        block_rows = np.repeat(np.arange(n_verts), np.diff(layout.indptr))
+        vmap = np.cumsum(dof_mask) - 1
+        corner_keys = vmap[tris][:, :, None] * n_verts + vmap[tris][:, None, :]
+        valid = dof_mask[tris][:, :, None] & dof_mask[tris][:, None, :]
+        pair_of = np.searchsorted(block_rows * n_verts + layout.indices, corner_keys[valid])
+        pair_sums = np.bincount(pair_of, weights=S[valid], minlength=len(layout.indices))
+        bsr = sp.bsr_matrix((pair_sums[:, None, None] * np.eye(3), layout.indices,
+                             layout.indptr), shape=got.shape).tocsr()
+        assert np.array_equal(bsr.indices, got.indices)
+        assert np.array_equal(bsr.data, lap)
+        idx = np.flatnonzero(dof_mask)
+        kron = sp.kron(L[idx][:, idx], sp.identity(3)).toarray()
+        assert np.abs(pattern.matrix(lap).toarray() - kron).max() <= 1e-13 * np.abs(kron).max()
 
 
 # Relative error of the full-stage step (float32 factors, two float64
@@ -373,10 +432,8 @@ def test_refined_float32_step_matches_float64_solve(nu, nv, mu):
     descent = solver._Descent(mesh)
     descent.pattern = pattern = solver._HessianPattern(mesh.triangles, interior)
     step, _ = descent._factored_solve()(mu)
-    geo = descent.geo
-    system = (pattern.values(solver._area_hessian(geo.stiffness, geo.normals))
-              + mu * pattern.stiffness_values(geo.stiffness))
-    want = factor_symmetric(pattern.matrix(system)).solve(-descent.grad.ravel())
+    hess, lap = pattern.data(descent.geo.stiffness, descent.geo.normals)
+    want = factor_symmetric(pattern.matrix(hess + mu * lap)).solve(-descent.grad.ravel())
     err = np.abs(step.ravel() - want).max() / np.abs(want).max()
     assert err <= 10 * REFINED_STEP_ERROR[nu, nv][mu]
 
@@ -384,9 +441,8 @@ def test_refined_float32_step_matches_float64_solve(nu, nv, mu):
 def full_stage_system(descent, mu):
     """H + mu kron(L, I3) at the descent's current surface."""
     pattern = solver._HessianPattern(descent.cur.triangles, descent.interior)
-    geo = descent.geo
-    return pattern.matrix(pattern.values(solver._area_hessian(geo.stiffness, geo.normals))
-                          + mu * pattern.stiffness_values(geo.stiffness))
+    hess, lap = pattern.data(descent.geo.stiffness, descent.geo.normals)
+    return pattern.matrix(hess + mu * lap)
 
 
 def test_preconditioned_cg_on_the_exact_factors():
@@ -688,3 +744,49 @@ def test_sheared_annulus_converges():
     assert report.converged
     assert report.residual_history[-1] <= 1e-6
     mesh.validate()
+
+
+# The exit map of the two-circle problem at 32x16: a unit circle at height
+# 0, a circle of radius R1 at height h offset by d along x.  An entry is 0
+# with the stack and full iterations of a converged solve, or the exit code
+# of a failure with its class (p a pinch, t a tear, d a degeneration, n no
+# convergence): 2 no annulus (the stack stage failed), 3 the full stage's
+# mesh degenerated.  A failure has no counts here: the iteration at which
+# a degeneration check fires follows the rounding of a diverging run.  A
+# change that moves an entry updates this literal, and its diff is the list
+# of changed exit codes.
+EXIT_MAP_32X16 = {
+    (1.0, 0.2): "0:6+0  3d     3d     3d     3d",
+    (1.0, 0.5): "0:6+0  0:7+5  3d     3d     3d",
+    (1.0, 1.0): "0:6+0  0:7+2  0:7+3  0:8+4  0:8+6",
+    (1.0, 1.3): "0:8+0  0:9+2  2p     2p     2p",
+    (1.0, 1.5): "2p     2p     2p     2p     2p",
+    (0.5, 0.2): "0:8+0  0:9+4  3d     3d     3d",
+    (0.5, 0.5): "0:7+0  0:8+3  3d     3d     3d",
+    (0.5, 1.0): "2p     2p     2p     2p     2p",
+    (0.5, 1.3): "2p     2p     2p     2p     2p",
+    (0.5, 1.5): "2p     2p     2p     2p     2p",
+}
+
+
+def exit_class(problem):
+    """The exit-map entry of one solve: see EXIT_MAP_32X16."""
+    try:
+        _, report = solver.solve_annulus(problem)
+        return f"0:{report.stack_iterations}+{report.iterations}"
+    except solver.NoAnnulusError as exc:
+        code, message = 2, str(exc)
+    except solver.ConvergenceError as exc:
+        code, message = 3, str(exc)
+    kind = ("p" if "pinched" in message else "t" if "tore" in message
+            else "d" if "degenerated" in message else "n")
+    return f"{code}{kind}"
+
+
+def test_exit_map_at_32x16_is_pinned():
+    got = {}
+    for (r1, h), row in EXIT_MAP_32X16.items():
+        got[r1, h] = [exit_class(solver.AnnulusProblem(
+            solver.Circle((0, 0, 0.0), 1.0), solver.Circle((d, 0, h), r1), nu=32, nv=16))
+            for d in (0.0, 0.2, 0.4, 0.6, 0.8)]
+    assert got == {key: row.split() for key, row in EXIT_MAP_32X16.items()}
