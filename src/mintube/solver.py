@@ -62,16 +62,16 @@ stage forms it per triangle.  The stack stage sums B^T H B and
 B^T kron(L, I3) B strip by strip of the ring grid (`_StackBasis`): each
 strip's 6x6 block is one product of per-triangle features of S and nh
 with a static table of its strip parity.  It keeps the block tridiagonal
-result in LAPACK band storage, solves it with `scipy.linalg.solve_banded`
-in O(nv), and never forms a matrix of the 3N coordinates.  The full stage
-sums the blocks per vertex pair, sum_t S_ij nh nh^T + [sum_t k_ij nh]x,
-and S into one scalar per pair, on the diagonal of its block, for
-kron(L, I3) (`_HessianPattern`): two sparse products with the per-triangle
-normals, on a BSR pattern built on its first iteration with the CSC layout
-SuperLU takes.  Every long sum that reaches the model value or the
-conjugate gradients is taken in a fixed order, `mesh.fixed_order_dot`,
-and no dense LAPACK solve remains, so the iterates do not depend on the
-BLAS thread count.
+result in LAPACK band storage, which is scipy's DIA storage of the same
+diagonals, solves it with `scipy.linalg.solve_banded` in O(nv), and never
+forms a matrix of the 3N coordinates.  The full stage sums the blocks per
+vertex pair, sum_t S_ij nh nh^T + [sum_t k_ij nh]x, and S into one scalar
+per pair for L (`_HessianPattern`): two sparse products with the
+per-triangle normals, on a BSR block pattern built on its first
+iteration, which scipy converts to the CSC matrix SuperLU takes.  Every
+long sum that reaches the model value or the conjugate gradients is taken
+in a fixed order, `mesh.fixed_order_dot`, and no dense LAPACK solve
+remains, so the iterates do not depend on the BLAS thread count.
 The full stage's first step solves (H + mu kron(L, I3)) s = -g from a float32
 factorization, `mesh.factor_float32` (SuperLU, symmetric mode, diagonal
 pivots, its own minimum-degree order), about three quarters of the float64
@@ -231,8 +231,9 @@ class _HessianPattern:
     vertex, in vertex order), built once per triangulation.
 
     Each vertex pair sharing a triangle owns a 3x3 block of a BSR matrix,
-    and the pairs are sorted row-major once.  The block of a pair is the
-    Pinkall-Polthier closed form summed over its triangles,
+    and the pairs are sorted row-major once: `pcol` holds each pair's block
+    column and `row_start` where each block row starts.  The block of a
+    pair is the Pinkall-Polthier closed form summed over its triangles,
 
         sum_t S_ij nh nh^T + k_ij [nh]x = sum_t S_ij nh nh^T + [q]x,
         q = sum_t k_ij nh,
@@ -244,12 +245,9 @@ class _HessianPattern:
     part and its entry of L, and the constant `skew`, with the entries
     k_ij, times nh gives q.  Both sums run over a pair's triangles in
     triangle order, the pairs (i, j) and (j, i) alike, so the summed matrix
-    is symmetric bit for bit, and the transpose of its CSR form is its CSC
-    form, with the same arrays.  That layout is built once, from a BSR
-    matrix whose data numbers its entries 9 p + 3 a + b; `order` reads the
-    CSC data out of the pairs' blocks, and `diagonal` places L on the
-    diagonal of each block.  The matrix is in coordinate order; each
-    factorization picks its own fill-reducing order.
+    is symmetric bit for bit, and the transpose of its CSR form, which
+    scipy converts from the BSR blocks, is its CSC form.  The matrix is in
+    coordinate order; each factorization picks its own fill-reducing order.
     """
 
     def __init__(self, tris: np.ndarray, dof_mask: np.ndarray):
@@ -265,31 +263,23 @@ class _HessianPattern:
         keys = keys[by_pair]
         first = np.flatnonzero(np.diff(keys, prepend=-1))
         prow, pcol = np.divmod(keys[first], n_verts)
-        self.n_pairs = n = len(first)
         self.shape = (3 * n_verts, 3 * n_verts)
+        self.pcol = pcol.astype(np.int32)
+        self.row_start = np.searchsorted(prow, np.arange(n_verts + 1)).astype(np.int32)
         self.corners = np.flatnonzero(valid.ravel())[by_pair].astype(np.int32)
         tri = self.corners // 9
         indptr = np.append(first, len(keys)).astype(np.int32)
-        shape = (n, len(tris))
+        shape = (len(first), len(tris))
         self.weights = sp.csr_matrix((np.zeros(len(tri)), tri, indptr), shape=shape)
         k = np.array([[0.0, -0.5, 0.5], [0.5, 0.0, -0.5], [-0.5, 0.5, 0.0]])
         # copies: dropping the zeros of k_ii rewrites the index arrays in place
         self.skew = sp.csr_matrix((k.ravel()[self.corners % 9], tri.copy(), indptr.copy()),
                                   shape=shape)
         self.skew.eliminate_zeros()
-        numbered = sp.bsr_matrix(
-            (np.arange(9 * n, dtype=np.int32).reshape(-1, 3, 3), pcol.astype(np.int32),
-             np.searchsorted(prow, np.arange(n_verts + 1)).astype(np.int32)),
-            shape=self.shape).tocsr()
-        self.indptr, self.indices, self.order = numbered.indptr, numbered.indices, numbered.data
-        place = np.empty(9 * n, dtype=np.int32)
-        place[self.order] = np.arange(9 * n, dtype=np.int32)
-        self.diagonal = place.reshape(-1, 9)[:, ::4].copy()
 
     def data(self, S: np.ndarray, nh: np.ndarray):
-        """CSC data of H and of kron(L, I3), from the per-triangle stiffness
-        S and unit normals nh; the entries off each block's diagonal in
-        kron(L, I3) are exact zeros."""
+        """The pairs' 3x3 blocks of H, (pairs, 3, 3), and their entries of
+        L, (pairs,), from the per-triangle stiffness S and unit normals nh."""
         np.take(S, self.corners, out=self.weights.data)
         products = np.empty((len(nh), 7))             # xx xy xz yy yz zz, 1
         products[:, :3] = nh[:, :1] * nh
@@ -298,34 +288,21 @@ class _HessianPattern:
         products[:, 6] = 1.0
         sym = self.weights @ products
         q = self.skew @ nh
-        blocks = np.empty((self.n_pairs, 9))
-        blocks[:, ::4] = sym[:, [0, 3, 5]]
-        blocks[:, 1], blocks[:, 3] = sym[:, 1] - q[:, 2], sym[:, 1] + q[:, 2]
-        blocks[:, 2], blocks[:, 6] = sym[:, 2] + q[:, 1], sym[:, 2] - q[:, 1]
-        blocks[:, 5], blocks[:, 7] = sym[:, 4] - q[:, 0], sym[:, 4] + q[:, 0]
-        lap = np.zeros(9 * self.n_pairs)
-        lap[self.diagonal] = sym[:, 6:]
-        return blocks.ravel()[self.order], lap
+        blocks = np.empty((len(sym), 3, 3))
+        blocks[:, [0, 1, 2], [0, 1, 2]] = sym[:, [0, 3, 5]]
+        blocks[:, 0, 1], blocks[:, 1, 0] = sym[:, 1] - q[:, 2], sym[:, 1] + q[:, 2]
+        blocks[:, 0, 2], blocks[:, 2, 0] = sym[:, 2] + q[:, 1], sym[:, 2] - q[:, 1]
+        blocks[:, 1, 2], blocks[:, 2, 1] = sym[:, 4] - q[:, 0], sym[:, 4] + q[:, 0]
+        return blocks, sym[:, 6]
 
-    def matrix(self, values: np.ndarray) -> sp.csc_matrix:
-        """The CSC matrix with data `values`, on the layout built once."""
-        return sp.csc_matrix((values, self.indices, self.indptr), shape=self.shape)
+    def matrix(self, blocks: np.ndarray) -> sp.csc_matrix:
+        """The CSC matrix with the pairs' 3x3 `blocks`; they must make a
+        symmetric matrix, as H and kron(L, I3) are."""
+        bsr = sp.bsr_matrix((blocks, self.pcol, self.row_start), shape=self.shape)
+        return bsr.tocsr().T
 
 
 BAND = 5    # half-bandwidth of the stack stage's system: 3x3 ring blocks
-
-
-def _band_times(band: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x for A in LAPACK band storage with BAND diagonals on each side,
-    A[i, j] = band[BAND + i - j, j], summed diagonal by diagonal."""
-    n = len(x)
-    y = np.zeros(n)
-    for d in range(-BAND, BAND + 1):                    # d = i - j
-        if d >= 0:
-            y[d:] += band[BAND + d, :n - d] * x[:n - d]
-        else:
-            y[:n + d] += band[BAND + d, -d:] * x[-d:]
-    return y
 
 
 class _StackBasis:
@@ -399,7 +376,9 @@ class _StackBasis:
 
     def reduced(self, geo: EdgeGeometry):
         """(B^T H B, B^T kron(L, I3) B) at the surface of `geo`, in LAPACK
-        band storage with BAND diagonals on each side."""
+        band storage with BAND diagonals on each side: A[i, j] =
+        band[BAND + i - j, j], which is the data of scipy's DIA matrix with
+        offsets BAND, BAND - 1, ..., -BAND."""
         nv = self.nv
         nh = geo.normals
         neg_s = -geo.stiffness[:, [1, 2, 0], [2, 0, 1]]   # -S_p
@@ -533,11 +512,12 @@ class _Descent:
             self.pattern = _HessianPattern(self.cur.triangles, self.interior)
         pattern = self.pattern
         g = self.grad.ravel()
-        hess, lap = pattern.data(self.geo.stiffness, self.geo.normals)
-        H = pattern.matrix(hess)
+        blocks, lap = pattern.data(self.geo.stiffness, self.geo.normals)
+        H = pattern.matrix(blocks)
+        K = pattern.matrix(lap[:, None, None] * np.eye(3))      # kron(L, I3)
 
         def solve(mu):
-            A = pattern.matrix(hess + mu * lap)
+            A = sp.csc_matrix((H.data + mu * K.data, H.indices, H.indptr), shape=H.shape)
             x = None
             if self.factor is not None:
                 x, its = preconditioned_cg(A, -g, self.factor, CG_TOL, CG_MAX_ITERATIONS)
@@ -556,12 +536,14 @@ class _Descent:
         reduced system B^T (H + mu kron(L, I3)) B t = -B^T g."""
         Hr, Lr = basis.reduced(self.geo)
         gr = basis.matrix.T @ self.grad.ravel()
+        H = sp.dia_matrix((Hr, np.arange(BAND, -BAND - 1, -1)),    # B^T H B
+                          shape=(len(gr), len(gr)))
 
         def solve(mu):
             t = solve_banded((BAND, BAND), Hr + mu * Lr, -gr, overwrite_ab=True,
                              check_finite=False)
             return ((basis.matrix @ t).reshape(-1, 3),
-                    -(fixed_order_dot(gr, t) + 0.5 * fixed_order_dot(t, _band_times(Hr, t))))
+                    -(fixed_order_dot(gr, t) + 0.5 * fixed_order_dot(t, H @ t)))
         return solve
 
     def _safety_failure(self) -> str | None:

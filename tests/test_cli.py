@@ -240,6 +240,19 @@ def test_sweep_no_annulus_exit_code(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_solve_annulus_with_one_interior_ring(tmp_path, capsys):
+    # nv = 2: the stack stage's system is one 3x3 ring block, narrower than
+    # its band storage; at 16x2 the solve converges and the flow check fails
+    assert run(["solve-annulus", "--res", "16x2", "--offset", "0.3",
+                "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("FAIL: flow deviation ")
+
+
+def test_sweep_with_one_interior_ring(tmp_path):
+    rows = sweep_rows(tmp_path, "--res", "8x2", "--offsets", "0", "0.3")
+    assert [row["exit"] for row in rows] == ["0", "0"]
+
+
 def test_annulus_scan_rows(tmp_path):
     # a scan over heights is one sweep per height
     (converged,) = sweep_rows(tmp_path / "h1", "--res", "16x8", "--heights", "0", "1",

@@ -307,7 +307,7 @@ def test_edge_geometry_matches_formulas(nu, nv):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("nu, nv", [(16, 6), (96, 48)])
+@pytest.mark.parametrize("nu, nv", [(16, 6), (96, 48), (16, 2)])
 def test_stack_reduced_matrices_match_sparse_products(nu, nv):
     ruled = solver.initial_annulus(unit_circles(1.0, 0.2, nu, nv))
     basis = solver._stack_basis(ruled)
@@ -326,11 +326,12 @@ def test_stack_reduced_matrices_match_sparse_products(nu, nv):
         assert not got[(i < 0) | (i >= got.shape[1])].any()
 
 
-@pytest.mark.parametrize("nu, nv", [(16, 6), (96, 48)])
+@pytest.mark.parametrize("nu, nv", [(16, 6), (96, 48), (16, 2)])
 @pytest.mark.parametrize("mu", [1e-6, 1e-2, 1.0, 30.0])
 def test_banded_stack_step_matches_dense_solve(nu, nv, mu):
     # on a stack of circles with random radii and centers, where B^T H B
-    # is indefinite, so small mu leaves the system indefinite too
+    # is indefinite, so small mu leaves the system indefinite too; with one
+    # interior ring (nv = 2) it is definite here
     start = unit_circles(1.0, 0.2, nu, nv).start
     rng = np.random.default_rng(13)
     rings = start.vertices.reshape(nv + 1, nu, 3).copy()
@@ -342,7 +343,8 @@ def test_banded_stack_step_matches_dense_solve(nu, nv, mu):
     descent = solver._Descent(mesh)
     step, predicted = descent._stack_solve(basis)(mu)
     Hr, Lr = (band_to_dense(m) for m in basis.reduced(descent.geo))
-    assert np.linalg.eigvalsh(Hr).min() < 0 < np.linalg.eigvalsh(Hr).max()
+    eigenvalues = np.linalg.eigvalsh(Hr)
+    assert (eigenvalues.min() < 0) == (nv > 2) and eigenvalues.max() > 0
     gr = basis.matrix.T @ descent.grad.ravel()
     A = Hr + mu * Lr
     t = np.linalg.solve(A, -gr)
@@ -381,8 +383,9 @@ def test_hessian_pattern_matches_coo_assembly():
         ones, _ = coo_matrices(perturbed, np.ones((len(tris), 3, 3, 3, 3)), S, dof_mask)
         want = ones.tocsc()
         pattern = solver._HessianPattern(tris, dof_mask)
-        hess, lap = pattern.data(S, nh)
-        got = pattern.matrix(hess)
+        blocks, lap = pattern.data(S, nh)
+        assert blocks.shape == (len(want.indices) // 9, 3, 3) and lap.shape == blocks.shape[:1]
+        got = pattern.matrix(blocks)
         assert got.format == "csc" and got.has_sorted_indices
         assert got.indptr.dtype == got.indices.dtype == np.int32
         assert np.array_equal(got.indptr, want.indptr)
@@ -391,9 +394,8 @@ def test_hessian_pattern_matches_coo_assembly():
         assert np.abs(got.toarray() - H).max() <= 1e-13 * np.abs(H).max()
         # symmetric bit for bit: the CSR arrays are the CSC arrays
         assert np.array_equal(got.data, got.T.tocsc().data)
-        # kron(L, I3) bit for bit: S summed over each pair's triangles in
-        # triangle order, on the diagonal of the pair's block of the BSR
-        # -> CSR conversion
+        # L bit for bit: S summed over each pair's triangles in triangle
+        # order, one entry per pair, the pairs sorted row-major
         layout = want.tobsr(blocksize=(3, 3))
         layout.sort_indices()
         n_verts = int(dof_mask.sum())
@@ -403,13 +405,11 @@ def test_hessian_pattern_matches_coo_assembly():
         valid = dof_mask[tris][:, :, None] & dof_mask[tris][:, None, :]
         pair_of = np.searchsorted(block_rows * n_verts + layout.indices, corner_keys[valid])
         pair_sums = np.bincount(pair_of, weights=S[valid], minlength=len(layout.indices))
-        bsr = sp.bsr_matrix((pair_sums[:, None, None] * np.eye(3), layout.indices,
-                             layout.indptr), shape=got.shape).tocsr()
-        assert np.array_equal(bsr.indices, got.indices)
-        assert np.array_equal(bsr.data, lap)
+        assert np.array_equal(lap, pair_sums)
         idx = np.flatnonzero(dof_mask)
         kron = sp.kron(L[idx][:, idx], sp.identity(3)).toarray()
-        assert np.abs(pattern.matrix(lap).toarray() - kron).max() <= 1e-13 * np.abs(kron).max()
+        got = pattern.matrix(lap[:, None, None] * np.eye(3))
+        assert np.abs(got.toarray() - kron).max() <= 1e-13 * np.abs(kron).max()
 
 
 # Relative error of the full-stage step (float32 factors, two float64
@@ -427,13 +427,24 @@ REFINED_STEP_ERROR = {
 
 @pytest.mark.parametrize("nu, nv", [(16, 6), (96, 48)])
 @pytest.mark.parametrize("mu", [1e-6, 1e-2, 1.0, 30.0])
-def test_refined_float32_step_matches_float64_solve(nu, nv, mu):
+def test_refined_float32_step_matches_float64_solve(monkeypatch, nu, nv, mu):
     mesh, interior = perturbed_annulus(nu, nv, seed=11)
     descent = solver._Descent(mesh)
     descent.pattern = pattern = solver._HessianPattern(mesh.triangles, interior)
+    factored = []
+
+    def recorded_factor(A):
+        factored.append(A)
+        return meshmod.factor_float32(A)
+
+    monkeypatch.setattr(solver, "factor_float32", recorded_factor)
     step, _ = descent._factored_solve()(mu)
-    hess, lap = pattern.data(descent.geo.stiffness, descent.geo.normals)
-    want = factor_symmetric(pattern.matrix(hess + mu * lap)).solve(-descent.grad.ravel())
+    (A,) = factored
+    # the damped matrix is H + mu kron(L, I3) bit for bit
+    blocks, lap = pattern.data(descent.geo.stiffness, descent.geo.normals)
+    damped = pattern.matrix(blocks) + mu * pattern.matrix(lap[:, None, None] * np.eye(3))
+    assert A.shape == damped.shape and (A != damped).nnz == 0
+    want = factor_symmetric(A).solve(-descent.grad.ravel())
     err = np.abs(step.ravel() - want).max() / np.abs(want).max()
     assert err <= 10 * REFINED_STEP_ERROR[nu, nv][mu]
 
@@ -441,8 +452,8 @@ def test_refined_float32_step_matches_float64_solve(nu, nv, mu):
 def full_stage_system(descent, mu):
     """H + mu kron(L, I3) at the descent's current surface."""
     pattern = solver._HessianPattern(descent.cur.triangles, descent.interior)
-    hess, lap = pattern.data(descent.geo.stiffness, descent.geo.normals)
-    return pattern.matrix(hess + mu * lap)
+    blocks, lap = pattern.data(descent.geo.stiffness, descent.geo.normals)
+    return pattern.matrix(blocks + mu * lap[:, None, None] * np.eye(3))
 
 
 def test_preconditioned_cg_on_the_exact_factors():
