@@ -67,15 +67,15 @@ diagonals, solves it with `scipy.linalg.solve_banded` in O(nv), and never
 forms a matrix of the 3N coordinates.  The full stage sums the blocks per
 vertex pair, sum_t S_ij nh nh^T + [sum_t k_ij nh]x, and S into one scalar
 per pair for L (`_HessianPattern`): two sparse products with the
-per-triangle normals, on a BSR block pattern built on its first
-iteration, which scipy converts to the CSC matrix SuperLU takes.  Every
-long sum that reaches the model value or the conjugate gradients is taken
-in a fixed order, `mesh.fixed_order_dot`, and no dense LAPACK solve
-remains, so the iterates do not depend on the BLAS thread count.
-The full stage's first step solves (H + mu kron(L, I3)) s = -g from a float32
-factorization, `mesh.factor_float32` (SuperLU, symmetric mode, diagonal
-pivots, its own minimum-degree order), about three quarters of the float64
-time and half the memory, refined twice against the float64 system by
+per-triangle normals give the blocks of a BSR matrix, and each damping adds
+mu L to their diagonals: kron(L, I3) is never formed.  Every long sum that
+reaches the model value or the conjugate gradients is taken in a fixed
+order, `mesh.fixed_order_dot` or a sparse product, and no dense LAPACK solve
+remains, so the iterates do not depend on the BLAS thread count.  The full
+stage's first step solves its system from a float32 factorization of its CSC
+form, `mesh.factor_float32` (SuperLU, symmetric mode, diagonal pivots, its
+own minimum-degree order), about three quarters of the float64 time and half
+the memory, refined twice against the float64 system by
 `mesh.refine`.  Against a float64 factorization, on the full-stage iterates
 of the offset-0.3 annulus, that step's error is at most 2e-3 unrefined,
 1.3e-5 after one refinement and 6e-8 after two at 96x48, and 5e-3, 1e-4
@@ -241,14 +241,18 @@ class _HessianPattern:
     with (i, j) the pair's corners in triangle t, so it is summed per pair
     with no per-triangle block: `weights`, pairs x triangles with one entry
     per corner pair whose data is gathered from S at each call, times the
-    six products nh_a nh_b and a column of ones gives each pair's symmetric
-    part and its entry of L, and the constant `skew`, with the entries
-    k_ij, times nh gives q.  Both sums run over a pair's triangles in
-    triangle order, the pairs (i, j) and (j, i) alike, so the summed matrix
-    is symmetric bit for bit, and the transpose of its CSR form, which
-    scipy converts from the BSR blocks, is its CSC form.  The matrix is in
+    nine products nh_a nh_b, row-major, and a column of ones gives each
+    pair's symmetric part and its entry of L, and the constant `skew`, with
+    the entries k_ij, times nh's columns signed by CROSS gives [q]x.  Both
+    sums run over a pair's triangles in triangle order, the pairs (i, j) and
+    (j, i) alike, so the summed matrix is symmetric bit for bit.  Products
+    run on its BSR form, `bsr`; `matrix`, the CSC form SuperLU takes, is the
+    transpose of its CSR form and is made only to factor.  The matrix is in
     coordinate order; each factorization picks its own fill-reducing order.
     """
+
+    # (component of q, sign) of each entry of [q]x, row-major
+    CROSS = (np.array([0, 2, 1, 2, 0, 0, 1, 0, 0]), np.array([0, -1, 1, 1, 0, -1, -1, 1, 0]))
 
     def __init__(self, tris: np.ndarray, dof_mask: np.ndarray):
         n_verts = int(dof_mask.sum())
@@ -281,25 +285,20 @@ class _HessianPattern:
         """The pairs' 3x3 blocks of H, (pairs, 3, 3), and their entries of
         L, (pairs,), from the per-triangle stiffness S and unit normals nh."""
         np.take(S, self.corners, out=self.weights.data)
-        products = np.empty((len(nh), 7))             # xx xy xz yy yz zz, 1
-        products[:, :3] = nh[:, :1] * nh
-        products[:, 3:5] = nh[:, 1:2] * nh[:, 1:]
-        products[:, 5] = nh[:, 2] * nh[:, 2]
-        products[:, 6] = 1.0
+        products = np.ones((len(nh), 10))
+        products[:, :9] = (nh[:, :, None] * nh[:, None, :]).reshape(-1, 9)
         sym = self.weights @ products
-        q = self.skew @ nh
-        blocks = np.empty((len(sym), 3, 3))
-        blocks[:, [0, 1, 2], [0, 1, 2]] = sym[:, [0, 3, 5]]
-        blocks[:, 0, 1], blocks[:, 1, 0] = sym[:, 1] - q[:, 2], sym[:, 1] + q[:, 2]
-        blocks[:, 0, 2], blocks[:, 2, 0] = sym[:, 2] + q[:, 1], sym[:, 2] - q[:, 1]
-        blocks[:, 1, 2], blocks[:, 2, 1] = sym[:, 4] - q[:, 0], sym[:, 4] + q[:, 0]
-        return blocks, sym[:, 6]
+        blocks = self.skew @ (np.take(nh, self.CROSS[0], axis=1) * self.CROSS[1])  # [q]x
+        blocks += sym[:, :9]
+        return blocks.reshape(-1, 3, 3), sym[:, 9].copy()
+
+    def bsr(self, blocks: np.ndarray) -> sp.bsr_matrix:
+        """The BSR matrix with the pairs' 3x3 `blocks`, on their memory."""
+        return sp.bsr_matrix((blocks, self.pcol, self.row_start), shape=self.shape)
 
     def matrix(self, blocks: np.ndarray) -> sp.csc_matrix:
-        """The CSC matrix with the pairs' 3x3 `blocks`; they must make a
-        symmetric matrix, as H and kron(L, I3) are."""
-        bsr = sp.bsr_matrix((blocks, self.pcol, self.row_start), shape=self.shape)
-        return bsr.tocsr().T
+        """The CSC form of `bsr(blocks)`, which must be symmetric bit for bit."""
+        return self.bsr(blocks).tocsr().T
 
 
 BAND = 5    # half-bandwidth of the stack stage's system: 3x3 ring blocks
@@ -503,28 +502,29 @@ class _Descent:
         return False
 
     def _factored_solve(self):
-        """`solve(mu)` for the full stage: H + mu kron(L, I3), on the pattern
-        built on the first call.  Conjugate gradients preconditioned by the
-        factors of the last system factored solve it to CG_TOL; on a miss,
-        or with no factors yet, the old factors are dropped and this system
-        is factored in float32 and solved by `refine`."""
+        """`solve(mu)` for the full stage: H + mu kron(L, I3), H's BSR blocks
+        with mu L added to their diagonals.  Conjugate gradients
+        preconditioned by the factors of the last system factored solve it
+        to CG_TOL; on a miss, or with no factors yet, the old factors are
+        dropped and its CSC form is factored in float32 and solved by `refine`."""
         if self.pattern is None:
             self.pattern = _HessianPattern(self.cur.triangles, self.interior)
         pattern = self.pattern
         g = self.grad.ravel()
         blocks, lap = pattern.data(self.geo.stiffness, self.geo.normals)
-        H = pattern.matrix(blocks)
-        K = pattern.matrix(lap[:, None, None] * np.eye(3))      # kron(L, I3)
+        H, damped = pattern.bsr(blocks), blocks.copy()
+        A = pattern.bsr(damped)             # each solve(mu) sets its diagonals
+        diagonals = blocks.reshape(-1, 9)[:, ::4], damped.reshape(-1, 9)[:, ::4]
 
         def solve(mu):
-            A = sp.csc_matrix((H.data + mu * K.data, H.indices, H.indptr), shape=H.shape)
+            np.add(diagonals[0], mu * lap[:, None], out=diagonals[1])
             x = None
             if self.factor is not None:
                 x, its = preconditioned_cg(A, -g, self.factor, CG_TOL, CG_MAX_ITERATIONS)
                 self.cg_iterations += its
             if x is None:
                 self.factor = None          # never two sets of factors at once
-                self.factor = factor_float32(A)
+                self.factor = factor_float32(pattern.matrix(damped))
                 self.factorizations += 1
                 x = refine(self.factor, A, -g)
             return (x.reshape(-1, 3),

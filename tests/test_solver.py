@@ -255,13 +255,25 @@ def test_offset_annulus_converges(annulus_coarse):
     assert report.area_history[-1] == pytest.approx(6.094712776147, rel=1e-11)
 
 
-def test_offset_annulus_iterations_at_96x48():
+def test_offset_annulus_iterations_at_96x48(monkeypatch):
+    conversions = []
+    matrix = solver._HessianPattern.matrix
+
+    def counted_matrix(pattern, blocks):
+        conversions.append(blocks.shape)
+        return matrix(pattern, blocks)
+
+    monkeypatch.setattr(solver._HessianPattern, "matrix", counted_matrix)
     _, report = solver.solve_annulus(unit_circles(1.0, 0.3, 96, 48))
     assert report.converged
     assert (report.stack_iterations, report.iterations) == (7, 4)
     # the first full-stage step is factored; conjugate gradients on those
     # factors take the other three
-    assert report.factorizations == 1 and report.cg_iterations > 0
+    assert (report.factorizations, report.cg_iterations) == (1, 18)
+    assert report.area_history[-1] == pytest.approx(6.09412677913332, rel=1e-11)
+    # the full stage multiplies by its BSR blocks and converts them to CSC
+    # only to factor
+    assert len(conversions) == report.factorizations
 
 
 @pytest.mark.parametrize("nu, nv", [(32, 16), (128, 64)])
@@ -385,6 +397,9 @@ def test_hessian_pattern_matches_coo_assembly():
         pattern = solver._HessianPattern(tris, dof_mask)
         blocks, lap = pattern.data(S, nh)
         assert blocks.shape == (len(want.indices) // 9, 3, 3) and lap.shape == blocks.shape[:1]
+        # in C order: a BSR matrix on strided blocks copies them at every product
+        assert blocks.flags.c_contiguous
+        assert np.shares_memory(pattern.bsr(blocks).data, blocks)
         got = pattern.matrix(blocks)
         assert got.format == "csc" and got.has_sorted_indices
         assert got.indptr.dtype == got.indices.dtype == np.int32
@@ -410,6 +425,14 @@ def test_hessian_pattern_matches_coo_assembly():
         kron = sp.kron(L[idx][:, idx], sp.identity(3)).toarray()
         got = pattern.matrix(lap[:, None, None] * np.eye(3))
         assert np.abs(got.toarray() - kron).max() <= 1e-13 * np.abs(kron).max()
+        # the solver multiplies by the BSR blocks of H and of the damped
+        # systems, and factors their CSC form: the products agree bit for bit
+        for mu in (0.0, 1e-6, 1e-2, 30.0):
+            damped = blocks + mu * (lap[:, None, None] * np.eye(3)) if mu else blocks
+            bsr, csc = pattern.bsr(damped), pattern.matrix(damped)
+            assert bsr.format == "bsr" and bsr.blocksize == (3, 3)
+            for v in rng.standard_normal((3, csc.shape[0])):
+                assert np.array_equal(bsr @ v, csc @ v)
 
 
 # Relative error of the full-stage step (float32 factors, two float64
