@@ -785,11 +785,13 @@ def harmonic_capacity(mesh: TriMesh, loop0, loop1):
     loop0 = np.asarray(loop0, dtype=np.int64)
     loop1 = np.asarray(loop1, dtype=np.int64)
     loop_sets = [frozenset(map(int, lp)) for lp in mesh.boundary_loops()]
-    for name, lp in (("loop0", loop0), ("loop1", loop1)):
-        if frozenset(map(int, lp)) not in loop_sets:
+    given = [frozenset(map(int, lp)) for lp in (loop0, loop1)]
+    for name, lp in zip(("loop0", "loop1"), given):
+        if lp not in loop_sets:
             raise MeshError(f"{name} is not a boundary loop of this mesh")
-    if set(map(int, loop0)) & set(map(int, loop1)):
-        raise MeshError("boundary loops overlap")
+    # distinct boundary loops share no vertex: `boundary_loops` rejects branching
+    if given[0] == given[1]:
+        raise MeshError("loop0 and loop1 are the same boundary loop")
 
     # Only the corners (3, M) and S (3, 3, M) are kept: the edge arrays
     # would raise the peak memory of the solve.

@@ -61,14 +61,15 @@ k_{i,i+1} = -1/2, k_{i,i+2} = +1/2 (Pinkall & Polthier 1993), and no
 stage forms it per triangle.  The stack stage sums B^T H B and
 B^T kron(L, I3) B strip by strip of the ring grid (`_StackBasis`): each
 strip's 6x6 block is one product of per-triangle features of S and nh
-with a static table of its strip parity.  It keeps the block tridiagonal
-result in LAPACK band storage, which is scipy's DIA storage of the same
-diagonals, solves it with `scipy.linalg.solve_banded` in O(nv), and never
-forms a matrix of the 3N coordinates.  The full stage sums the blocks per
-vertex pair, sum_t S_ij nh nh^T + [sum_t k_ij nh]x, and S into one scalar
-per pair for L (`_HessianPattern`): two sparse products with the
-per-triangle normals give the blocks of a BSR matrix, and each damping adds
-mu L to their diagonals: kron(L, I3) is never formed.  Every long sum that
+with a static table of its strip parity, and one `np.bincount` on a static
+scatter sums the strips' entries into the block tridiagonal result in LAPACK
+band storage, which is scipy's DIA storage of the same diagonals.  It solves
+that with `scipy.linalg.solve_banded` in O(nv), and never forms a matrix of
+the 3N coordinates.  The full stage sums the blocks per vertex pair,
+sum_t S_ij nh nh^T + [sum_t k_ij nh]x, and S into one scalar per pair for L
+(`_HessianPattern`): two sparse products with the per-triangle normals give
+the blocks of a BSR matrix, and each damping adds mu L to their diagonals:
+kron(L, I3) is never formed.  Every long sum that
 reaches the model value or the conjugate gradients is taken in a fixed
 order, `mesh.fixed_order_dot` or a sparse product, and no dense LAPACK solve
 remains, so the iterates do not depend on the BLAS thread count.  The full
@@ -133,7 +134,7 @@ class NoAnnulusError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    def __init__(self, message, report=None):
+    def __init__(self, message, report):
         super().__init__(message)
         self.report = report
 
@@ -178,11 +179,11 @@ class AnnulusProblem:
 
 @dataclass
 class ConvergenceReport:
-    stack_iterations: int         # iterations over stacks of circles
-    iterations: int               # iterations over every interior vertex
-    converged: bool
-    area_history: list
-    residual_history: list
+    stack_iterations: int = 0     # iterations over stacks of circles
+    iterations: int = 0           # iterations over every interior vertex
+    converged: bool = False
+    area_history: list = field(default_factory=list)
+    residual_history: list = field(default_factory=list)
     factorizations: int = 0       # full-stage factorizations that succeeded
     cg_iterations: int = 0        # full-stage conjugate-gradient iterations
     message: str = ""
@@ -335,6 +336,12 @@ class _StackBasis:
     The reduced system is block tridiagonal in the rings, 3x3 blocks summed
     from the strips' 6x6 blocks (the columns of a boundary ring dropped),
     and is kept in LAPACK band storage with BAND diagonals on each side.
+    `scatter` is static: each strip entry's position among the strips' 21
+    entries, once for each of its places in the strip's 6x6 that falls in
+    the interior rings, and that place's flat position in the band, strip by
+    strip.  So one `np.bincount` fills the band, a diagonal ring block as
+    the sum of strip s - 1's entries and strip s's, and the band's corners
+    outside the matrix stay zero.
     """
 
     def __init__(self, grid: RingGrid):
@@ -361,17 +368,17 @@ class _StackBasis:
         upper6 = np.triu_indices(6)
         self.tables = (per_feature[..., upper6[0], upper6[1]].reshape(2, -1, 21),
                        (X + Y)[..., upper6[0], upper6[1]].reshape(2, -1, 21))
-        # the 6x6 of a strip from its 21 entries; the band places of the
-        # diagonal ring blocks, and of the blocks above and below it
+        # the 21 entries' places in a strip's 6x6, and the unknown of each
+        # of its rows: ring s's in rows 0-2, ring s + 1's in rows 3-5
         square = np.zeros((6, 6), dtype=np.intp)
         square[upper6] = square.T[upper6] = np.arange(21)
-        self.square = square
-        a, b = np.arange(3)[:, None], np.arange(3)
         n = 3 * (nv - 1)
-        ring_col = 3 * np.arange(nv - 1)[:, None, None]
-        self.band_at = ((BAND + a - b) * n + ring_col + b,
-                        (BAND - 3 + a - b) * n + ring_col[1:] + b,
-                        (BAND + 3 + a - b) * n + ring_col[:-1] + b)
+        strip = np.arange(nv)[:, None]
+        unknown = 3 * (strip + np.arange(6) // 3 - 1) + np.arange(6) % 3  # (strip, row)
+        i, j = unknown[:, :, None], unknown[:, None, :]
+        interior = (i >= 0) & (i < n) & (j >= 0) & (j < n)
+        self.scatter = ((21 * strip[:, :, None] + square)[interior],
+                        ((BAND + i - j) * n + j)[interior])
 
     def reduced(self, geo: EdgeGeometry):
         """(B^T H B, B^T kron(L, I3) B) at the surface of `geo`, in LAPACK
@@ -386,27 +393,17 @@ class _StackBasis:
         features[:, 3:6] = neg_s * (nh[:, :1] * nh[:, 1:2])
         features[:, 6:9] = neg_s * (nh[:, 1:2] * nh[:, 1:2])
         features[:, 9] = nh[:, 2]
+        entry, place = self.scatter
+        size = (2 * BAND + 1) * 3 * (nv - 1)
         out = []
         for per_strip, table in zip((features, neg_s), self.tables):
             per_strip = per_strip.reshape(nv, -1)
             strips = np.empty((nv, 21))
             for q in range(2):
                 strips[q::2] = per_strip[q::2] @ table[q]
-            out.append(self._band(strips))
+            band = np.bincount(place, strips.ravel()[entry], minlength=size)
+            out.append(band.reshape(2 * BAND + 1, -1))
         return tuple(out)
-
-    def _band(self, strips: np.ndarray) -> np.ndarray:
-        """The strips' symmetric 6x6 blocks, from their 21 entries, summed
-        over the unknowns of every ring and restricted to the interior
-        rings, in band storage."""
-        full = strips[:, self.square]
-        band = np.zeros((2 * BAND + 1, 3 * (self.nv - 1)))
-        flat = band.reshape(-1)
-        at_diagonal, at_above, at_below = self.band_at
-        flat[at_diagonal] = full[:-1, 3:, 3:] + full[1:, :3, :3]
-        flat[at_above] = full[1:-1, :3, 3:]
-        flat[at_below] = full[1:-1, 3:, :3]
-        return band
 
     def residual(self, geo: EdgeGeometry, interior: np.ndarray) -> float:
         """Largest ring-averaged mean curvature: the norm of ring j's block
@@ -420,15 +417,14 @@ class _StackBasis:
 class _Descent:
     """Levenberg-Marquardt descent on the area of a mesh whose boundary is
     pinned: the current surface with its `edge_geometry`, gradient and
-    residual, the damping, the histories and the safety checks.  The stack
+    residual, the damping, the safety checks, and `report`, the one record
+    of the solve's counters and histories, updated in place.  The stack
     stage and the full stage both step through `_iterate`, so they share one
     acceptance and damping rule, and the full stage starts from the damping
     the stack stage last accepted."""
 
     def __init__(self, mesh: TriMesh):
         fixed = mesh.boundary_vertex_mask()
-        if not fixed.any():
-            raise MeshError("mesh has no boundary to pin")
         used = np.bincount(mesh.triangles.ravel(), minlength=mesh.n_vertices)
         if not used.all():
             raise MeshError(f"vertex {int(np.argmin(used))} is referenced by no triangle")
@@ -444,23 +440,15 @@ class _Descent:
         self.pattern = None           # the full stage's, built on its first iteration
         self.factor = None            # float32 factors of the last full-stage system
         self.mu = 1.0
-        self.stack_iterations = self.iterations = 0
-        self.factorizations = self.cg_iterations = 0
-        self.message = ""
-        self.areas, self.residuals = [], []
+        self.report = ConvergenceReport()
         cur = TriMesh(mesh.vertices.copy(), mesh.triangles)
         self._accept(cur, edge_geometry(cur))
 
     def _accept(self, mesh: TriMesh, geo: EdgeGeometry) -> None:
         self.cur, self.geo = mesh, geo
         self.grad, self.res = mean_curvature_residual(geo, self.interior)
-        self.areas.append(geo.area)
-        self.residuals.append(self.res)
-
-    def report(self, converged: bool = False) -> ConvergenceReport:
-        return ConvergenceReport(self.stack_iterations, self.iterations, converged,
-                                 self.areas, self.residuals, self.factorizations,
-                                 self.cg_iterations, self.message)
+        self.report.area_history.append(geo.area)
+        self.report.residual_history.append(self.res)
 
     def _iterate(self, solve, stage_residual) -> bool:
         """One iteration.  `solve(mu)` returns a step of the interior
@@ -472,7 +460,7 @@ class _Descent:
         area sum cannot be measured: such a step is accepted at its damping,
         neither shrunk nor grown, when it lowers `stage_residual(geometry)`,
         and otherwise ends the stage."""
-        mu, area = self.mu, self.areas[-1]
+        mu, area = self.mu, self.geo.area
         for _ in range(25):
             try:
                 # A non-finite step is rejected below; its model value
@@ -521,11 +509,11 @@ class _Descent:
             x = None
             if self.factor is not None:
                 x, its = preconditioned_cg(A, -g, self.factor, CG_TOL, CG_MAX_ITERATIONS)
-                self.cg_iterations += its
+                self.report.cg_iterations += its
             if x is None:
                 self.factor = None          # never two sets of factors at once
                 self.factor = factor_float32(pattern.matrix(damped))
-                self.factorizations += 1
+                self.report.factorizations += 1
                 x = refine(self.factor, A, -g)
             return (x.reshape(-1, 3),
                     -(fixed_order_dot(g, x) + 0.5 * fixed_order_dot(x, H @ x)))
@@ -580,18 +568,21 @@ class _Descent:
             if what := self._safety_failure():
                 raise NoAnnulusError(f"no annulus: {what}")
 
+        report = self.report
         while (self.res > TOLERANCE and residual(self.geo) > STACK_TOL_RATIO * TOLERANCE
-               and self.stack_iterations < MAX_ITERATIONS):
-            self.stack_iterations += 1
+               and report.stack_iterations < MAX_ITERATIONS):
+            report.stack_iterations += 1
             if not self._iterate(self._stack_solve(basis), residual):
                 break
-            if self.stack_iterations % CHECK_EVERY == 0:
+            if report.stack_iterations % CHECK_EVERY == 0:
                 check()
         check()
 
     def full_stage(self):
         """Minimize over every interior vertex; return (mesh, report) or raise
         ConvergenceError, a safety failure included."""
+        report = self.report
+
         def residual(geo):
             return mean_curvature_residual(geo, self.interior)[1]
 
@@ -599,23 +590,22 @@ class _Descent:
             if what := self._safety_failure():
                 if not what.startswith("mesh degenerated"):
                     what = f"mesh degenerated: {what}"
-                raise ConvergenceError(what, self.report())
+                raise ConvergenceError(what, report)
 
-        while self.res > TOLERANCE and self.iterations < MAX_ITERATIONS:
-            self.iterations += 1
+        while self.res > TOLERANCE and report.iterations < MAX_ITERATIONS:
+            report.iterations += 1
             if not self._iterate(self._factored_solve(), residual):
-                self.message = ("no area-decreasing step at maximal damping, "
-                                "nor a residual-decreasing one below the area's "
-                                "rounding floor")
+                report.message = ("no area-decreasing step at maximal damping, "
+                                  "nor a residual-decreasing one below the area's "
+                                  "rounding floor")
                 break
-            if self.iterations % CHECK_EVERY == 0:
+            if report.iterations % CHECK_EVERY == 0:
                 check()
         check()
-        converged = self.res <= TOLERANCE
-        report = self.report(converged)
-        if not converged:
+        report.converged = self.res <= TOLERANCE
+        if not report.converged:
             raise ConvergenceError(
-                self.message or f"not converged after {self.iterations} iterations "
+                report.message or f"not converged after {report.iterations} iterations "
                 f"(residual {self.res:.3e} > {TOLERANCE:.1e})",
                 report)
         # Boundary rows were never written; assert the contract cheaply.

@@ -530,6 +530,13 @@ def test_harmonic_capacity_rejects_non_boundary_loop():
         harmonic_capacity(mesh, lp0[:-1], lp1)
 
 
+def test_harmonic_capacity_rejects_one_loop_twice():
+    mesh = surfaces.flat_annulus_mesh(1.0, 3.0, 64, 16)
+    lp0, _ = mesh.boundary_loops()
+    with pytest.raises(MeshError, match="^loop0 and loop1 are the same boundary loop$"):
+        harmonic_capacity(mesh, lp0, lp0)
+
+
 def test_harmonic_capacity_potential_range():
     mesh = surfaces.flat_annulus_mesh(1.0, 3.0, 64, 16)
     lp0, lp1 = mesh.boundary_loops()

@@ -101,6 +101,21 @@ def test_report_json():
     assert doc["iterations"] == report.iterations
 
 
+def test_each_solve_keeps_its_own_histories():
+    # the report's lists are its fields' defaults: one new list per report
+    reports = [solver.solve_annulus(solver.AnnulusProblem(
+        solver.Circle((0, 0, 0.0), 1.0), solver.Circle((d, 0, 1.0), 1.0), nu=32, nv=16))[1]
+        for d in (0.0, 0.3)]
+    assert reports[0].area_history is not reports[1].area_history
+    assert reports[0].residual_history is not reports[1].residual_history
+    assert reports[0].area_history is not reports[0].residual_history
+    for report in reports:
+        assert report.converged
+        steps = 1 + report.stack_iterations + report.iterations
+        assert len(report.area_history) == len(report.residual_history) == steps
+    assert len(reports[0].area_history) != len(reports[1].area_history)
+
+
 def test_coaxial_circles_below_critical_height_converge():
     # a catenoid spans coaxial unit circles up to h ~ 1.3255
     prob = solver.AnnulusProblem(solver.Circle((0, 0, 0.0), 1.0),
@@ -134,6 +149,11 @@ def test_minimize_area_requires_two_loops():
     disk = TriMesh(verts, np.array([[0, 1, 2]]))
     with pytest.raises(MeshError):
         solver.minimize_area(disk)
+    # a closed mesh has no boundary loop
+    tetrahedron = TriMesh(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                          np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]]))
+    with pytest.raises(MeshError, match="found 0$"):
+        solver.minimize_area(tetrahedron)
 
 
 def small_annulus():
@@ -271,6 +291,9 @@ def test_offset_annulus_iterations_at_96x48(monkeypatch):
     # factors take the other three
     assert (report.factorizations, report.cg_iterations) == (1, 18)
     assert report.area_history[-1] == pytest.approx(6.09412677913332, rel=1e-11)
+    # one entry for the start and one per iteration, every one accepted here
+    assert len(report.area_history) == len(report.residual_history) == 12
+    assert len(report.area_history) == 1 + report.stack_iterations + report.iterations
     # the full stage multiplies by its BSR blocks and converts them to CSC
     # only to factor
     assert len(conversions) == report.factorizations
@@ -319,7 +342,7 @@ def test_edge_geometry_matches_formulas(nu, nv):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("nu, nv", [(16, 6), (96, 48), (16, 2)])
+@pytest.mark.parametrize("nu, nv", [(16, 6), (96, 48), (16, 2), (16, 3)])
 def test_stack_reduced_matrices_match_sparse_products(nu, nv):
     ruled = solver.initial_annulus(unit_circles(1.0, 0.2, nu, nv))
     basis = solver._stack_basis(ruled)
@@ -338,12 +361,12 @@ def test_stack_reduced_matrices_match_sparse_products(nu, nv):
         assert not got[(i < 0) | (i >= got.shape[1])].any()
 
 
-@pytest.mark.parametrize("nu, nv", [(16, 6), (96, 48), (16, 2)])
+@pytest.mark.parametrize("nu, nv", [(16, 6), (96, 48), (16, 2), (16, 3)])
 @pytest.mark.parametrize("mu", [1e-6, 1e-2, 1.0, 30.0])
 def test_banded_stack_step_matches_dense_solve(nu, nv, mu):
     # on a stack of circles with random radii and centers, where B^T H B
     # is indefinite, so small mu leaves the system indefinite too; with one
-    # interior ring (nv = 2) it is definite here
+    # or two interior rings (nv = 2, 3) it is definite here
     start = unit_circles(1.0, 0.2, nu, nv).start
     rng = np.random.default_rng(13)
     rings = start.vertices.reshape(nv + 1, nu, 3).copy()
@@ -356,7 +379,7 @@ def test_banded_stack_step_matches_dense_solve(nu, nv, mu):
     step, predicted = descent._stack_solve(basis)(mu)
     Hr, Lr = (band_to_dense(m) for m in basis.reduced(descent.geo))
     eigenvalues = np.linalg.eigvalsh(Hr)
-    assert (eigenvalues.min() < 0) == (nv > 2) and eigenvalues.max() > 0
+    assert (eigenvalues.min() < 0) == (nv > 3) and eigenvalues.max() > 0
     gr = basis.matrix.T @ descent.grad.ravel()
     A = Hr + mu * Lr
     t = np.linalg.solve(A, -gr)
@@ -686,8 +709,8 @@ def test_stack_stage_keeps_horizontal_circles():
     nu, nv = 48, 16
     descent = stack_descent(1.0, 0.3, nu, nv)
     assert stack_residual(descent) <= solver.STACK_TOL_RATIO * solver.TOLERANCE
-    assert descent.stack_iterations > 0
-    assert descent.areas[-1] < descent.areas[0]
+    assert descent.report.stack_iterations > 0
+    assert descent.report.area_history[-1] < descent.report.area_history[0]
     start = descent.start.vertices.reshape(nv + 1, nu, 3)
     rings = descent.cur.vertices.reshape(nv + 1, nu, 3)
     assert np.array_equal(rings[:, :, 2], start[:, :, 2])   # heights held
